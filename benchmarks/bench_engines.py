@@ -93,8 +93,7 @@ QUICK_EVENT = dict(d=4, rho=0.3, horizon=120.0, replications=16)
 REPEATS = 5  # best-of timings
 
 
-def _seed_serve_level(arcs, times, pids, discipline="fifo", service=1.0,
-                      blocks=None):
+def _seed_serve_level(arcs, times, pids, discipline="fifo", service=1.0):
     """The seed's ``serve_level`` (commit c5ecac6), frozen verbatim:
     after the (arc, time, pid) lexsort, a Python loop dispatches one
     Lindley / fair-share call **per busy arc**."""
@@ -341,8 +340,8 @@ if __name__ == "__main__":
         sys.exit("FAIL: execution paths are not bit-identical")
     if not results["chunked_ps"]["within_tolerance"]:
         sys.exit("FAIL: chunked PS deviates > 1e-9 from the one-shot sweep")
-    if not quick and results["speedup_vs_seed"] < 3.0:
-        sys.exit("FAIL: batched path is not >= 3x the seed fan-out")
+    if not quick and results["speedup_vs_seed"] < 10.0:
+        sys.exit("FAIL: batched path is not >= 10x the seed fan-out")
     if not quick and results["batched_vs_sequential"] < 1.0:
         sys.exit("FAIL: batched path is slower than sequential fan-out")
     if not quick and results["chunked_vs_sequential"] < 0.9:

@@ -18,8 +18,8 @@ workload arrays stack into one set of parallel arrays (arc ids offset
 by ``replication * num_arcs`` keep the R sub-systems disjoint), and the
 d-level loop runs **once** for the whole batch.  Profiling showed the
 naive all-R stack *loses* to R sequential runs on arc-rich cells: the
-per-level sort cost is identical either way (the blockwise sorts do
-exactly the R standalone sorts), so what remains is pure overhead —
+per-level sort costs about the same either way (one stacked sort or
+R standalone ones), so what remains is pure overhead —
 full-size gather/scatter passes over stacked arrays that fall out of
 cache.  The engine therefore stacks replications in **sub-batches**
 sized so one level's rows stay cache-resident (the ``batch_reps``

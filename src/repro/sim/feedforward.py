@@ -76,9 +76,10 @@ class ArcLog:
         return int(self.pid.shape[0])
 
     def for_arc(self, arc_id: int) -> "ArcLog":
-        """Sub-log of a single arc, in service (departure) order."""
+        """Sub-log of a single arc, in service (departure) order (a
+        packet crosses an arc at most once, so its pids are distinct)."""
         m = self.arc == arc_id
-        order = np.lexsort((self.pid[m], self.t_in[m]))
+        order = _arc_time_pid_order(self.arc[m], self.t_in[m], self.pid[m])
         return ArcLog(
             self.pid[m][order],
             self.arc[m][order],
@@ -116,8 +117,16 @@ class MarkovianResult:
     decisions: Optional[Dict[int, np.ndarray]]
 
 
-def _running_max_inplace(out: np.ndarray, pos: np.ndarray) -> None:
-    """Hillis–Steele doubling scan over one contiguous run, in place."""
+def _segmented_running_max(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Per-segment prefix maximum of *values* (Hillis–Steele doubling).
+
+    ``pos`` gives each element's 0-based index within its (contiguous)
+    segment.  Equivalent to ``np.maximum.accumulate`` applied segment
+    by segment — bit-identical, since ``max`` selects one of its
+    operands — but with O(log max-segment-length) vectorised rounds
+    instead of a Python loop over segments.
+    """
+    out = values.copy()
     max_pos = int(pos.max()) if pos.shape[0] else 0
     shift = 1
     while shift <= max_pos:
@@ -127,36 +136,52 @@ def _running_max_inplace(out: np.ndarray, pos: np.ndarray) -> None:
         candidate = np.where(pos[shift:] >= shift, out[:-shift], -np.inf)
         np.maximum(out[shift:], candidate, out=out[shift:])
         shift <<= 1
-
-
-def _segmented_running_max(
-    values: np.ndarray,
-    pos: np.ndarray,
-    blocks: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-segment prefix maximum of *values* (Hillis–Steele doubling).
-
-    ``pos`` gives each element's 0-based index within its (contiguous)
-    segment.  Equivalent to ``np.maximum.accumulate`` applied segment
-    by segment — bit-identical, since ``max`` selects one of its
-    operands — but with O(log max-segment-length) vectorised rounds
-    instead of a Python loop over segments.  ``blocks`` (boundaries of
-    independent row runs, as in :func:`serve_level`) keeps each
-    doubling scan cache-resident on large stacked batches; the scans
-    run in place on views of the output, so a block costs no copies
-    beyond the single upfront one.
-    """
-    out = values.copy()
-    n = out.shape[0]
-    if n == 0:
-        return out
-    if blocks is not None and len(blocks) > 2:
-        for lo, hi in zip(blocks[:-1], blocks[1:]):
-            if hi > lo:
-                _running_max_inplace(out[lo:hi], pos[lo:hi])
-        return out
-    _running_max_inplace(out, pos)
     return out
+
+
+def _arc_time_pid_order(
+    arcs: np.ndarray, times: np.ndarray, pids: np.ndarray
+) -> np.ndarray:
+    """Permutation putting rows in (arc, time, pid) service order.
+
+    Every serve kernel orders its rows with this function.  Arc ids are
+    non-negative and, within one call, the pids are distinct and
+    non-negative, so that order is a *unique* permutation — any
+    algorithm producing it matches ``np.lexsort((pids, times, arcs))``
+    exactly.  This one needs two plain argsorts instead of three stable
+    passes: rank the arrival epochs densely (equal floats share a rank,
+    so exact time ties still fall through to the pid), then argsort a
+    single packed ``(arc, rank, pid)`` int64 key.  Plain argsorts may be
+    unstable, which is safe here precisely because ranks collapse equal
+    times and the packed keys are unique — and they hit NumPy's
+    vectorised quicksort, which the stable kinds cannot use.
+
+    Falls back to ``np.lexsort`` when the packed key would overflow 63
+    bits or any time is negative (the int64 view of an IEEE double is
+    order-preserving only for non-negative values, ``-0.0`` included
+    in the guard since its sign bit is set).
+    """
+    n = arcs.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    t = np.ascontiguousarray(times, dtype=float)
+    o_t = np.argsort(t.view(np.int64))
+    t_s = t.view(np.int64)[o_t]
+    if t_s[0] < 0:
+        return np.lexsort((pids, times, arcs))
+    r_sorted = np.empty(n, dtype=np.int64)
+    r_sorted[0] = 0
+    np.cumsum(t_s[1:] != t_s[:-1], out=r_sorted[1:])
+    bits_p = int(pids.max()).bit_length()
+    bits_r = int(r_sorted[-1]).bit_length()
+    bits_a = int(arcs.max()).bit_length()
+    if bits_a + bits_r + bits_p > 63:
+        return np.lexsort((pids, times, arcs))
+    rank = np.empty(n, dtype=np.int64)
+    rank[o_t] = r_sorted
+    key = (arcs << np.int64(bits_r + bits_p)) | (rank << np.int64(bits_p))
+    key |= pids
+    return np.argsort(key)
 
 
 def serve_level(
@@ -165,8 +190,6 @@ def serve_level(
     pids: np.ndarray,
     discipline: str = "fifo",
     service: float | np.ndarray = 1.0,
-    *,
-    blocks: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve every server of one level in one shot.
 
@@ -180,14 +203,15 @@ def serve_level(
     (packets in (arc, time, pid) order) used for routing-decision
     positions.
 
-    ``blocks`` is the replication-batching fast path: boundaries (as in
-    ``blocks[i]:blocks[i+1]``) of contiguous row runs whose arc-id
-    ranges are **disjoint and increasing** — which is how the batch
-    kernels lay out R stacked replications (arc ids offset by
-    ``replication * num_arcs``, rows replication-major).  Each block is
-    then sorted independently (cache-resident, exactly the sorts the
-    R standalone runs would do) and the concatenation *is* the global
-    (arc, time, pid) order, skipping one large cache-hostile lexsort.
+    Precondition: arc ids are non-negative and the pids are **distinct
+    and non-negative** within one call (a packet crosses a level at
+    most once; the fixed-point solver passes hop-row indices).  The
+    service order is then a unique permutation, which
+    :func:`_arc_time_pid_order` computes with a packed two-pass sort —
+    bit-identical to ``np.lexsort((pids, times, arcs))``.  Replication
+    batches need no special path: their arc ids are offset per
+    replication, so one sort over the stack is the concatenation of
+    the per-replication orders.
 
     FIFO is solved for **all** arcs in one segmented Lindley recursion
     (``D_i = s*(i+1) + max_{j<=i}(t_j - s*j)`` per arc, the closed form
@@ -205,14 +229,7 @@ def serve_level(
     per_arc = isinstance(service, np.ndarray)
     if not per_arc and service <= 0.0:
         raise ValueError(f"service time must be > 0, got {service}")
-    if blocks is None:
-        order = np.lexsort((pids, times, arcs))
-    else:
-        order = np.empty(n, dtype=np.int64)
-        for lo, hi in zip(blocks[:-1], blocks[1:]):
-            order[lo:hi] = lo + np.lexsort(
-                (pids[lo:hi], times[lo:hi], arcs[lo:hi])
-            )
+    order = _arc_time_pid_order(arcs, times, pids)
     a_s = arcs[order]
     t_s = times[order]
     starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
@@ -223,7 +240,7 @@ def serve_level(
         pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
         idx = pos.astype(float)
         s_rows = service[a_s] if per_arc else float(service)
-        run = _segmented_running_max(t_s - s_rows * idx, pos, blocks)
+        run = _segmented_running_max(t_s - s_rows * idx, pos)
         dep_s = s_rows * (idx + 1.0) + run
     else:
         for i in range(starts.shape[0]):
@@ -335,7 +352,7 @@ def simulate_butterfly_greedy(
 # the network: offsetting every arc id by ``replication * num_arcs``
 # makes the stacked system one big levelled network whose per-arc
 # arrival sequences are exactly the per-replication ones.  The d-level
-# loop then runs once for the whole batch — one lexsort and one
+# loop then runs once for the whole batch — one sort and one
 # segmented Lindley/PS solve per level instead of R — while each
 # replication's delivery sub-array stays bit-identical to its
 # standalone run (pinned by tests/test_golden_dispatch.py).
@@ -362,12 +379,6 @@ def _split_delivery(
     delivery: np.ndarray, counts: np.ndarray
 ) -> List[np.ndarray]:
     return np.split(delivery, np.cumsum(counts)[:-1])
-
-
-def _rep_blocks(rep_rows: np.ndarray, reps: int) -> np.ndarray:
-    """Block boundaries of the (sorted) per-row replication ids — the
-    ``serve_level`` fast path for replication-major stacked rows."""
-    return np.searchsorted(rep_rows, np.arange(reps + 1))
 
 
 def simulate_hypercube_greedy_batch(
@@ -423,13 +434,7 @@ def simulate_hypercube_greedy_batch(
         k = np.bitwise_count(already).astype(np.int64)
         slots = first[rows] + k
         arc_ids = dim * n_nodes + (origins[rows] ^ already) + arc_offset[rows]
-        dep, _ = serve_level(
-            arc_ids,
-            arrivals[slots],
-            rows,
-            discipline,
-            blocks=_rep_blocks(rep[rows], len(samples)),
-        )
+        dep, _ = serve_level(arc_ids, arrivals[slots], rows, discipline)
         last = k + 1 == hops[rows]
         delivery[rows[last]] = dep[last]
         cont = ~last
@@ -453,11 +458,10 @@ def simulate_butterfly_greedy_batch(
     cur = times.copy()
     n = times.shape[0]
     pids = np.arange(n, dtype=np.int64)
-    blocks = np.r_[0, np.cumsum(counts)]
     for level in range(d):
         kind = (diff >> level) & 1
         arc_ids = level * 2 * rows_per_level + 2 * rows + kind + arc_offset
-        dep, _ = serve_level(arc_ids, cur, pids, discipline, blocks=blocks)
+        dep, _ = serve_level(arc_ids, cur, pids, discipline)
         cur = dep
         rows = rows ^ (kind << level)
     if n and np.any(rows != dests):  # pragma: no cover - internal invariant
@@ -538,48 +542,6 @@ def _scratch_aranges(n: int) -> Tuple[np.ndarray, np.ndarray]:
         _ARANGE_F = np.arange(size, dtype=float)
         _ARANGE_I = np.arange(size, dtype=np.int64)
     return _ARANGE_F[:n], _ARANGE_I[:n]
-
-
-def _arc_time_pid_order(
-    arcs: np.ndarray, times: np.ndarray, pids: np.ndarray
-) -> np.ndarray:
-    """Permutation putting rows in (arc, time, pid) service order.
-
-    Within one serve call the pids are distinct, so that order is a
-    *unique* permutation — any algorithm producing it matches
-    ``np.lexsort((pids, times, arcs))`` exactly.  This one needs two
-    plain argsorts instead of three stable passes: rank the arrival
-    epochs densely (equal floats share a rank, so exact time ties
-    still fall through to the pid), then argsort a single packed
-    ``(arc, rank, pid)`` int64 key.  Plain argsorts may be unstable,
-    which is safe here precisely because ranks collapse equal times
-    and the packed keys are unique — and they hit NumPy's vectorised
-    quicksort, which the stable kinds cannot use.
-
-    Falls back to ``np.lexsort`` when the packed key would overflow 63
-    bits or any time is negative (the int64 view of an IEEE double is
-    order-preserving only for non-negative values, ``-0.0`` included
-    in the guard since its sign bit is set).
-    """
-    n = arcs.shape[0]
-    t = times if times.flags.c_contiguous else np.ascontiguousarray(times)
-    o_t = np.argsort(t.view(np.int64))
-    t_s = t.view(np.int64)[o_t]
-    if t_s[0] < 0:
-        return np.lexsort((pids, times, arcs))
-    r_sorted = np.empty(n, dtype=np.int64)
-    r_sorted[0] = 0
-    np.cumsum(t_s[1:] != t_s[:-1], out=r_sorted[1:])
-    bits_p = int(pids.max()).bit_length()
-    bits_r = int(r_sorted[-1]).bit_length()
-    bits_a = int(arcs.max()).bit_length()
-    if bits_a + bits_r + bits_p > 63:
-        return np.lexsort((pids, times, arcs))
-    rank = np.empty(n, dtype=np.int64)
-    rank[o_t] = r_sorted
-    key = (arcs << np.int64(bits_r + bits_p)) | (rank << np.int64(bits_p))
-    key |= pids
-    return np.argsort(key)
 
 
 def _serve_fifo_carry(
@@ -681,7 +643,7 @@ class _PsLevelCarry:
         dep_times: List[float] = []
         servers = self.servers
         if arcs.shape[0]:
-            order = np.lexsort((pids, times, arcs))
+            order = _arc_time_pid_order(arcs, times, pids)
             a_s = arcs[order]
             t_s = times[order]
             p_s = pids[order]

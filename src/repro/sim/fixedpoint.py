@@ -83,18 +83,13 @@ def simulate_paths_fixed_point(
     bit-for-bit (both reduce to the same max-plus arithmetic); PS
     agrees to floating-point round-off.
 
-    ``rep_blocks`` is the replication-batching fast path (mirroring
-    :func:`repro.sim.feedforward.serve_level`'s ``blocks``): boundaries
-    of contiguous *hop-row* runs whose arc-id ranges are disjoint and
-    increasing — how the batch entry point stacks R replications.
-    Every sweep's sort then runs per block (cache-resident, exactly the
-    sorts R standalone solves would do) instead of one large lexsort
-    over the whole stack, with a bit-identical global order.  Blocks
-    also converge independently: once a block's sweep moves nothing it
-    is dropped from all later sweeps (its arc ids are disjoint, so no
-    sibling can perturb it), which
-    :attr:`FixedPointResult.sweep_rows` makes observable — on a
-    mixed-convergence batch it is strictly less than
+    ``rep_blocks`` is the replication-batching fast path: boundaries of
+    contiguous *hop-row* runs whose arc-id ranges are disjoint — how
+    the batch entry point stacks R replications.  Blocks converge
+    independently: once a block's sweep moves nothing it is dropped
+    from all later sweeps (its arc ids are disjoint, so no sibling can
+    perturb it), which :attr:`FixedPointResult.sweep_rows` makes
+    observable — on a mixed-convergence batch it is strictly less than
     ``sweeps * total_rows`` while the sample path stays bit-identical.
     """
     if discipline not in ("fifo", "ps"):
@@ -159,20 +154,12 @@ def simulate_paths_fixed_point(
     for sweep in range(1, max_sweeps + 1):
         sweep_rows += int(act_rows.shape[0])
         rows = act_rows[arc_dirty[hop_arc[act_rows]]]
-        # dirty rows keep the stacked layout's rep-major order, so the
-        # disjoint-increasing-block structure survives the subsetting
-        blocks = (
-            None
-            if rep_blocks is None
-            else np.searchsorted(rows, bounds)
-        )
+        # serve_level needs distinct tie-break ids, and a packet id
+        # repeats once per hop; hop rows are distinct, increasing and
+        # packet-major, so (arc, time, row) order equals
+        # np.lexsort((hop_pid[rows], times, arcs)) exactly
         departures[rows], _ = serve_level(
-            hop_arc[rows],
-            arrivals[rows],
-            hop_pid[rows],
-            discipline,
-            service,
-            blocks=blocks,
+            hop_arc[rows], arrivals[rows], rows, discipline, service
         )
         moved = act_chained[
             departures[act_chained - 1] != arrivals[act_chained]

@@ -1,10 +1,14 @@
 """Property-based tests on simulator invariants (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.feedforward import serve_level, simulate_hypercube_greedy
+from repro.sim.feedforward import (
+    _arc_time_pid_order,
+    serve_level,
+    simulate_hypercube_greedy,
+)
 from repro.sim.lindley import fifo_departure_times
 from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
@@ -80,6 +84,101 @@ def test_property_ps_dominates_fifo_per_level(inst):
     dep_fifo, _ = serve_level(arcs, times, pids, discipline="fifo")
     dep_ps, _ = serve_level(arcs, times, pids, discipline="ps")
     assert np.all(dep_fifo <= dep_ps + 1e-9)
+
+
+# serve_level's returned order is the service permutation that
+# simulate_markovian uses as routing-decision positions, and the packed
+# sort behind it must reproduce np.lexsort((pids, times, arcs)) exactly.
+# Times sit on a quarter-unit grid, so exact ties are common.
+
+
+@st.composite
+def service_order_instance(draw, negative=False, wide=False):
+    """(arcs, times, pids) with distinct pids in any order.  ``negative``
+    forces a negative or ``-0.0`` time and ``wide`` a key too wide to
+    pack into 63 bits; both take the lexsort fallback."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    arcs = np.array(
+        draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    lo = -40 if negative else 0
+    times = np.array(
+        draw(st.lists(st.integers(lo, 40), min_size=n, max_size=n))
+    ) / 4.0
+    if negative:
+        zero = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        times[zero] = -0.0
+        at = draw(st.integers(0, n - 1))
+        times[at] = draw(st.sampled_from([-0.0, -0.25]))
+    pids = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    if wide:
+        # 46 arc bits + 21 pid bits already exceed 63
+        arcs += np.int64(1) << 45
+        pids += np.int64(1) << 20
+    return arcs, times, pids
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=service_order_instance(), discipline=st.sampled_from(["fifo", "ps"]))
+@example(
+    inst=(np.array([3]), np.array([0.5]), np.array([7])), discipline="fifo"
+)
+def test_property_serve_level_order_is_lexsort(inst, discipline):
+    arcs, times, pids = inst
+    _, order = serve_level(arcs, times, pids, discipline)
+    np.testing.assert_array_equal(order, np.lexsort((pids, times, arcs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=st.one_of(
+        service_order_instance(negative=True),
+        service_order_instance(wide=True),
+    )
+)
+def test_property_serve_level_order_lexsort_fallbacks(inst):
+    arcs, times, pids = inst
+    _, order = serve_level(arcs, times, pids)
+    np.testing.assert_array_equal(order, np.lexsort((pids, times, arcs)))
+
+
+@st.composite
+def fixed_point_sweep(draw):
+    """One fixed-point sweep's inputs: a dirty subset of hop rows laid
+    out packet-major, so a packet id repeats once per hop of it."""
+    hops = draw(st.lists(st.integers(1, 4), min_size=1, max_size=20))
+    hop_pid = np.repeat(np.arange(len(hops), dtype=np.int64), hops)
+    total = hop_pid.shape[0]
+    rows = np.array(
+        sorted(draw(st.sets(st.integers(0, total - 1), min_size=1))),
+        dtype=np.int64,
+    )
+    n = rows.shape[0]
+    arcs = np.array(
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    times = np.array(
+        draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
+    ) / 4.0
+    return arcs, times, rows, hop_pid[rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep=fixed_point_sweep())
+def test_property_hop_row_tiebreak_matches_packet_lexsort(sweep):
+    """The fixed-point solver breaks ties by hop row, not by the
+    repeating packet id; the service order is the same."""
+    arcs, times, rows, hop_pids = sweep
+    _, order = serve_level(arcs, times, rows)
+    np.testing.assert_array_equal(order, np.lexsort((hop_pids, times, arcs)))
+
+
+def test_service_order_of_empty_input():
+    empty = np.zeros(0, dtype=np.int64)
+    order = _arc_time_pid_order(empty, np.zeros(0), empty)
+    assert order.shape == (0,) and order.dtype == np.int64
 
 
 # Birth times are drawn on the dyadic grid 2^-6 so that the translated
