@@ -7,38 +7,40 @@ Lindley recursion (FIFO) or exact fair-share construction (PS) per
 server, all servers of a level in one vectorised shot
 (:func:`repro.sim.feedforward.serve_level`).
 
-The engine drives a network through its native level-sweep kernel
-(:meth:`~repro.networks.api.NetworkPlugin.simulate_greedy` — the
-XOR-algebra sweep on the hypercube, the one-arc-per-level sweep on the
-butterfly), so it only supports networks that declare it native; the
-fixed-point engine covers everything else.
+The engine drives any network that hands it a per-level arc map
+(:meth:`~repro.networks.api.NetworkPlugin.greedy_levels` — which
+levels a packet crosses and which arc it holds at each), through two
+generic kernels: :func:`~repro.sim.feedforward.simulate_levelled` (the
+one-shot sweep) and :func:`~repro.sim.feedforward.simulate_levelled_chunked`
+(the bounded-memory one).  Networks without a map run on the
+fixed-point engine instead.  Every route goes through
+:meth:`FeedForwardEngine.batch_deliveries`; a single replication is a
+batch of one.
 
 **Batching** is where the level sweep pays twice: R replications'
 workload arrays stack into one set of parallel arrays (arc ids offset
 by ``replication * num_arcs`` keep the R sub-systems disjoint), and the
-d-level loop runs **once** for the whole batch.  Profiling showed the
+level loop runs **once** for the whole batch.  Profiling showed the
 naive all-R stack *loses* to R sequential runs on arc-rich cells: the
 per-level sort costs about the same either way (one stacked sort or
 R standalone ones), so what remains is pure overhead —
 full-size gather/scatter passes over stacked arrays that fall out of
 cache.  The engine therefore stacks replications in **sub-batches**
-sized so one level's rows stay cache-resident (the ``batch_reps``
-option pins the size for benchmarking), which keeps the amortisation
-of the level loop while restoring cache locality.  Each replication's
-sub-path is bit-identical to its sequential run (golden-pinned)
-whatever the sub-batch size, because every per-arc arrival sequence is
-unchanged.
+sized so one level's rows stay cache-resident, which keeps the
+amortisation of the level loop while restoring cache locality.  Each
+replication's sub-path is bit-identical to its sequential run
+(golden-pinned) whatever the sub-batch size, because every per-arc
+arrival sequence is unchanged.
 
 **Chunked-horizon mode** (the ``chunk_packets`` option) streams each
-replication through the network's chunk-composable kernel
-(:meth:`~repro.networks.api.NetworkPlugin.simulate_greedy_chunked`):
-packets are processed in birth-ordered chunks with per-arc queue state
-carried between chunks, so peak memory is bounded by the chunk size
-and the topology instead of the horizon — the d ≥ 20 regime.  FIFO
-carries (count, running-Lindley-max) per arc and is bit-identical to
-the one-shot path (tested); PS carries the in-service packets of each
-busy arc and agrees with the one-shot fair-share construction to
-≤ 1e-9 at every chunk size (tested).
+replication through the chunked kernel: packets are processed in
+birth-ordered chunks with per-arc queue state carried between chunks,
+so peak memory is bounded by the chunk size and the topology instead
+of the horizon — the d ≥ 20 regime.  FIFO carries (count,
+running-Lindley-max) per arc and is bit-identical to the one-shot path
+(tested); PS carries the in-service packets of each busy arc and
+agrees with the one-shot fair-share construction to ≤ 1e-9 at every
+chunk size (tested).
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ class FeedForwardEngine(EnginePlugin):
         kind="levelled",
         disciplines=("fifo", "ps"),
         # admissibility is structural, not a name list: any network —
-        # third-party included — that declares a native level-sweep
-        # kernel (NetworkPlugin.native_engine) can ride this engine
+        # third-party included — that declares a per-level arc map
+        # (NetworkPlugin.greedy_levels) can ride this engine
         networks=("*",),
         batching=True,
         options=(
@@ -88,13 +90,6 @@ class FeedForwardEngine(EnginePlugin):
                 "(FIFO is bit-identical to the one-shot sweep; PS "
                 "carries in-service packets and agrees to <=1e-9)",
             ),
-            OptionSpec(
-                "batch_reps",
-                kind="int",
-                description="replications stacked per sub-batch on the "
-                "batched path (default: sized so one level's rows stay "
-                "cache-resident)",
-            ),
         ),
     )
 
@@ -105,7 +100,7 @@ class FeedForwardEngine(EnginePlugin):
         if spec.network_plugin.native_engine() != self.name:
             return (
                 f"network {spec.network!r} provides no levelled "
-                "level-sweep kernel (its native vectorised engine is "
+                "level-sweep map (its native vectorised engine is "
                 f"{spec.network_plugin.native_engine()!r})"
             )
         return None
@@ -116,15 +111,10 @@ class FeedForwardEngine(EnginePlugin):
         topology: "Topology",
         sample: "TrafficSample",
     ) -> "np.ndarray":
-        chunk = spec.option("chunk_packets")
-        if chunk is not None:
-            return spec.network_plugin.simulate_greedy_chunked(
-                topology, spec, sample, int(chunk)
-            )
-        return spec.network_plugin.simulate_greedy(topology, spec, sample)
+        return self.batch_deliveries(spec, topology, [sample])[0]
 
     @staticmethod
-    def _sub_batch_reps(spec: "ScenarioSpec", samples: List["TrafficSample"]) -> int:
+    def _sub_batch_reps(samples: List["TrafficSample"]) -> int:
         """How many replications to stack per sub-batch.
 
         A level of one replication touches roughly half its packets
@@ -134,9 +124,6 @@ class FeedForwardEngine(EnginePlugin):
         the all-R stack's full-size passes fall out of cache and lose
         to sequential runs, while cache-resident sub-batches win.
         """
-        forced = spec.option("batch_reps")
-        if forced is not None:
-            return max(1, int(forced))
         mean_packets = sum(s.num_packets for s in samples) / max(len(samples), 1)
         rows_per_level = max(1, int(mean_packets) // 2)
         return max(1, _TARGET_LEVEL_ROWS // rows_per_level)
@@ -147,21 +134,27 @@ class FeedForwardEngine(EnginePlugin):
         topology: "Topology",
         samples: List["TrafficSample"],
     ) -> List["np.ndarray"]:
-        net = spec.network_plugin
+        from repro.sim.feedforward import (
+            simulate_levelled,
+            simulate_levelled_chunked,
+        )
+
+        levels = spec.network_plugin.greedy_levels(topology, spec)
         chunk = spec.option("chunk_packets")
         if chunk is not None:
             # bounded memory beats batched throughput by definition
             # here: stream the replications one by one
             return [
-                net.simulate_greedy_chunked(topology, spec, s, int(chunk))
+                simulate_levelled_chunked(
+                    levels, s, int(chunk), spec.discipline
+                )
                 for s in samples
             ]
-        reps = self._sub_batch_reps(spec, samples)
-        if reps >= len(samples):
-            return net.simulate_greedy_batch(topology, spec, samples)
+        reps = self._sub_batch_reps(samples)
         deliveries: List["np.ndarray"] = []
         for lo in range(0, len(samples), reps):
-            deliveries.extend(
-                net.simulate_greedy_batch(topology, spec, samples[lo : lo + reps])
+            batch, _ = simulate_levelled(
+                levels, samples[lo : lo + reps], spec.discipline
             )
+            deliveries.extend(batch)
         return deliveries

@@ -6,8 +6,9 @@ every topology the repository can measure is a
 :class:`~repro.networks.api.NetworkPlugin` declaring its identity
 (name + aliases), its network-scoped options, its
 :class:`~repro.topology.base.Topology` factory, its load-factor ↔
-arrival-rate law, its greedy machinery (workload, paths, native
-vectorised engine) and its closed-form theory.  The scenario layer,
+arrival-rate law, its greedy machinery (workload, paths and, for a
+levelled network, the per-level arc map that selects the level-sweep
+engine) and its closed-form theory.  The scenario layer,
 the parallel engine and the CLI contain no network-specific code at
 all — adding a topology is one plugin module (see
 :mod:`repro.networks.ring` for the template), or a third-party package
@@ -28,7 +29,8 @@ Quickstart — a new network in one class::
         def load_factor(self, spec): ...
         def build_workload(self, spec): ...
         def greedy_paths(self, topology, spec, sample): ...
-        def simulate_greedy(self, topology, spec, sample): ...
+        # optional, levelled networks only: a per-level arc map
+        def greedy_levels(self, topology, spec): ...
 """
 
 from repro.networks.api import NetworkPlugin

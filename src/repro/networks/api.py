@@ -19,11 +19,12 @@ rest of the stack used to hard-code per network:
   spec's resolved :class:`~repro.traffic.api.TrafficPlugin`, so the
   arrival process and destination law are a fourth plugin axis rather
   than per-network code;
-* :meth:`~NetworkPlugin.greedy_paths` — per-packet arc paths, the
-  event-engine cross-validation hook;
-* :meth:`~NetworkPlugin.simulate_greedy` — the network's native
-  vectorised greedy engine (level-by-level feed-forward where the
-  network is levelled, the fixed-point engine otherwise);
+* :meth:`~NetworkPlugin.greedy_paths` — per-packet arc paths, which
+  the event calendar and the fixed-point solver run on;
+* :meth:`~NetworkPlugin.greedy_levels` — the per-level arc map of a
+  levelled network, which hands it to the level-by-level feed-forward
+  engine (one-shot, replication-batched and chunked routes alike);
+  networks without one run on the fixed-point engine;
 * :meth:`~NetworkPlugin.greedy_theory_bounds` /
   :meth:`~NetworkPlugin.bound_report` — the closed-form theory, shared
   by the parallel engine's brackets and the ``repro bounds`` CLI so
@@ -173,85 +174,35 @@ class NetworkPlugin:
         """Per-packet greedy arc paths (the event-engine hook)."""
         raise NotImplementedError  # pragma: no cover - protocol
 
+    def greedy_levels(self, topology: "Topology", spec: "ScenarioSpec") -> Any:
+        """The network's per-level arc map, when greedy routing keeps it
+        levelled (Property B: a packet leaving level ``l`` only joins
+        levels above ``l``); ``None`` otherwise (the default).
+
+        A map exposes ``num_levels``, ``num_arcs``, ``crossings(diff)``
+        (the level-space mask of the levels each packet crosses, from
+        ``diff = origins XOR destinations``) and ``arcs(level, origins,
+        diff)`` (the arc id each packet holds at that level) — see
+        :class:`~repro.sim.feedforward.HypercubeLevels`.  Declaring one
+        flips :meth:`native_engine` to the ``feedforward`` engine,
+        which then runs the network's one-shot, replication-batched and
+        chunked-horizon routes with no further code.
+        """
+        return None
+
     def native_engine(self) -> str:
         """Canonical name of the network's native *vectorised* engine
         (what ``engine="auto"``/``"vectorized"`` resolve to for greedy).
 
-        Default: a network that ships its own level-sweep kernel
-        (overrides :meth:`simulate_greedy`) is driven by the
-        ``feedforward`` engine plugin; one that only ships
-        :meth:`greedy_paths` is driven by the ``fixedpoint`` engine.
-        Custom networks may override to name any registered engine.
+        Default: a network that declares a per-level arc map (overrides
+        :meth:`greedy_levels`) is driven by the ``feedforward`` engine
+        plugin; one that only ships :meth:`greedy_paths` is driven by
+        the ``fixedpoint`` engine.  Custom networks may override to
+        name any registered engine.
         """
-        if type(self).simulate_greedy is not NetworkPlugin.simulate_greedy:
+        if type(self).greedy_levels is not NetworkPlugin.greedy_levels:
             return "feedforward"
         return "fixedpoint"
-
-    def simulate_greedy(
-        self,
-        topology: "Topology",
-        spec: "ScenarioSpec",
-        sample: "TrafficSample",
-    ) -> "np.ndarray":
-        """Delivery epochs of *sample* under greedy routing on the
-        network's native vectorised engine.
-
-        Default: the fixed-point solver over :meth:`greedy_paths` —
-        correct for *any* topology (that is all the ring and torus
-        plugins use).  Levelled networks override this with their
-        one-pass feed-forward level-sweep kernel, which also flips
-        :meth:`native_engine` to the ``feedforward`` engine plugin.
-        """
-        from repro.sim.fixedpoint import simulate_paths_fixed_point
-
-        return simulate_paths_fixed_point(
-            topology.num_arcs,
-            sample.times,
-            self.greedy_paths(topology, spec, sample),
-            discipline=spec.discipline,
-        ).delivery
-
-    def simulate_greedy_batch(
-        self,
-        topology: "Topology",
-        spec: "ScenarioSpec",
-        samples: List["TrafficSample"],
-    ) -> List["np.ndarray"]:
-        """Delivery epochs of R independent samples (the
-        ``feedforward`` engine's replication-batched fast path).
-
-        Entry *r* must be **bit-identical** to
-        ``simulate_greedy(topology, spec, samples[r])``.  Default: a
-        plain per-sample loop (correct everywhere, vectorised nowhere);
-        the hypercube and butterfly override it with stacked kernels
-        that run the whole batch through one level sweep.
-        """
-        return [self.simulate_greedy(topology, spec, s) for s in samples]
-
-    def simulate_greedy_chunked(
-        self,
-        topology: "Topology",
-        spec: "ScenarioSpec",
-        sample: "TrafficSample",
-        chunk_packets: int,
-    ) -> "np.ndarray":
-        """Delivery epochs of *sample*, computed in birth-ordered
-        chunks of at most ``chunk_packets`` packets with per-arc queue
-        state carried between chunks (the ``feedforward`` engine's
-        streaming bounded-memory mode).
-
-        The contract is strict: the result must be **bit-identical** to
-        :meth:`simulate_greedy`, with peak memory bounded by the chunk
-        size and the topology instead of the horizon.  Default: the
-        network ships no chunk-composable kernel.
-        """
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"network {self.name!r} ships no chunked-horizon greedy "
-            "kernel (NetworkPlugin.simulate_greedy_chunked); drop the "
-            "chunk_packets option for this network"
-        )
 
     # -- theory --------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 The §4.2 load law ``rho = lam * max(p, 1-p)`` (Prop 15 / eq. (17)),
 the Props 14/17 delay bracket, the unique §4.1 paths (one arc per
-level), and the vectorised feed-forward engine as the native greedy
-simulator.
+level), and their per-level arc map, which makes the vectorised
+feed-forward engine the native greedy simulator.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.runner.spec import ScenarioSpec
+    from repro.sim.feedforward import ButterflyLevels
     from repro.topology.butterfly import Butterfly
     from repro.traffic.workload import TrafficSample
 
@@ -70,42 +71,12 @@ class ButterflyNetwork(NetworkPlugin):
 
         return butterfly_packet_paths(topology, sample)
 
-    def simulate_greedy(
-        self, topology: "Butterfly", spec: "ScenarioSpec", sample: "TrafficSample"
-    ) -> "np.ndarray":
-        from repro.sim.feedforward import simulate_butterfly_greedy
+    def greedy_levels(
+        self, topology: "Butterfly", spec: "ScenarioSpec"
+    ) -> "ButterflyLevels":
+        from repro.sim.feedforward import ButterflyLevels
 
-        return simulate_butterfly_greedy(
-            topology, sample, discipline=spec.discipline
-        ).delivery
-
-    def simulate_greedy_batch(
-        self,
-        topology: "Butterfly",
-        spec: "ScenarioSpec",
-        samples: List["TrafficSample"],
-    ) -> List["np.ndarray"]:
-        from repro.sim.feedforward import simulate_butterfly_greedy_batch
-
-        return simulate_butterfly_greedy_batch(
-            topology, samples, discipline=spec.discipline
-        )
-
-    def simulate_greedy_chunked(
-        self,
-        topology: "Butterfly",
-        spec: "ScenarioSpec",
-        sample: "TrafficSample",
-        chunk_packets: int,
-    ) -> "np.ndarray":
-        from repro.sim.feedforward import simulate_butterfly_greedy_chunked
-
-        return simulate_butterfly_greedy_chunked(
-            topology,
-            sample,
-            chunk_packets=chunk_packets,
-            discipline=spec.discipline,
-        )
+        return ButterflyLevels(topology)
 
     # -- theory --------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Everything network-specific the stack used to hard-code behind
 ``if network == "hypercube"`` lives here: the §2.1 load law
 ``rho = lam * p``, the Props 2/3/12/13 theory, the canonical
-dimension-order paths, and the vectorised feed-forward engine as the
+dimension-order paths, and their per-level arc map (any global
+``dim_order``), which makes the vectorised feed-forward engine the
 native greedy simulator.  The workload itself comes from the **traffic
 axis** (:mod:`repro.traffic`): this plugin only declares that its
 ``2**d`` sources live in a ``d``-bit XOR address space, and the spec's
@@ -22,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.runner.spec import ScenarioSpec
+    from repro.sim.feedforward import HypercubeLevels
     from repro.topology.hypercube import Hypercube
     from repro.traffic.workload import TrafficSample
 
@@ -80,52 +82,12 @@ class HypercubeNetwork(NetworkPlugin):
 
         return hypercube_packet_paths(topology, sample)
 
-    def simulate_greedy(
-        self, topology: "Hypercube", spec: "ScenarioSpec", sample: "TrafficSample"
-    ) -> "np.ndarray":
-        from repro.sim.feedforward import simulate_hypercube_greedy
+    def greedy_levels(
+        self, topology: "Hypercube", spec: "ScenarioSpec"
+    ) -> "HypercubeLevels":
+        from repro.sim.feedforward import HypercubeLevels
 
-        dim_order = spec.option("dim_order")
-        return simulate_hypercube_greedy(
-            topology,
-            sample,
-            discipline=spec.discipline,
-            dim_order=None if dim_order is None else list(dim_order),
-        ).delivery
-
-    def simulate_greedy_batch(
-        self,
-        topology: "Hypercube",
-        spec: "ScenarioSpec",
-        samples: List["TrafficSample"],
-    ) -> List["np.ndarray"]:
-        from repro.sim.feedforward import simulate_hypercube_greedy_batch
-
-        dim_order = spec.option("dim_order")
-        return simulate_hypercube_greedy_batch(
-            topology,
-            samples,
-            discipline=spec.discipline,
-            dim_order=None if dim_order is None else list(dim_order),
-        )
-
-    def simulate_greedy_chunked(
-        self,
-        topology: "Hypercube",
-        spec: "ScenarioSpec",
-        sample: "TrafficSample",
-        chunk_packets: int,
-    ) -> "np.ndarray":
-        from repro.sim.feedforward import simulate_hypercube_greedy_chunked
-
-        dim_order = spec.option("dim_order")
-        return simulate_hypercube_greedy_chunked(
-            topology,
-            sample,
-            chunk_packets=chunk_packets,
-            discipline=spec.discipline,
-            dim_order=None if dim_order is None else list(dim_order),
-        )
+        return HypercubeLevels(topology, spec.option("dim_order"))
 
     # -- theory --------------------------------------------------------------
 

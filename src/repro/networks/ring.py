@@ -115,8 +115,8 @@ class RingNetwork(NetworkPlugin):
             for i in range(sample.num_packets)
         ]
 
-    # simulate_greedy: the NetworkPlugin default (fixed-point solver
-    # over greedy_paths) — the ring is not levelled
+    # greedy_levels: the NetworkPlugin default (None, so the
+    # fixed-point engine runs greedy_paths) — the ring is not levelled
 
     # -- theory --------------------------------------------------------------
 

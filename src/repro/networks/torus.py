@@ -108,8 +108,8 @@ class TorusNetwork(NetworkPlugin):
             for i in range(sample.num_packets)
         ]
 
-    # simulate_greedy: the NetworkPlugin default (fixed-point solver
-    # over greedy_paths) — multi-hop in-dimension movement is not levelled
+    # greedy_levels: the NetworkPlugin default (None, so the
+    # fixed-point engine runs greedy_paths) — multi-hop in-dimension movement is not levelled
 
     # -- theory --------------------------------------------------------------
 

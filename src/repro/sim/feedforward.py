@@ -12,10 +12,16 @@ fair-share construction (:func:`repro.sim.servers.ps_departure_times`).
 
 Two front ends:
 
-* :func:`simulate_hypercube_greedy` / :func:`simulate_butterfly_greedy`
-  — *packet mode*: route actual packets of a
+* *packet mode* — route actual packets of a
   :class:`~repro.traffic.workload.TrafficSample` along their canonical
-  paths (the physical system of the paper);
+  paths (the physical system of the paper).  One sweep serves both
+  networks: a *level map* (:class:`HypercubeLevels`,
+  :class:`ButterflyLevels`) says which levels a packet crosses and
+  which arc it holds there, and :func:`simulate_levelled` (R stacked
+  replications, one shot) or :func:`simulate_levelled_chunked` (one
+  replication, bounded memory) does the rest;
+  :func:`simulate_hypercube_greedy` / :func:`simulate_butterfly_greedy`
+  wrap it for one sample;
 * :func:`simulate_markovian` — *network mode*: simulate a levelled
   network spec with Markovian routing decisions (networks Q/R and the
   Fig. 2 example), with optional **decision coupling** for the
@@ -47,12 +53,12 @@ __all__ = [
     "FeedForwardResult",
     "MarkovianResult",
     "serve_level",
+    "HypercubeLevels",
+    "ButterflyLevels",
+    "simulate_levelled",
+    "simulate_levelled_chunked",
     "simulate_hypercube_greedy",
     "simulate_butterfly_greedy",
-    "simulate_hypercube_greedy_batch",
-    "simulate_butterfly_greedy_batch",
-    "simulate_hypercube_greedy_chunked",
-    "simulate_butterfly_greedy_chunked",
     "simulate_markovian",
     "LevelledSpec",
 ]
@@ -252,8 +258,204 @@ def serve_level(
 
 
 # ---------------------------------------------------------------------------
-# packet mode
+# packet mode: level maps
 # ---------------------------------------------------------------------------
+#
+# The butterfly is the hypercube unfolded (§4), and on both a greedy
+# packet enters level ``l`` at address ``origin XOR (diff & bits crossed
+# before l)``, where ``diff = origin XOR destination``.  The networks
+# differ only in *which* levels a packet crosses and in how (level,
+# address, bit) numbers an arc, so every packet-mode sweep below is
+# written once against a **level map** exposing
+#
+# * ``num_levels`` and ``num_arcs``;
+# * ``crossings(diff)`` — the *level-space* mask of the levels each
+#   packet crosses (bit ``l`` set iff it crosses level ``l``);
+# * ``arcs(level, origins, diff)`` — the arc id each packet holds at
+#   that level.
+#
+# A network plugin hands its map to the engine through
+# :meth:`~repro.networks.api.NetworkPlugin.greedy_levels`.
+
+
+class HypercubeLevels:
+    """Level map of the d-cube under a global dimension crossing order.
+
+    Level ``l`` is dimension ``dim_order[l]`` (default: increasing —
+    the paper's canonical scheme; any fixed permutation keeps the
+    network levelled).  A packet crosses it iff its XOR mask has that
+    bit, on the arc ``dim * 2**d + tail``.
+    """
+
+    def __init__(
+        self, cube: Hypercube, dim_order: Optional[Sequence[int]] = None
+    ) -> None:
+        d = cube.d
+        if dim_order is None:
+            dims = tuple(range(d))
+        elif sorted(dim_order) != list(range(d)):
+            raise ConfigurationError(
+                f"dim_order must be a permutation of range({d}), got {dim_order!r}"
+            )
+        else:
+            dims = tuple(int(dim) for dim in dim_order)
+        self.num_levels = d
+        self.num_arcs = cube.num_arcs
+        self._dims = dims
+        self._identity = dims == tuple(range(d))
+        self._base = [np.int64(dim * cube.num_nodes) for dim in dims]
+        #: dim-space bits crossed before each level
+        self._below = [np.int64(0)] * (d + 1)
+        for li, dim in enumerate(dims):
+            self._below[li + 1] = self._below[li] | np.int64(1 << dim)
+
+    def crossings(self, diff: np.ndarray) -> np.ndarray:
+        if self._identity:
+            return diff
+        out = np.zeros_like(diff)
+        for li, dim in enumerate(self._dims):
+            out |= ((diff >> np.int64(dim)) & 1) << np.int64(li)
+        return out
+
+    def arcs(self, level: int, origins: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        return self._base[level] + (origins ^ (diff & self._below[level]))
+
+
+class ButterflyLevels:
+    """Level map of the d-dimensional butterfly (§4.1 unique paths).
+
+    Every packet crosses every level once: at level ``l`` it leaves its
+    current row by the straight (bit ``l`` of ``diff`` clear) or the
+    vertical (set) arc, ``2 * (l * rows + row) + kind``.
+    """
+
+    def __init__(self, bf: Butterfly) -> None:
+        self.num_levels = bf.d
+        self.num_arcs = bf.num_arcs
+        self._rows = bf.rows
+        self._all = np.int64((1 << bf.d) - 1)
+
+    def crossings(self, diff: np.ndarray) -> np.ndarray:
+        return np.full_like(diff, self._all)
+
+    def arcs(self, level: int, origins: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        rows = origins ^ (diff & np.int64((1 << level) - 1))
+        kind = (diff >> np.int64(level)) & 1
+        return np.int64(2 * level * self._rows) + 2 * rows + kind
+
+
+# ---------------------------------------------------------------------------
+# packet mode: the one-shot level sweep
+# ---------------------------------------------------------------------------
+#
+# R independent replications of the same spec are R disjoint copies of
+# the network: offsetting every arc id by ``replication * num_arcs``
+# makes the stacked system one big levelled network whose per-arc
+# arrival sequences are exactly the per-replication ones.  The level
+# loop then runs once for the whole batch — one sort and one segmented
+# Lindley/PS solve per level instead of R — while each replication's
+# delivery sub-array stays bit-identical to its standalone run (pinned
+# by tests/test_golden_dispatch.py).
+
+
+def _every_packet_crosses(cross: np.ndarray) -> int:
+    """Level-space mask of the levels that *every* packet crosses."""
+    return int(np.bitwise_and.reduce(cross)) if cross.shape[0] else 0
+
+
+def _stack_samples(
+    samples: Sequence[TrafficSample], num_arcs: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Concatenate samples into parallel (times, origins, destinations)
+    arrays plus each packet's arc-id offset.  A single sample is used
+    as is, with no copies and no offset."""
+    if len(samples) == 1:
+        s = samples[0]
+        return (
+            np.asarray(s.times, dtype=float),
+            np.asarray(s.origins, dtype=np.int64),
+            np.asarray(s.destinations, dtype=np.int64),
+            None,
+        )
+    counts = np.array([s.num_packets for s in samples], dtype=np.int64)
+    times = np.concatenate([np.asarray(s.times, dtype=float) for s in samples])
+    origins = np.concatenate(
+        [np.asarray(s.origins, dtype=np.int64) for s in samples]
+    )
+    dests = np.concatenate(
+        [np.asarray(s.destinations, dtype=np.int64) for s in samples]
+    )
+    offset = np.repeat(np.arange(len(samples), dtype=np.int64), counts)
+    offset *= np.int64(num_arcs)
+    return times, origins, dests, offset
+
+
+def simulate_levelled(
+    levels,
+    samples: Sequence[TrafficSample],
+    discipline: str = "fifo",
+    record_arc_log: bool = False,
+) -> Tuple[List[np.ndarray], Optional[ArcLog]]:
+    """Delivery epochs of R ≥ 1 independent samples, one level sweep.
+
+    *levels* is a level map (:class:`HypercubeLevels`,
+    :class:`ButterflyLevels`, or any object with the same four
+    members).  Returns ``(deliveries, arc_log)``: entry *r* of
+    ``deliveries`` is sample *r*'s delivery epochs, bit-identical
+    whatever else shares the sweep, because replication *r* owns the
+    arc ids ``[r * num_arcs, (r + 1) * num_arcs)`` and so never shares
+    a server.  With ``record_arc_log`` the log holds every hop in
+    those stacked arc ids and stacked packet ids (the plain ids when
+    R = 1); otherwise it is ``None``.
+
+    The sweep keeps one evolving value per packet, its current epoch:
+    at each level it gathers the rows that cross it, serves them with
+    :func:`serve_level` and scatters their departures back.  A level
+    that every packet crosses (each butterfly level) is served on the
+    whole arrays, with no gather.  A packet that crosses no level is
+    delivered at birth.
+    """
+    times, origins, dests, offset = _stack_samples(samples, levels.num_arcs)
+    diff = origins ^ dests
+    cross = levels.crossings(diff)
+    every = _every_packet_crosses(cross)
+    cur = times.copy()
+    logs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    for level in range(levels.num_levels):
+        if every >> level & 1:
+            sel = slice(None)
+            rows = np.arange(cur.shape[0], dtype=np.int64)
+        else:
+            rows = sel = np.flatnonzero((cross >> np.int64(level)) & 1)
+            if rows.size == 0:
+                continue
+        arc_ids = levels.arcs(level, origins[sel], diff[sel])
+        if offset is not None:
+            arc_ids = arc_ids + offset[sel]
+        t_in = cur[sel]
+        dep, _ = serve_level(arc_ids, t_in, rows, discipline)
+        if record_arc_log:
+            # t_in may be a view of cur, which the scatter overwrites
+            logs.append((rows, arc_ids, t_in.copy(), dep))
+        cur[sel] = dep
+    arc_log = _merge_logs(logs) if record_arc_log else None
+    if offset is None:
+        return [cur], arc_log
+    bounds = np.cumsum([s.num_packets for s in samples])[:-1]
+    return np.split(cur, bounds), arc_log
+
+
+def _greedy_result(
+    levels, sample: TrafficSample, discipline: str, record_arc_log: bool
+) -> FeedForwardResult:
+    (delivery,), arc_log = simulate_levelled(
+        levels, [sample], discipline, record_arc_log
+    )
+    diff = np.asarray(sample.origins, dtype=np.int64) ^ np.asarray(
+        sample.destinations, dtype=np.int64
+    )
+    hops = np.bitwise_count(levels.crossings(diff)).astype(np.int64)
+    return FeedForwardResult(delivery, hops, arc_log, sample)
 
 
 def simulate_hypercube_greedy(
@@ -273,39 +475,9 @@ def simulate_hypercube_greedy(
     with Processor Sharing (the network Q̃ of §3.3, but fed by physical
     packet paths).
     """
-    d, n_nodes = cube.d, cube.num_nodes
-    if dim_order is None:
-        dim_order = range(d)
-    else:
-        if sorted(dim_order) != list(range(d)):
-            raise ConfigurationError(
-                f"dim_order must be a permutation of range({d}), got {dim_order!r}"
-            )
-    origins = np.asarray(sample.origins, dtype=np.int64)
-    dests = np.asarray(sample.destinations, dtype=np.int64)
-    n = origins.shape[0]
-    diff = origins ^ dests
-    x = origins.copy()
-    cur = np.asarray(sample.times, dtype=float).copy()
-    pids = np.arange(n, dtype=np.int64)
-    logs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for dim in dim_order:
-        m = ((diff >> dim) & 1).astype(bool)
-        if not m.any():
-            continue
-        tails = x[m]
-        arc_ids = dim * n_nodes + tails
-        t_in = cur[m]
-        dep, _ = serve_level(arc_ids, t_in, pids[m], discipline)
-        if record_arc_log:
-            logs.append((pids[m], arc_ids, t_in, dep))
-        cur[m] = dep
-        x[m] = tails ^ (1 << dim)
-    if np.any(x != dests):  # pragma: no cover - internal invariant
-        raise SimulationError("packets did not reach their destinations")
-    hops = np.bitwise_count(diff).astype(np.int64)
-    arc_log = _merge_logs(logs) if record_arc_log else None
-    return FeedForwardResult(cur, hops, arc_log, sample)
+    return _greedy_result(
+        HypercubeLevels(cube, dim_order), sample, discipline, record_arc_log
+    )
 
 
 def simulate_butterfly_greedy(
@@ -320,160 +492,14 @@ def simulate_butterfly_greedy(
     Origins/destinations of the sample are row addresses; every packet
     crosses exactly one arc per level (d hops total).
     """
-    d, rows_per_level = bf.d, bf.rows
-    origins = np.asarray(sample.origins, dtype=np.int64)
-    dests = np.asarray(sample.destinations, dtype=np.int64)
-    n = origins.shape[0]
-    diff = origins ^ dests
-    rows = origins.copy()
-    cur = np.asarray(sample.times, dtype=float).copy()
-    pids = np.arange(n, dtype=np.int64)
-    logs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for level in range(d):
-        kind = (diff >> level) & 1
-        arc_ids = level * 2 * rows_per_level + 2 * rows + kind
-        dep, _ = serve_level(arc_ids, cur, pids, discipline)
-        if record_arc_log:
-            logs.append((pids.copy(), arc_ids, cur.copy(), dep))
-        cur = dep
-        rows = rows ^ (kind << level)
-    if n and np.any(rows != dests):  # pragma: no cover - internal invariant
-        raise SimulationError("packets did not reach their destination rows")
-    hops = np.full(n, d, dtype=np.int64)
-    arc_log = _merge_logs(logs) if record_arc_log else None
-    return FeedForwardResult(cur, hops, arc_log, sample)
+    return _greedy_result(ButterflyLevels(bf), sample, discipline, record_arc_log)
 
 
 # ---------------------------------------------------------------------------
-# replication-batched packet mode
+# packet mode: the chunked-horizon sweep (streaming, bounded memory)
 # ---------------------------------------------------------------------------
 #
-# R independent replications of the same spec are R disjoint copies of
-# the network: offsetting every arc id by ``replication * num_arcs``
-# makes the stacked system one big levelled network whose per-arc
-# arrival sequences are exactly the per-replication ones.  The d-level
-# loop then runs once for the whole batch — one sort and one
-# segmented Lindley/PS solve per level instead of R — while each
-# replication's delivery sub-array stays bit-identical to its
-# standalone run (pinned by tests/test_golden_dispatch.py).
-
-
-def _stack_samples(
-    samples: Sequence[TrafficSample],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate samples into parallel arrays plus a replication id
-    per packet and the per-replication packet counts."""
-    counts = np.array([s.num_packets for s in samples], dtype=np.int64)
-    times = np.concatenate([np.asarray(s.times, dtype=float) for s in samples])
-    origins = np.concatenate(
-        [np.asarray(s.origins, dtype=np.int64) for s in samples]
-    )
-    dests = np.concatenate(
-        [np.asarray(s.destinations, dtype=np.int64) for s in samples]
-    )
-    rep = np.repeat(np.arange(len(samples), dtype=np.int64), counts)
-    return times, origins, dests, rep, counts
-
-
-def _split_delivery(
-    delivery: np.ndarray, counts: np.ndarray
-) -> List[np.ndarray]:
-    return np.split(delivery, np.cumsum(counts)[:-1])
-
-
-def simulate_hypercube_greedy_batch(
-    cube: Hypercube,
-    samples: Sequence[TrafficSample],
-    *,
-    dim_order: Optional[Sequence[int]] = None,
-    discipline: str = "fifo",
-) -> List[np.ndarray]:
-    """Delivery epochs of R independent samples, one per-level sweep.
-
-    Entry *r* of the result is bit-identical to
-    ``simulate_hypercube_greedy(cube, samples[r], ...).delivery``: the
-    replications share the vectorised level loop but never a server.
-
-    Unlike the single-sample sweep, the batch keeps **no evolving
-    per-packet state**: a packet's position entering level ``dim`` is
-    ``origin XOR (diff & crossed-so-far)`` and its hop index is
-    ``popcount(diff & crossed-so-far)``, both stateless bit algebra —
-    so each level touches only its own rows (gather arrival, serve,
-    scatter departure into the next hop's slot) instead of re-masking
-    R stacked replications' worth of arrays.
-    """
-    d, n_nodes = cube.d, cube.num_nodes
-    if dim_order is None:
-        dim_order = range(d)
-    elif sorted(dim_order) != list(range(d)):
-        raise ConfigurationError(
-            f"dim_order must be a permutation of range({d}), got {dim_order!r}"
-        )
-    times, origins, dests, rep, counts = _stack_samples(samples)
-    arc_offset = rep * np.int64(cube.num_arcs)
-    diff = origins ^ dests
-    hops = np.bitwise_count(diff).astype(np.int64)
-    total = int(hops.sum())
-    delivery = times.copy()  # zero-hop packets are delivered at birth
-    if total == 0:
-        return _split_delivery(delivery, counts)
-    #: pid-major per-hop arrival epochs; slot ``first[p] + k`` is hop k
-    first = np.r_[0, np.cumsum(hops)[:-1]]
-    arrivals = np.empty(total)
-    routed = hops > 0
-    arrivals[first[routed]] = times[routed]
-    crossed = np.int64(0)
-    for dim in dim_order:
-        rows = np.flatnonzero((diff >> dim) & 1)
-        below = crossed
-        crossed |= np.int64(1) << dim
-        if rows.size == 0:
-            continue
-        pdiff = diff[rows]
-        already = pdiff & below
-        k = np.bitwise_count(already).astype(np.int64)
-        slots = first[rows] + k
-        arc_ids = dim * n_nodes + (origins[rows] ^ already) + arc_offset[rows]
-        dep, _ = serve_level(arc_ids, arrivals[slots], rows, discipline)
-        last = k + 1 == hops[rows]
-        delivery[rows[last]] = dep[last]
-        cont = ~last
-        arrivals[slots[cont] + 1] = dep[cont]
-    return _split_delivery(delivery, counts)
-
-
-def simulate_butterfly_greedy_batch(
-    bf: Butterfly,
-    samples: Sequence[TrafficSample],
-    *,
-    discipline: str = "fifo",
-) -> List[np.ndarray]:
-    """Delivery epochs of R independent samples, one per-level sweep
-    (the butterfly analogue of :func:`simulate_hypercube_greedy_batch`)."""
-    d, rows_per_level = bf.d, bf.rows
-    times, origins, dests, rep, counts = _stack_samples(samples)
-    arc_offset = rep * np.int64(bf.num_arcs)
-    diff = origins ^ dests
-    rows = origins.copy()
-    cur = times.copy()
-    n = times.shape[0]
-    pids = np.arange(n, dtype=np.int64)
-    for level in range(d):
-        kind = (diff >> level) & 1
-        arc_ids = level * 2 * rows_per_level + 2 * rows + kind + arc_offset
-        dep, _ = serve_level(arc_ids, cur, pids, discipline)
-        cur = dep
-        rows = rows ^ (kind << level)
-    if n and np.any(rows != dests):  # pragma: no cover - internal invariant
-        raise SimulationError("packets did not reach their destination rows")
-    return _split_delivery(cur, counts)
-
-
-# ---------------------------------------------------------------------------
-# chunked-horizon packet mode (streaming, bounded memory)
-# ---------------------------------------------------------------------------
-#
-# The one-shot sweeps materialise every packet's every hop at once, so
+# The one-shot sweep materialises every packet's every hop at once, so
 # peak memory grows linearly with the horizon.  The chunked mode
 # processes packets in birth-order chunks instead: a chunk's watermark
 # is its last birth epoch, rows whose arrival at a level exceeds the
@@ -506,11 +532,10 @@ def simulate_butterfly_greedy_batch(
 # sample path matches the one-shot sweep bit for bit as well (the
 # tests pin <= 1e-9, the engine contract).
 #
-# To keep the per-chunk bookkeeping O(d) instead of O(d^2), rows carry
-# their *level-space* crossing mask (bit ``di`` set iff position ``di``
-# of the global crossing order is still to be crossed): the entry
-# level and each next level are then count-trailing-zeros bit algebra
-# instead of a scan over the remaining dimensions.
+# To keep the per-chunk bookkeeping O(levels) instead of O(levels^2),
+# rows are routed by their level-space crossing mask: the entry level
+# and each next level are count-trailing-zeros bit algebra instead of
+# a scan over the remaining levels.
 
 
 class _ArcCarry:
@@ -692,55 +717,71 @@ def _require_chunkable(discipline: str, chunk_packets: int) -> int:
     return chunk
 
 
-def _level_space_diff(
-    diff_vals: np.ndarray, dim_order: Optional[Tuple[int, ...]]
-) -> np.ndarray:
-    """Remap dim-space XOR masks into *level space*: bit ``di`` of the
-    result is bit ``dim_order[di]`` of the input (identity order passes
-    through).  In level space "next level to cross" is count-trailing-
-    zeros, which keeps the chunk bookkeeping O(d) per packet."""
-    if dim_order is None:
-        return diff_vals
-    out = np.zeros_like(diff_vals)
-    for di, dim in enumerate(dim_order):
-        out |= ((diff_vals >> np.int64(dim)) & 1) << np.int64(di)
-    return out
-
-
 def _ctz(values: np.ndarray) -> np.ndarray:
     """Count trailing zeros of strictly positive int64 values."""
     return np.bitwise_count((values & -values) - 1).astype(np.int64)
 
 
 def _bucket_by_level(
-    level_in: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    level_in: List[List[Tuple[np.ndarray, np.ndarray]]],
     levels: np.ndarray,
     lo_level: int,
     pids: np.ndarray,
     times: np.ndarray,
-    ldiff: np.ndarray,
 ) -> None:
-    """Append ``(pids, times, ldiff)`` rows to their per-level input
-    buckets in one stable sort + split (no per-dimension scan)."""
+    """Append ``(pids, times)`` rows to their per-level input buckets
+    in one stable sort + split (no per-level scan)."""
     order = np.argsort(levels, kind="stable")
     counts = np.bincount(levels - lo_level)
     bounds = np.r_[0, np.cumsum(counts)]
-    p_s, t_s, l_s = pids[order], times[order], ldiff[order]
+    p_s, t_s = pids[order], times[order]
     for k in np.flatnonzero(counts):
         lo, hi = bounds[k], bounds[k + 1]
-        level_in[lo_level + k].append((p_s[lo:hi], t_s[lo:hi], l_s[lo:hi]))
+        level_in[lo_level + k].append((p_s[lo:hi], t_s[lo:hi]))
 
 
-def simulate_hypercube_greedy_chunked(
-    cube: Hypercube,
+def _advance(
+    level_in: List[List[Tuple[np.ndarray, np.ndarray]]],
+    delivery: np.ndarray,
+    level: int,
+    pids: np.ndarray,
+    times: np.ndarray,
+    cross: np.ndarray,
+    every: int,
+) -> None:
+    """Route rows that have crossed every level below *level*: deliver
+    the ones with no level left and bucket the rest by the next level
+    each crosses (``cross`` is the level-space crossing mask of every
+    packet, ``every`` the mask of levels all packets cross)."""
+    if pids.size == 0:
+        return
+    if level == len(level_in):
+        delivery[pids] = times
+        return
+    if every >> level & 1:
+        # every row crosses *level* next (every butterfly row does):
+        # no trailing-zero count, no bucketing sort
+        level_in[level].append((pids, times))
+        return
+    rem = cross[pids] >> np.int64(level)
+    done = rem == 0
+    delivery[pids[done]] = times[done]
+    cont = np.flatnonzero(~done)
+    if cont.size:
+        _bucket_by_level(
+            level_in, level + _ctz(rem[cont]), level, pids[cont], times[cont]
+        )
+
+
+def simulate_levelled_chunked(
+    levels,
     sample: TrafficSample,
-    *,
     chunk_packets: int,
-    dim_order: Optional[Sequence[int]] = None,
     discipline: str = "fifo",
 ) -> np.ndarray:
-    """Delivery epochs of :func:`simulate_hypercube_greedy`, computed
-    in birth-ordered chunks of at most ``chunk_packets`` packets.
+    """Delivery epochs of :func:`simulate_levelled` for one sample,
+    computed in birth-ordered chunks of at most ``chunk_packets``
+    packets.
 
     Matches the one-shot sweep exactly — FIFO bit for bit via the dense
     Lindley prefix carry, PS by replaying the fair-share construction
@@ -748,162 +789,65 @@ def simulate_hypercube_greedy_chunked(
     by the chunk size and the topology instead of the horizon.
     """
     chunk = _require_chunkable(discipline, chunk_packets)
-    d, n_nodes = cube.d, cube.num_nodes
-    if dim_order is None:
-        order_map: Optional[Tuple[int, ...]] = None
-    elif sorted(dim_order) != list(range(d)):
-        raise ConfigurationError(
-            f"dim_order must be a permutation of range({d}), got {dim_order!r}"
-        )
-    else:
-        dim_order = tuple(int(x) for x in dim_order)
-        order_map = None if dim_order == tuple(range(d)) else dim_order
-    dims = tuple(range(d)) if order_map is None else order_map
+    num_levels = levels.num_levels
     origins = np.asarray(sample.origins, dtype=np.int64)
     dests = np.asarray(sample.destinations, dtype=np.int64)
     times = np.asarray(sample.times, dtype=float)
     n = origins.shape[0]
     diff = origins ^ dests
+    cross = levels.crossings(diff)
     delivery = times.copy()  # zero-hop packets are delivered at birth
-    if n == 0 or not diff.any():
+    if n == 0 or not cross.any():
         return delivery
-    #: bits (dim space) crossed before position di of the global order
-    cum_mask = [np.int64(0)] * (d + 1)
-    for di, dim in enumerate(dims):
-        cum_mask[di + 1] = np.int64(int(cum_mask[di]) | (1 << dim))
+    every = _every_packet_crosses(cross)
     fifo = discipline == "fifo"
-    carry = _ArcCarry(cube.num_arcs) if fifo else None
-    ps_carry = None if fifo else [_PsLevelCarry() for _ in range(d)]
+    carry = _ArcCarry(levels.num_arcs) if fifo else None
+    ps_carry = None if fifo else [_PsLevelCarry() for _ in range(num_levels)]
     empty_i = np.empty(0, dtype=np.int64)
     empty_f = np.empty(0)
     #: per level: rows parked by an earlier chunk because their arrival
-    #: epoch exceeded its watermark — (pids, arrivals, level diffs)
-    parked: List[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
-        [] for _ in range(d)
+    #: epoch exceeded its watermark — (pids, arrivals)
+    parked: List[List[Tuple[np.ndarray, np.ndarray]]] = [
+        [] for _ in range(num_levels)
     ]
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         watermark = np.inf if hi >= n else float(times[hi - 1])
-        level_in, parked = parked, [[] for _ in range(d)]
-        routed = np.flatnonzero(diff[lo:hi])
-        if routed.size:
-            fresh = routed + lo
-            ld = _level_space_diff(diff[fresh], order_map)
-            # a packet enters at the first position it must cross
-            _bucket_by_level(level_in, _ctz(ld), 0, fresh, times[fresh], ld)
-        for di in range(d):
-            if level_in[di]:
-                pids_l = np.concatenate([c[0] for c in level_in[di]])
-                t_l = np.concatenate([c[1] for c in level_in[di]])
-                ld_l = np.concatenate([c[2] for c in level_in[di]])
+        level_in, parked = parked, [[] for _ in range(num_levels)]
+        # a packet enters at the first level it crosses
+        _advance(
+            level_in, delivery, 0,
+            np.arange(lo, hi, dtype=np.int64), times[lo:hi], cross, every,
+        )
+        for li in range(num_levels):
+            if level_in[li]:
+                pids_l = np.concatenate([c[0] for c in level_in[li]])
+                t_l = np.concatenate([c[1] for c in level_in[li]])
                 ready = t_l <= watermark
                 if not ready.all():
                     wait = ~ready
-                    parked[di].append((pids_l[wait], t_l[wait], ld_l[wait]))
+                    parked[li].append((pids_l[wait], t_l[wait]))
                     pids_l = pids_l[ready]
                     t_l = t_l[ready]
-                    ld_l = ld_l[ready]
-            elif fifo or not ps_carry[di].busy:
-                continue
-            else:
-                pids_l, t_l, ld_l = empty_i, empty_f, empty_i
-            if fifo and pids_l.size == 0:
-                continue
-            already = diff[pids_l] & cum_mask[di]
-            arc_ids = np.int64(dims[di]) * n_nodes + (origins[pids_l] ^ already)
-            if fifo:
-                out_pids = pids_l
-                out_dep = _serve_fifo_carry(arc_ids, t_l, pids_l, 1.0, carry)
-                out_ld = ld_l
-            else:
-                # a busy arc drains up to the watermark even when this
-                # chunk brings it no new arrivals
-                out_pids, out_dep = ps_carry[di].serve(
-                    arc_ids, t_l, pids_l, watermark
-                )
-                if out_pids.size == 0:
-                    continue
-                out_ld = _level_space_diff(diff[out_pids], order_map)
-            rem = out_ld >> np.int64(di + 1)
-            done = rem == 0
-            delivery[out_pids[done]] = out_dep[done]
-            cont = np.flatnonzero(~done)
-            if cont.size == 0:
-                continue
-            nxt = di + 1 + _ctz(rem[cont])
-            _bucket_by_level(
-                level_in, nxt, di + 1,
-                out_pids[cont], out_dep[cont], out_ld[cont],
-            )
-    return delivery
-
-
-def simulate_butterfly_greedy_chunked(
-    bf: Butterfly,
-    sample: TrafficSample,
-    *,
-    chunk_packets: int,
-    discipline: str = "fifo",
-) -> np.ndarray:
-    """Delivery epochs of :func:`simulate_butterfly_greedy`, computed
-    in birth-ordered chunks (the butterfly analogue of
-    :func:`simulate_hypercube_greedy_chunked`)."""
-    chunk = _require_chunkable(discipline, chunk_packets)
-    d, rows_per_level = bf.d, bf.rows
-    origins = np.asarray(sample.origins, dtype=np.int64)
-    dests = np.asarray(sample.destinations, dtype=np.int64)
-    times = np.asarray(sample.times, dtype=float)
-    n = origins.shape[0]
-    diff = origins ^ dests
-    delivery = times.copy()
-    if n == 0 or d == 0:
-        return delivery
-    fifo = discipline == "fifo"
-    carry = _ArcCarry(bf.num_arcs) if fifo else None
-    ps_carry = None if fifo else [_PsLevelCarry() for _ in range(d)]
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0)
-    parked: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(d)]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        watermark = np.inf if hi >= n else float(times[hi - 1])
-        level_in, parked = parked, [[] for _ in range(d)]
-        fresh = np.arange(lo, hi, dtype=np.int64)
-        level_in[0].append((fresh, times[lo:hi]))
-        for level in range(d):
-            if level_in[level]:
-                pids_l = np.concatenate([c[0] for c in level_in[level]])
-                t_l = np.concatenate([c[1] for c in level_in[level]])
-                ready = t_l <= watermark
-                if not ready.all():
-                    wait = ~ready
-                    parked[level].append((pids_l[wait], t_l[wait]))
-                    pids_l = pids_l[ready]
-                    t_l = t_l[ready]
-            elif fifo or not ps_carry[level].busy:
+            elif fifo or not ps_carry[li].busy:
                 continue
             else:
                 pids_l, t_l = empty_i, empty_f
             if fifo and pids_l.size == 0:
                 continue
-            pdiff = diff[pids_l]
-            # row address entering `level`: bits below it already applied
-            rows_addr = origins[pids_l] ^ (pdiff & np.int64((1 << level) - 1))
-            kind = (pdiff >> np.int64(level)) & 1
-            arc_ids = level * 2 * rows_per_level + 2 * rows_addr + kind
+            arc_ids = levels.arcs(li, origins[pids_l], diff[pids_l])
             if fifo:
                 out_pids = pids_l
                 out_dep = _serve_fifo_carry(arc_ids, t_l, pids_l, 1.0, carry)
             else:
-                out_pids, out_dep = ps_carry[level].serve(
+                # a busy arc drains up to the watermark even when this
+                # chunk brings it no new arrivals
+                out_pids, out_dep = ps_carry[li].serve(
                     arc_ids, t_l, pids_l, watermark
                 )
-                if out_pids.size == 0:
-                    continue
-            if level + 1 == d:
-                delivery[out_pids] = out_dep
-            else:
-                level_in[level + 1].append((out_pids, out_dep))
+            _advance(
+                level_in, delivery, li + 1, out_pids, out_dep, cross, every
+            )
     return delivery
 
 

@@ -13,13 +13,19 @@ import pytest
 
 from repro.core.qnetwork import HypercubeQSpec, hypercube_external_from_sample
 from repro.sim.eventsim import (
+    butterfly_packet_paths,
     hypercube_packet_paths,
     simulate_paths_event_driven,
 )
 from repro.sim.feedforward import (
+    ButterflyLevels,
+    HypercubeLevels,
     simulate_hypercube_greedy,
+    simulate_levelled,
+    simulate_levelled_chunked,
     simulate_markovian,
 )
+from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.traffic.destinations import BernoulliFlipLaw
 from repro.traffic.workload import HypercubeWorkload
@@ -31,27 +37,74 @@ def _workload_sample(d, lam, p, horizon, seed):
     return cube, wl.generate(horizon, rng=seed)
 
 
+def _assert_level_sweeps_match_events(d, samples, discipline, atol):
+    """Every level map and route of the level sweep against the event
+    calendar run over the same packets' greedy paths.
+
+    Maps: the hypercube in increasing and in a permuted dimension
+    order, and the butterfly (a d-bit sample is also a butterfly row
+    workload).  Routes: the first sample alone, all samples stacked in
+    one sweep, and the first sample chunked at 1, 7 and infinitely many
+    packets.
+    """
+    cube, bf = Hypercube(d), Butterfly(d)
+    order = list(range(1, d, 2)) + list(range(0, d, 2))
+
+    def permuted_paths(s):
+        diffs = np.asarray(s.origins) ^ np.asarray(s.destinations)
+        orders = [[dim for dim in order if diff >> dim & 1] for diff in diffs]
+        return hypercube_packet_paths(cube, s, orders=orders)
+
+    maps = [
+        ("hypercube", HypercubeLevels(cube),
+         lambda s: hypercube_packet_paths(cube, s)),
+        ("hypercube, dim_order", HypercubeLevels(cube, order), permuted_paths),
+        ("butterfly", ButterflyLevels(bf),
+         lambda s: butterfly_packet_paths(bf, s)),
+    ]
+    for label, levels, paths in maps:
+        refs = [
+            simulate_paths_event_driven(
+                levels.num_arcs, s.times, paths(s), discipline=discipline
+            ).delivery
+            for s in samples
+        ]
+        routes = {
+            "R=1": simulate_levelled(levels, samples[:1], discipline)[0],
+            f"stacked R={len(samples)}": simulate_levelled(
+                levels, samples, discipline
+            )[0],
+        }
+        for chunk in (1, 7, 10**9):
+            routes[f"chunk={chunk}"] = [
+                simulate_levelled_chunked(levels, samples[0], chunk, discipline)
+            ]
+        for route, deliveries in routes.items():
+            for ref, got in zip(refs, deliveries):
+                np.testing.assert_allclose(
+                    got, ref, atol=atol, err_msg=f"{label}, {route}"
+                )
+
+
 class TestEngineEquivalence:
+    """The level sweep against the event calendar, FIFO and PS, over
+    every level map and every route (one-shot, stacked, chunked)."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fifo_sample_paths_identical(self, seed):
-        cube, sample = _workload_sample(4, 1.4, 0.5, 120.0, seed)
-        ff = simulate_hypercube_greedy(cube, sample)
-        ev = simulate_paths_event_driven(
-            cube.num_arcs, sample.times, hypercube_packet_paths(cube, sample)
-        )
-        np.testing.assert_allclose(ff.delivery, ev.delivery, atol=1e-9)
+        samples = [
+            _workload_sample(4, 1.4, 0.5, 120.0, s)[1]
+            for s in (seed, seed + 10, seed + 20)
+        ]
+        _assert_level_sweeps_match_events(4, samples, "fifo", 1e-9)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_ps_sample_paths_identical(self, seed):
-        cube, sample = _workload_sample(3, 1.2, 0.5, 80.0, seed)
-        ff = simulate_hypercube_greedy(cube, sample, discipline="ps")
-        ev = simulate_paths_event_driven(
-            cube.num_arcs,
-            sample.times,
-            hypercube_packet_paths(cube, sample),
-            discipline="ps",
-        )
-        np.testing.assert_allclose(ff.delivery, ev.delivery, atol=1e-6)
+        samples = [
+            _workload_sample(3, 1.2, 0.5, 80.0, s)[1]
+            for s in (seed, seed + 10, seed + 20)
+        ]
+        _assert_level_sweeps_match_events(3, samples, "ps", 1e-6)
 
     def test_fifo_with_slotted_ties(self):
         # heavy tie traffic: all births at integer slots
@@ -61,12 +114,8 @@ class TestEngineEquivalence:
         wl = SlottedHypercubeWorkload(
             cube, 1.2, BernoulliFlipLaw(3, 0.5), tau=0.5
         )
-        sample = wl.generate(60.0, rng=9)
-        ff = simulate_hypercube_greedy(cube, sample)
-        ev = simulate_paths_event_driven(
-            cube.num_arcs, sample.times, hypercube_packet_paths(cube, sample)
-        )
-        np.testing.assert_allclose(ff.delivery, ev.delivery, atol=1e-9)
+        samples = [wl.generate(60.0, rng=seed) for seed in (9, 19, 29)]
+        _assert_level_sweeps_match_events(3, samples, "fifo", 1e-9)
 
 
 class TestBatchedEventMatchesFeedForward:

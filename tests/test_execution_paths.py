@@ -185,6 +185,20 @@ class TestEventRouteEquivalence:
         assert _cell_bytes(par_store, spec) == reference
 
 
+def _one_shot(net, topology, spec, sample):
+    from repro.sim.feedforward import simulate_levelled
+
+    levels = net.greedy_levels(topology, spec)
+    return simulate_levelled(levels, [sample], spec.discipline)[0][0]
+
+
+def _chunked(net, topology, spec, sample, chunk):
+    from repro.sim.feedforward import simulate_levelled_chunked
+
+    levels = net.greedy_levels(topology, spec)
+    return simulate_levelled_chunked(levels, sample, chunk, spec.discipline)
+
+
 class TestChunkedKernels:
     def test_hypercube_chunked_respects_dim_order(self):
         """Chunk composition commutes with a permuted global crossing
@@ -203,7 +217,10 @@ class TestChunkedKernels:
         assert m_chk.replication_delays == m_one.replication_delays
 
     def test_chunked_rejects_nonpositive_chunk(self):
-        from repro.sim.feedforward import simulate_hypercube_greedy_chunked
+        from repro.sim.feedforward import (
+            HypercubeLevels,
+            simulate_levelled_chunked,
+        )
         from repro.topology.hypercube import Hypercube
         from repro.traffic.workload import HypercubeWorkload
         from repro.traffic.destinations import UniformLaw
@@ -213,7 +230,7 @@ class TestChunkedKernels:
             2.0, np.random.default_rng(0)
         )
         with pytest.raises(ConfigurationError, match="chunk_packets"):
-            simulate_hypercube_greedy_chunked(cube, sample, chunk_packets=0)
+            simulate_levelled_chunked(HypercubeLevels(cube), sample, 0)
 
     def test_chunked_rejects_unchunkable_network(self):
         """Networks without a chunk-composable kernel reject the option
@@ -257,11 +274,9 @@ class TestChunkedPS:
         )
         net, topology, sample = self._one_replication(spec)
         assert sample.num_packets > 100
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        one_shot = _one_shot(net, topology, spec, sample)
         for chunk in self.CHUNKS:
-            chunked = net.simulate_greedy_chunked(
-                topology, spec, sample, chunk
-            )
+            chunked = _chunked(net, topology, spec, sample, chunk)
             err = float(np.max(np.abs(chunked - one_shot)))
             assert err <= self.TOL, f"chunk={chunk}: max deviation {err}"
 
@@ -275,11 +290,9 @@ class TestChunkedPS:
             discipline="ps", extra=extra,
         )
         net, topology, sample = self._one_replication(spec)
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        one_shot = _one_shot(net, topology, spec, sample)
         for chunk in (1, 29, 10**6):
-            chunked = net.simulate_greedy_chunked(
-                topology, spec, sample, chunk
-            )
+            chunked = _chunked(net, topology, spec, sample, chunk)
             assert float(np.max(np.abs(chunked - one_shot))) <= self.TOL
 
     def test_ps_chunked_accepted_end_to_end(self):
@@ -388,11 +401,11 @@ class TestBoundedMemory:
             spec.horizon, as_generator(seeds[0])
         )
         tracemalloc.start()
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        one_shot = _one_shot(net, topology, spec, sample)
         _, peak_one = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         tracemalloc.start()
-        chunked = net.simulate_greedy_chunked(topology, spec, sample, 2048)
+        chunked = _chunked(net, topology, spec, sample, 2048)
         _, peak_chunk = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert np.array_equal(one_shot, chunked)
@@ -418,7 +431,7 @@ class TestBoundedMemory:
         assert sample.num_packets > 20_000  # a real cell, not a toy
         chunk = 8192
         tracemalloc.start()
-        chunked = net.simulate_greedy_chunked(topology, spec, sample, chunk)
+        chunked = _chunked(net, topology, spec, sample, chunk)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # dense carry: int64 counts + float64 running max per arc
@@ -430,7 +443,7 @@ class TestBoundedMemory:
         # footprint, which is what the horizon multiplies
         budget = carry_bytes + 64 * 8 * chunk + 400 * sample.num_packets
         assert peak < budget
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        one_shot = _one_shot(net, topology, spec, sample)
         assert np.array_equal(one_shot, chunked)
 
 

@@ -462,9 +462,9 @@ class TestCustomNetworkEndToEnd:
                     paths.append([] if x == z else [x, n + z])
                 return paths
 
-            # simulate_greedy: inherited — the NetworkPlugin default
-            # (fixed-point solver over greedy_paths) carries a custom
-            # network with no engine code at all
+            # greedy_levels: inherited — the NetworkPlugin default
+            # (None: the fixed-point engine over greedy_paths) carries
+            # a custom network with no engine code at all
 
         yield StarNetwork
         unregister_network("star")
@@ -483,6 +483,71 @@ class TestCustomNetworkEndToEnd:
         m = measure(spec)
         assert m.network == "star"
         assert m.num_packets > 0
+
+    def test_levelled_network_rides_feedforward(self, star_network, tmp_path):
+        """Declaring only a per-level arc map (``greedy_levels``) puts a
+        custom network on the feed-forward engine: its sequential,
+        batched and chunked routes all run, with byte-identical cells,
+        and agree with the event calendar over its greedy paths."""
+        from repro.engines.registry import resolve_engine
+        from repro.runner.store import ResultsStore
+
+        class StarLevels:
+            """Level 0: the spoke into the hub (arc = origin); level 1:
+            the spoke out (arc n + destination).  A packet whose origin
+            is its destination crosses neither."""
+
+            num_levels = 2
+
+            def __init__(self, n):
+                self.n = n
+                self.num_arcs = 2 * n
+
+            def crossings(self, diff):
+                return np.where(diff != 0, 3, 0)
+
+            def arcs(self, level, origins, diff):
+                return origins if level == 0 else self.n + (origins ^ diff)
+
+        @register_network
+        class LevelledStar(star_network):
+            name = "lstar"
+            aliases = ()
+
+            def greedy_levels(self, topology, spec):
+                return StarLevels(topology.n)
+
+        try:
+            spec = ScenarioSpec(
+                name="lstar-toy", network="lstar", scheme="greedy", d=5,
+                rho=0.4, horizon=60.0, replications=3,
+            )
+            assert resolve_engine(spec).name == "feedforward"
+            vec = run_spec(spec, 0, keep_record=True)
+            evt = run_spec(spec.replace(engine="event"), 0, keep_record=True)
+            np.testing.assert_allclose(
+                evt.record.delivery, vec.record.delivery, rtol=0, atol=1e-9
+            )
+
+            def route(cell_spec, batch):
+                store = ResultsStore(tmp_path / f"{cell_spec.name}-{batch}")
+                m = measure(cell_spec, jobs=1, batch=batch, store=store)
+                assert m.num_packets > 0
+                return m.replication_delays, [
+                    store.replication_path_for(cell_spec, k).read_bytes()
+                    for k in range(cell_spec.replications)
+                ]
+
+            chunked = spec.replace(
+                name="lstar-chunked", extra={"chunk_packets": 7}
+            )
+            seq, chk_seq = route(spec, False), route(chunked, False)
+            assert route(spec, True) == seq
+            assert route(chunked, True) == chk_seq
+            # a chunked cell embeds its own spec; its numbers do not move
+            assert chk_seq[0] == seq[0]
+        finally:
+            unregister_network("lstar")
 
     def test_unregistered_network_rejected_again(self, star_network):
         unregister_network("star")
