@@ -268,14 +268,13 @@ class ScenarioSpec:
     # -- serialisation --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
+        out = {name: getattr(self, name) for name in _FIELDS}
         out["extra"] = {k: _thaw_value(v) for k, v in self.extra}
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_FIELDS)
         if unknown:
             raise ConfigurationError(f"unknown spec fields: {sorted(unknown)}")
         return cls(**dict(data))
@@ -290,12 +289,19 @@ class ScenarioSpec:
         """Stable digest of everything that affects the numbers.
 
         ``name`` and ``description`` are labels, not physics: two specs
-        differing only there share a cache cell.
+        differing only there share a cache cell.  A spec is immutable,
+        so the digest is computed once and kept on the instance (outside
+        the dataclass fields); :meth:`replace` builds a new instance,
+        which computes its own.
         """
-        blob = json.dumps(
-            self._hash_payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:20]
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            blob = json.dumps(
+                self._hash_payload(), sort_keys=True, separators=(",", ":")
+            )
+            digest = hashlib.sha256(blob.encode()).hexdigest()[:20]
+            object.__setattr__(self, "_content_hash", digest)
+        return digest
 
     def replication_hash(self) -> str:
         """Digest of everything that affects **one replication**.
@@ -310,3 +316,7 @@ class ScenarioSpec:
         payload.pop("replications")
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:20]
+
+
+#: the spec's field names, in declaration order (``to_dict``'s key order)
+_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))

@@ -7,8 +7,10 @@ the scenario catalog as a service:
 * ``POST /v1/measure``          — ScenarioSpec JSON in; a pooled-cache hit
   answers instantly (200), a miss queues a job (202) on the worker pool.
 * ``GET  /v1/jobs/<id>``        — job state, progress, terminal result.
-* ``GET  /v1/jobs/<id>/events`` — the same as server-sent events, one
-  ``progress`` beat per completed replication wave.
+* ``GET  /v1/jobs/<id>/events`` — the same as server-sent events: a
+  ``progress`` beat whenever the worker's progress file changes (read
+  every :data:`PROGRESS_HEARTBEAT_S`), and the terminal event as soon
+  as the job ends (the stream waits on the job's future, not a timer).
 * ``DELETE /v1/jobs/<id>``      — cooperative cancel (persisted
   replications survive, so resubmitting resumes).
 * ``GET  /v1/scenarios``        — the registered catalog.
@@ -51,6 +53,11 @@ __all__ = ["ReproServer", "ServerThread"]
 
 _SPEC_ERRORS = (ConfigurationError, KeyError, TypeError, ValueError)
 
+#: seconds between progress reads on a job's event stream: the worker
+#: reports progress through a file, so beats are polled; the terminal
+#: event does not wait for a beat
+PROGRESS_HEARTBEAT_S = 0.1
+
 
 def _spec_from_request(payload: Any) -> ScenarioSpec:
     """A spec from a POST body: either a full ScenarioSpec dict, or
@@ -80,7 +87,6 @@ class ReproServer:
         cache_dir: Union[str, Path, None] = None,
         backend: str = "locked",
         wave_reps: Optional[int] = 1,
-        poll_interval: float = 0.1,
         job_ttl: float = 3600.0,
     ) -> None:
         # pin the root once, up front; workers receive it explicitly
@@ -88,7 +94,6 @@ class ReproServer:
         self.backend = backend
         self.host = host
         self._requested_port = port
-        self.poll_interval = poll_interval
         self.started = time.time()
         self.store = make_store(self.store_root, backend)
         self.manager = JobManager(
@@ -306,7 +311,9 @@ class ReproServer:
             if state in TERMINAL:
                 await send_sse_event(writer, state, job.snapshot())
                 return
-            await asyncio.sleep(self.poll_interval)
+            # wakes on the loop pass after JobManager._finish (its done
+            # callback was added first), or after one heartbeat
+            await asyncio.wait([job.future], timeout=PROGRESS_HEARTBEAT_S)
 
 
 class ServerThread:

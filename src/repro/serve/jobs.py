@@ -19,7 +19,13 @@ be any of N pool processes, and the pool survives across jobs):
   resumes instead of recomputing.
 
 Jobs are coalesced by content hash: a second POST of a spec whose job
-is still active returns the same job instead of queueing twice.
+is still active returns the same job instead of queueing twice.  A job
+enters the table only once the pool has accepted it, so a failed
+dispatch leaves nothing behind to coalesce onto.
+
+A pool worker that dies (killed, or out of memory) breaks the whole
+pool: the jobs the pool held end ``failed``, and the next submit
+replaces the pool and dispatches to the fresh one.
 
 Terminal jobs are retained for ``job_ttl`` seconds after they finish
 (default one hour) so clients can fetch results, then evicted — table
@@ -36,6 +42,7 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -115,7 +122,8 @@ class Job:
     spec_hash: str
     job_dir: Path
     created: float
-    future: Any = None
+    #: the pool's future for :func:`execute_job`
+    future: Any
     terminal: Optional[Dict[str, Any]] = None
     cancel_requested: bool = False
     finished: Optional[float] = None
@@ -127,7 +135,7 @@ class Job:
         if self.terminal is not None:
             return self.terminal["state"]
         if self.cancel_requested:
-            return CANCELLED if self.future is None else RUNNING
+            return RUNNING  # until the cancelled future's done callback
         if (self.job_dir / "progress.json").exists():
             return RUNNING
         return QUEUED
@@ -175,6 +183,10 @@ class JobManager:
 
     All methods run on the event-loop thread; only the pool workers
     and the file-based progress/cancel protocol cross processes.
+    :meth:`_finish` is every job's completion hook: it runs as the
+    done callback of the job's future, first in line, so anything
+    awaiting that future sees the job terminal.  A pool broken by a
+    dead worker is replaced on the next :meth:`submit`.
     """
 
     def __init__(
@@ -238,25 +250,32 @@ class JobManager:
         job_id = secrets.token_hex(6)
         job_dir = self.state_dir / job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        job = Job(
-            id=job_id,
-            spec=spec,
-            spec_hash=spec_hash,
-            job_dir=job_dir,
-            created=time.time(),
-        )
-        self.jobs[job_id] = job
-        self._active[spec_hash] = job_id
-        job.future = loop.run_in_executor(
-            self.executor,
-            execute_job,
+        created = time.time()
+        args = (
             str(job_dir),
             spec.to_dict(),
             str(self.store_root),
             self.backend,
             self.wave_reps,
         )
-        job.future.add_done_callback(lambda fut: self._finish(job, fut))
+        try:
+            future = loop.run_in_executor(self.executor, execute_job, *args)
+        except BrokenProcessPool:
+            # a worker died; the jobs the old pool held fail in _finish
+            self.executor.shutdown(wait=False)
+            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+            future = loop.run_in_executor(self.executor, execute_job, *args)
+        job = Job(
+            id=job_id,
+            spec=spec,
+            spec_hash=spec_hash,
+            job_dir=job_dir,
+            created=created,
+            future=future,
+        )
+        self.jobs[job_id] = job
+        self._active[spec_hash] = job_id
+        future.add_done_callback(lambda fut: self._finish(job, fut))
         return job, True
 
     def _finish(self, job: Job, fut) -> None:
@@ -291,8 +310,7 @@ class JobManager:
         (job.job_dir / "cancel").touch()
         if self._active.get(job.spec_hash) == job.id:
             del self._active[job.spec_hash]
-        if job.future is not None:
-            job.future.cancel()
+        job.future.cancel()
         return True
 
     def counts(self) -> Dict[str, int]:

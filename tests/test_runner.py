@@ -125,6 +125,25 @@ class TestScenarioSpec:
         c = ScenarioSpec(name="a", rho=0.6)
         assert a.content_hash() == b.content_hash()
         assert a.content_hash() != c.content_hash()
+        # a copy of a hashed spec computes its own hash
+        assert a.replace(rho=0.6).content_hash() == c.content_hash()
+
+    @pytest.mark.parametrize(
+        "name, content, replication",
+        [
+            ("smoke", "2d409ef157809b97318f", "9db25992a726b788911b"),
+            ("hypercube-greedy-mid", "eb9394ffc6a04c5ba7b3",
+             "63f574d048240fc89a17"),
+            ("butterfly-greedy-mid", "4cb3df8af783999bccfd",
+             "e8677d57d6150b96668b"),
+        ],
+    )
+    def test_cache_keys_are_pinned(self, name, content, replication):
+        """Literal keys of existing caches: a change to ``to_dict`` or
+        the hash payload that moves them orphans every stored cell."""
+        spec = get_scenario(name).replace(replications=2, horizon=40.0)
+        assert spec.content_hash() == content
+        assert spec.replication_hash() == replication
 
 
 class TestRegistry:

@@ -18,12 +18,16 @@ acceptance contracts:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.plugins import register_scheme, unregister_scheme
+from repro.plugins.greedy import GreedyPlugin
 from repro.runner import ResultsStore, ScenarioSpec, measure
 from repro.serve import ServerThread
 from repro.serve.http import Request
@@ -210,6 +214,23 @@ class TestMeasureEndpoint:
         assert beats[-1]["completed"] + beats[-1]["cached"] == SPEC["replications"]
         assert events[-1]["data"]["result"]["num_packets"] > 0
 
+    def test_event_stream_ends_when_the_job_ends(self, server, monkeypatch):
+        """The terminal event follows the job's future, not the
+        progress heartbeat."""
+        import repro.serve.app as app
+
+        monkeypatch.setattr(app, "PROGRESS_HEARTBEAT_S", 30.0)
+        base = server.base_url
+        slow = {"name": "serve-wake", "d": 6, "rho": 0.8, "horizon": 1500.0,
+                "replications": 4}
+        t0 = time.monotonic()
+        status, body = _request("POST", f"{base}/v1/measure", slow)
+        assert status == 202
+        events = _read_events(base + body["events"])
+        assert time.monotonic() - t0 < 10.0
+        assert events[0]["data"]["state"] not in TERMINAL  # it did wait
+        assert events[-1]["event"] == "done"
+
 
 class TestCancelAndResume:
     #: big enough that cancellation lands mid-run with wide margin
@@ -258,6 +279,48 @@ class TestCancelAndResume:
         _poll_terminal(base, body["job"])
         status, ack = _request("DELETE", f"{base}/v1/jobs/{body['job']}")
         assert status == 409 and ack["cancelled"] is False
+
+
+class _ExitInWorker(GreedyPlugin):
+    """Greedy in name only: running it ends the pool worker."""
+
+    name = "exit_in_worker"
+
+    def batch_runner(self, spec):
+        return lambda seeds: os._exit(1)
+
+    def prepare(self, spec):
+        return lambda gen: os._exit(1)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a scheme registered at run time reaches pool workers by fork only",
+)
+class TestPoolRecovery:
+    """A dead worker breaks the whole pool: the job it held ends
+    failed, and the next miss runs on a fresh pool."""
+
+    def test_miss_after_a_worker_death_runs_on_a_fresh_pool(self, tmp_path):
+        register_scheme(_ExitInWorker)  # before the pool forks its worker
+        thread = ServerThread(cache_dir=tmp_path / "cache", workers=1).start()
+        try:
+            base = thread.base_url
+            crash = dict(SPEC, name="serve-crash", scheme="exit_in_worker")
+            status, body = _request("POST", f"{base}/v1/measure", crash)
+            assert status == 202
+            lost = _poll_terminal(base, body["job"])
+            assert lost["state"] == "failed"
+            assert "BrokenProcessPool" in lost["error"]
+
+            status, body = _request("POST", f"{base}/v1/measure", SPEC)
+            assert status == 202 and body["coalesced"] is False
+            assert _poll_terminal(base, body["job"])["state"] == "done"
+            jobs = _request("GET", f"{base}/v1/jobs")[1]["jobs"]
+            assert [j["state"] for j in jobs] == ["failed", "done"]
+        finally:
+            thread.stop()
+            unregister_scheme("exit_in_worker")
 
 
 class TestJobRetention:
