@@ -31,7 +31,14 @@ wall-clock and memory profile of the replication fan-out for one
   (``chunked_vs_sequential`` is reported, not gated).
 * ``chunked_ps`` — the PS chunk carry on the same cell (one
   replication): max abs deviation of the chunked fair-share
-  construction from the one-shot PS sweep, pinned ≤ 1e-9.
+  construction from the one-shot PS sweep, pinned at 0.0 (the carry
+  runs the one-shot kernel on the same per-arc state).
+* ``ps_seed_s`` / ``ps_s`` — one batched measurement of a PS cell
+  (hypercube d=10 ρ=0.7 horizon 20 ×8), with the seed's per-arc
+  ``serve_level`` swapped in (one ``ps_departure_times`` loop per busy
+  arc) and with the current one (every arc of a level in one PS
+  kernel).  ``ps_speedup_vs_seed = ps_seed_s / ps_s`` is pinned ≥ 5
+  and ``ps_bit_identical`` asserts the two measurements are equal.
 * ``event_s`` / ``event_batched_s`` — the replication-batched event
   calendar on a **sparse cyclic-scheme cell** (``random_order``: the
   server graph is cyclic, so only the event engine can run it):
@@ -87,6 +94,11 @@ MEM_CHUNK = 4096
 #: chunk used for the wall-clock column on the pinned cell
 TIMING_CHUNK = 32768
 
+#: Processor-Sharing cell for the PS kernel column: enough arcs per
+#: level for the lockstep phase, enough events per arc for it to matter
+FULL_PS = dict(d=10, rho=0.7, horizon=20.0, replications=8)
+QUICK_PS = dict(d=8, rho=0.7, horizon=10.0, replications=4)
+
 #: sparse cyclic-scheme cell for the batched event calendar: low load
 #: and a long horizon make the per-replication calendar sparse (few
 #: events per service window), the regime where merging R replications
@@ -121,6 +133,16 @@ def _seed_serve_level(arcs, times, pids, discipline="fifo", service=1.0):
             dep_s[lo:hi] = ps_departure_times(t_s[lo:hi], work=s)
     dep[order] = dep_s
     return dep, order
+
+
+def _with_seed_serve_level(fn):
+    """Run *fn* with the seed's ``serve_level`` swapped in."""
+    modern = _ff.serve_level
+    _ff.serve_level = _seed_serve_level
+    try:
+        return fn()
+    finally:
+        _ff.serve_level = modern
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -169,7 +191,7 @@ def _memory_peaks(params):
 
 def _chunked_ps_agreement(params, chunk):
     """Max abs deviation of the chunked PS carry from the one-shot PS
-    sweep on one replication of the timing cell (contract: <= 1e-9)."""
+    sweep on one replication of the timing cell (pinned at 0.0)."""
     spec = ScenarioSpec(
         name="bench-engines-ps", base_seed=0, seed_policy="spawn",
         replications=1, discipline="ps",
@@ -195,7 +217,6 @@ def _chunked_ps_agreement(params, chunk):
         "cell": {k: v for k, v in params.items() if k != "replications"},
         "chunk_packets": chunk,
         "max_abs_diff": err,
-        "within_tolerance": bool(err <= 1e-9),
     }
 
 
@@ -204,12 +225,9 @@ def run_experiment(quick=False):
     spec = ScenarioSpec(
         name="bench-engines", base_seed=0, seed_policy="spawn", **params
     )
-    modern = _ff.serve_level
-    _ff.serve_level = _seed_serve_level
-    try:
-        seed_s, seed_m = _best_of(lambda: measure(spec, jobs=1, batch=False))
-    finally:
-        _ff.serve_level = modern
+    seed_s, seed_m = _with_seed_serve_level(
+        lambda: _best_of(lambda: measure(spec, jobs=1, batch=False))
+    )
     seq_s, seq_m = _best_of(lambda: measure(spec, jobs=1, batch=False))
     bat_s, bat_m = _best_of(lambda: measure(spec, jobs=1, batch=True))
     # timing the pool route on < 4 cores would measure pure pool
@@ -224,6 +242,15 @@ def run_experiment(quick=False):
         )
     chunk_spec = spec.replace(extra={"chunk_packets": TIMING_CHUNK})
     chk_s, chk_m = _best_of(lambda: measure(chunk_spec, jobs=1, batch=True))
+
+    ps_spec = ScenarioSpec(
+        name="bench-engines-ps-kernel", base_seed=0, seed_policy="spawn",
+        discipline="ps", **(QUICK_PS if quick else FULL_PS)
+    )
+    ps_seed_s, ps_seed_m = _with_seed_serve_level(
+        lambda: _best_of(lambda: measure(ps_spec, jobs=1, batch=True))
+    )
+    ps_s, ps_m = _best_of(lambda: measure(ps_spec, jobs=1, batch=True))
 
     event_params = QUICK_EVENT if quick else FULL_EVENT
     event_spec = ScenarioSpec(
@@ -299,6 +326,18 @@ def run_experiment(quick=False):
         "event_batched_s": round(evb_s, 4),
         "event_batched_vs_event": round(ev_s / evb_s, 2),
         "event_bit_identical": bool(ev_m == evb_m),
+        "ps_spec": {
+            "network": ps_spec.network,
+            "discipline": ps_spec.discipline,
+            "d": ps_spec.d,
+            "rho": ps_spec.rho,
+            "horizon": ps_spec.horizon,
+            "replications": ps_spec.replications,
+        },
+        "ps_seed_s": round(ps_seed_s, 4),
+        "ps_s": round(ps_s, 4),
+        "ps_speedup_vs_seed": round(ps_seed_s / ps_s, 2),
+        "ps_bit_identical": bool(ps_seed_m == ps_m),
         "memory": _memory_peaks(QUICK_MEM if quick else FULL_MEM),
         "chunked_ps": _chunked_ps_agreement(params, TIMING_CHUNK),
     }
@@ -328,8 +367,9 @@ def test_engines_benchmark():
     assert results["chunked_bit_identical"]
     assert results["per_replication_bit_identical"]
     assert results["memory"]["bit_identical"]
-    assert results["chunked_ps"]["within_tolerance"]
+    assert results["chunked_ps"]["max_abs_diff"] == 0.0
     assert results["event_bit_identical"]
+    assert results["ps_bit_identical"]
     print(f"\n[written to {path}]")
 
 
@@ -345,10 +385,11 @@ if __name__ == "__main__":
         and results["per_replication_bit_identical"]
         and results["event_bit_identical"]
         and results["memory"]["bit_identical"]
+        and results["ps_bit_identical"]
     ):
         sys.exit("FAIL: execution paths are not bit-identical")
-    if not results["chunked_ps"]["within_tolerance"]:
-        sys.exit("FAIL: chunked PS deviates > 1e-9 from the one-shot sweep")
+    if results["chunked_ps"]["max_abs_diff"] != 0.0:
+        sys.exit("FAIL: chunked PS deviates from the one-shot sweep")
     if not quick and results["speedup_vs_seed"] < 10.0:
         sys.exit("FAIL: batched path is not >= 10x the seed fan-out")
     if not quick and results["batched_vs_sequential"] < 1.0:
@@ -357,3 +398,5 @@ if __name__ == "__main__":
         sys.exit("FAIL: chunked-horizon path is not >= 10x the seed fan-out")
     if not quick and results["event_batched_vs_event"] < 2.0:
         sys.exit("FAIL: batched event calendar is not >= 2x sequential")
+    if not quick and results["ps_speedup_vs_seed"] < 5.0:
+        sys.exit("FAIL: PS kernel is not >= 5x the seed's per-arc loop")

@@ -5,9 +5,11 @@ chronological order replaying per-packet arc paths, deliberately
 independent of the levelled structure.  It drives **every** network
 (third-party ones included) through the
 :meth:`~repro.networks.api.NetworkPlugin.greedy_paths` hook, and its
-FIFO sample paths agree with the vectorised engines bit for bit (PS to
-float round-off) — which is exactly what makes it the reference the
-fast engines are validated against.
+sample paths agree with the vectorised engines to float round-off —
+about 1e-14 under FIFO, where its cores add ``start + service`` one
+departure at a time and the sweeps use the Lindley closed form — which
+is exactly what makes it the reference the fast engines are validated
+against.
 
 Batching: replications are independent, so R replications share one
 calendar with replication *r*'s arc ids offset by ``r * num_arcs``

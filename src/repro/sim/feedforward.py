@@ -8,7 +8,9 @@ levels ``0..l-1`` are solved, the complete arrival stream of every
 level-``l`` server is known, and each server is solved in one shot —
 FIFO by the closed-form Lindley recursion
 (:func:`repro.sim.lindley.fifo_departure_times`), PS by the exact
-fair-share construction (:func:`repro.sim.servers.ps_departure_times`).
+fair-share construction of :class:`repro.sim.servers.PSServer`, run
+for every arc of a level at once by one kernel (:func:`_serve_ps`)
+that also carries the chunked sweep.
 
 Two front ends:
 
@@ -43,7 +45,6 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import SeedLike, as_generator
 from repro.sim.measurement import DelayRecord
-from repro.sim.servers import ps_departure_times
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
@@ -224,7 +225,13 @@ def serve_level(
     of :func:`repro.sim.lindley.fifo_departure_times`, with the running
     maximum computed by :func:`_segmented_running_max`) — no Python
     loop over arcs, which is what makes the replication-batched engine
-    path scale.  PS keeps the exact per-arc fair-share construction.
+    path scale.  PS runs the fair-share construction of every arc at
+    once (:func:`_serve_ps`), bit-identical to
+    :func:`repro.sim.servers.ps_departure_times` arc by arc.
+
+    ``service`` must be > 0 on every arc the call touches, under either
+    discipline; anything else (zero, negative, NaN) raises
+    ``ValueError``.
     """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
@@ -233,14 +240,18 @@ def serve_level(
     if n == 0:
         return dep, np.zeros(0, dtype=np.int64)
     per_arc = isinstance(service, np.ndarray)
-    if not per_arc and service <= 0.0:
+    if not per_arc and not service > 0.0:
         raise ValueError(f"service time must be > 0, got {service}")
     order = _arc_time_pid_order(arcs, times, pids)
     a_s = arcs[order]
     t_s = times[order]
     starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
     bounds = np.r_[starts, n]
-    dep_s = np.empty(n)
+    if per_arc:
+        work = service[a_s[starts]]
+        if not (work > 0.0).all():
+            bad = work[~(work > 0.0)][0]
+            raise ValueError(f"service time must be > 0, got {bad}")
     if discipline == "fifo":
         counts = np.diff(bounds)
         pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
@@ -249,12 +260,231 @@ def serve_level(
         run = _segmented_running_max(t_s - s_rows * idx, pos)
         dep_s = s_rows * (idx + 1.0) + run
     else:
-        for i in range(starts.shape[0]):
-            lo, hi = bounds[i], bounds[i + 1]
-            s = float(service[int(a_s[lo])]) if per_arc else float(service)
-            dep_s[lo:hi] = ps_departure_times(t_s[lo:hi], work=s)
+        k = starts.shape[0]
+        if not per_arc:
+            work = np.full(k, float(service))
+        dep_s = np.zeros(n + 1)
+        _serve_ps(
+            t_s, dep_s, starts, starts, bounds[1:], work,
+            np.zeros(k), np.zeros(k), np.inf,
+        )
+        dep_s = dep_s[:n]
     dep[order] = dep_s
     return dep, order
+
+
+# ---------------------------------------------------------------------------
+# the Processor-Sharing kernel
+# ---------------------------------------------------------------------------
+#
+# One arc's PS server is the fair-share construction of
+# :class:`~repro.sim.servers.PSServer`: the integral ``S`` of
+# ``1/n(u)``, the clock ``now``, and per customer the threshold
+# ``S(arrival) + work`` at which it leaves.  With equal work on an arc
+# thresholds never reorder, so customers leave in admission order and
+# an arc's queue is a run of consecutive rows: ``head`` is the first row
+# still in service, ``nxt`` the next row to arrive, and ``nxt - head``
+# the number in service.  An arc's next event is the arrival ``t[nxt]``
+# if it comes strictly before the next departure
+# ``now + (threshold[head] - S) * (nxt - head)``, else that departure
+# (departures win ties).
+#
+# While many arcs have events left, per-arc arrays advance every one of
+# them by one event per step; once fewer than _PS_LOCKSTEP_ARCS remain
+# (a level's few hot arcs, or a narrow network's every arc), each drains
+# on Python floats, where a step costs far less than a round of array
+# operations.  Both phases do PSServer's float operations in its order,
+# so departures are bit-identical to ps_departure_times, arc by arc.
+
+#: arcs with events left below which the PS kernel drains arc by arc
+_PS_LOCKSTEP_ARCS = 128
+
+
+def _serve_ps(
+    t: np.ndarray,
+    buf: np.ndarray,
+    lo: np.ndarray,
+    adm: np.ndarray,
+    hi: np.ndarray,
+    work: np.ndarray,
+    S: np.ndarray,
+    now: np.ndarray,
+    watermark: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Processor-Sharing departures of many arcs, exactly.
+
+    Rows are customers in service order, arc by arc: arc ``k`` owns
+    rows ``[lo[k], hi[k])``.  Rows ``[lo[k], adm[k])`` are in service on
+    entry, their thresholds in ``buf``; rows ``[adm[k], hi[k])`` arrive
+    at epochs ``t``, each no later than *watermark*.  ``work``, ``S``
+    and ``now`` are per arc; ``S`` and ``now`` are advanced in place.
+    ``buf`` has one spare slot past the last row and reads zero at the
+    rows still to arrive.
+
+    Every arc runs until its next departure lies past the watermark
+    (``inf`` serves every customer).  On return ``buf`` holds each
+    departed row's epoch and each remaining row's threshold.  Returns
+    ``(head, due)``: per arc, the first row still in service and the
+    epoch of its departure if nothing else arrives (``inf`` when idle).
+    """
+    head = lo.copy()
+    if lo.shape[0] < _PS_LOCKSTEP_ARCS:
+        return head, _ps_drain(t, buf, head, adm, hi, work, S, now, watermark)
+    nxt = adm.copy()
+    due = np.full(lo.shape[0], np.inf)
+    todo = _ps_lockstep(t, buf, head, nxt, hi, work, S, now, due, watermark)
+    if todo.shape[0]:
+        # the few arcs left drain on a compact copy of their rows
+        h = head[todo]
+        cnt = hi[todo] - h
+        off = np.cumsum(cnt) - cnt
+        rows = np.arange(int(cnt.sum())) + np.repeat(h - off, cnt)
+        sub = buf[rows]
+        sub_head = off.copy()
+        s, c = S[todo], now[todo]
+        due[todo] = _ps_drain(
+            t[rows], sub, sub_head, off + (nxt[todo] - h), off + cnt,
+            work[todo], s, c, watermark,
+        )
+        buf[rows] = sub
+        head[todo] = h + (sub_head - off)
+        S[todo], now[todo] = s, c
+    return head, due
+
+
+def _ps_drain(
+    t: np.ndarray,
+    buf: np.ndarray,
+    head: np.ndarray,
+    nxt: np.ndarray,
+    hi: np.ndarray,
+    work: np.ndarray,
+    S: np.ndarray,
+    now: np.ndarray,
+    watermark: float,
+) -> np.ndarray:
+    """:func:`_serve_ps` arc by arc, on Python floats.
+
+    Each arc runs PSServer's operations one event at a time.  Updates
+    ``buf``, ``head``, ``S`` and ``now`` in place (``nxt`` is the first
+    row to arrive) and returns each arc's next departure epoch.
+    """
+    tl, bl = t.tolist(), buf.tolist()
+    heads, ss, cs, dues = [], [], [], []
+    for h, x, e, w, s, c in zip(
+        head.tolist(), nxt.tolist(), hi.tolist(), work.tolist(),
+        S.tolist(), now.tolist(),
+    ):
+        while True:
+            k = x - h
+            if k:
+                d = c + (bl[h] - s) * k
+                if x == e or not tl[x] < d:
+                    if d > watermark:
+                        break
+                    if d < c - 1e-12:
+                        raise ValueError(f"time moves backwards: {d} < {c}")
+                    if d > c:
+                        c = d
+                    s = bl[h]
+                    bl[h] = d
+                    h += 1
+                    continue
+            elif x == e:
+                d = np.inf
+                break
+            ta = tl[x]
+            if ta < c - 1e-12:
+                raise ValueError(f"time moves backwards: {ta} < {c}")
+            if k:
+                s += (ta - c) / k
+            if ta > c:
+                c = ta
+            bl[x] = s + w
+            x += 1
+        heads.append(h)
+        ss.append(s)
+        cs.append(c)
+        dues.append(d)
+    buf[:] = bl
+    head[:], S[:], now[:] = heads, ss, cs
+    return np.array(dues, dtype=float)
+
+
+def _ps_lockstep(
+    t: np.ndarray,
+    buf: np.ndarray,
+    head: np.ndarray,
+    nxt: np.ndarray,
+    hi: np.ndarray,
+    work: np.ndarray,
+    S: np.ndarray,
+    now: np.ndarray,
+    due: np.ndarray,
+    watermark: float,
+) -> np.ndarray:
+    """Step every arc with an event left by one event, in lockstep.
+
+    Updates the per-arc ``head``, ``nxt``, ``S``, ``now`` and ``due`` of
+    each arc it finishes and writes ``buf`` as :func:`_serve_ps` does.
+    Returns the arcs that may still have events once fewer than
+    :data:`_PS_LOCKSTEP_ARCS` of them do, their state written back.
+    """
+    t = np.append(t, 0.0)  # t[nxt] of an arc whose rows end the array
+    sink = buf.shape[0] - 1  # the spare slot takes the masked-out writes
+    bounded = watermark < np.inf
+    live = np.arange(head.shape[0])
+    h, x, e = head.copy(), nxt.copy(), hi
+    s, c, w = S.copy(), now.copy(), work
+    while True:
+        k = x - h
+        idle = k == 0
+        # every read is finite (a threshold, an epoch or a zero), so an
+        # idle arc's d is just c and raises no warning
+        thr = buf[h]
+        d = thr - s
+        d *= k
+        d += c
+        ta = t[x]
+        arr = ta < d
+        arr |= idle
+        arr &= x < e
+        go = ~(arr | idle)
+        if bounded:
+            go &= d <= watermark
+        ev = arr | go
+        n_ev = np.count_nonzero(ev)
+        te = np.where(arr, ta, d)
+        back = te < c - 1e-12
+        if back.any():
+            bad = np.flatnonzero(back)[0]
+            raise ValueError(f"time moves backwards: {te[bad]} < {c[bad]}")
+        # an arrival adds (ta - now) / k to S (nothing on an idle arc:
+        # the quotient by inf is zero); a departure snaps S to the
+        # leaving customer's threshold
+        inc = ta - c
+        inc /= np.where(idle, np.inf, k)
+        inc += s
+        s = np.where(go, thr, s)
+        s = np.where(arr, inc, s)
+        np.maximum(c, te, out=c, where=ev)
+        buf[np.where(arr, x, sink)] = s + w
+        buf[np.where(go, h, sink)] = d
+        x += arr
+        h += go
+        stopped = live.shape[0] - n_ev
+        if n_ev >= _PS_LOCKSTEP_ARCS and stopped * 8 <= live.shape[0]:
+            continue
+        # an arc with no event now has none later: retire it
+        done = ~ev
+        gone = live[done]
+        head[gone], nxt[gone], S[gone], now[gone] = h[done], x[done], s[done], c[done]
+        due[gone] = np.where(idle[done], np.inf, d[done])
+        if n_ev < _PS_LOCKSTEP_ARCS:
+            rest = live[ev]
+            head[rest], nxt[rest], S[rest], now[rest] = h[ev], x[ev], s[ev], c[ev]
+            return rest
+        live, h, x, e, s, c, w = (a[ev] for a in (live, h, x, e, s, c, w))
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +750,18 @@ def simulate_butterfly_greedy(
 # (validated against the one-shot path in the tests).
 #
 # PS departures depend on arrivals beyond the chunk, so the carry is
-# the set of in-service customers per arc instead: each busy arc keeps
-# its live fair-share server (:class:`~repro.sim.servers.PSServer` —
-# the in-service arrival epochs and residual work, encoded as fair-
-# share thresholds) across chunk boundaries, departures are emitted
-# only once the watermark passes them (no later arrival can change
-# them: ties at a departure epoch are processed after the departure),
-# and the final chunk's infinite watermark closes every busy period.
-# The carried server replays the exact event order of the one-shot
-# :func:`~repro.sim.servers.ps_departure_times` construction, so the
-# sample path matches the one-shot sweep bit for bit as well (the
-# tests pin <= 1e-9, the engine contract).
+# the PS kernel's own state instead (:class:`_PsLevelCarry`): dense
+# per-arc fair-share integral and clock, plus each level's customers
+# still in service with their thresholds.  Each chunk runs
+# :func:`_serve_ps` on the arcs that have new arrivals or a departure
+# due by the watermark, their carried customers entering already
+# admitted; the kernel emits a departure only once the watermark
+# passes it (no later arrival can change it: ties at a departure epoch
+# are processed after the departure), and the final chunk's infinite
+# watermark closes every busy period.  Every arc thus runs the one-shot
+# kernel's float operations in the same order, split at the
+# watermarks, so the sample path matches the one-shot sweep bit for
+# bit by construction (pinned at chunk sizes 1 to 10**6).
 #
 # To keep the per-chunk bookkeeping O(levels) instead of O(levels^2),
 # rows are routed by their level-space crossing mask: the entry level
@@ -621,31 +852,34 @@ def _serve_fifo_carry(
 
 
 class _PsLevelCarry:
-    """Sparse per-arc PS state for one level, carried across chunks.
+    """Dense per-arc PS state carried across horizon chunks.
 
-    ``servers`` maps an arc id to its live fair-share server — the
-    in-service customers' arrival state encoded as departure thresholds
-    (:class:`~repro.sim.servers.PSServer`); ``active`` is the subset of
-    arcs with customers still in service, which must be drained up to
-    every chunk's watermark even when the chunk brings them no new
-    arrivals.  Idle servers are kept (not reset): their fair-share
-    integral is part of the one-shot arithmetic, so keeping them makes
-    the carried construction replay :func:`ps_departure_times` exactly.
-    Memory is O(busy arcs + in-service customers) — topology-bounded.
+    ``S[a]`` and ``now[a]`` are arc *a*'s fair-share integral and clock
+    (:func:`_serve_ps`'s state), and ``due[a]`` the epoch of its next
+    departure if nothing else arrives (``inf`` when idle).  Idle arcs
+    keep their ``S`` and ``now``: both are part of the one-shot
+    arithmetic.  ``rows[level]`` holds the level's customers still in
+    service as parallel ``(arcs, pids, thresholds)`` arrays, in
+    admission order within each arc.  Arc ids are global, so one carry
+    serves every level.  Memory is O(num_arcs + in-service customers):
+    topology-bounded, independent of the horizon.
     """
 
-    __slots__ = ("servers", "active")
+    __slots__ = ("S", "now", "due", "rows")
 
-    def __init__(self) -> None:
-        self.servers: Dict[int, "PSServer"] = {}
-        self.active: set = set()
+    def __init__(self, num_arcs: int, num_levels: int) -> None:
+        self.S = np.zeros(num_arcs)
+        self.now = np.zeros(num_arcs)
+        self.due = np.full(num_arcs, np.inf)
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+        self.rows = [empty] * num_levels
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.active)
+    def busy(self, level: int) -> bool:
+        return self.rows[level][0].shape[0] > 0
 
     def serve(
         self,
+        level: int,
         arcs: np.ndarray,
         times: np.ndarray,
         pids: np.ndarray,
@@ -654,56 +888,56 @@ class _PsLevelCarry:
         """Feed one chunk's share of a level's PS arrivals and return
         every departure due by the *watermark* as ``(pids, epochs)``.
 
-        Replays the exact event order of the one-shot construction:
-        before each arrival, every departure due at or before it pops
-        (departures win ties — an arrival coinciding with a departure
-        epoch renders the departing customer zero service), and at the
-        chunk boundary every departure at or before the watermark pops.
-        Later arrivals are all past the watermark, so the emitted
-        epochs are final; customers still in service stay carried.
+        Only the arcs with new arrivals or a departure due by the
+        watermark run: their in-service customers enter the kernel
+        already admitted, ahead of the new arrivals, and
+        :func:`_serve_ps` stops each arc at the watermark.  Later
+        arrivals are all past the watermark, so the emitted epochs are
+        final; customers still in service stay carried.
         """
-        from repro.sim.servers import PSServer
-
-        dep_pids: List[int] = []
-        dep_times: List[float] = []
-        servers = self.servers
+        c_arcs, c_pids, c_thr = self.rows[level]
         if arcs.shape[0]:
             order = _arc_time_pid_order(arcs, times, pids)
-            a_s = arcs[order]
-            t_s = times[order]
-            p_s = pids[order]
-            starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-            bounds = np.r_[starts, a_s.shape[0]]
-            for i in range(starts.shape[0]):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                arc = int(a_s[lo])
-                server = servers.get(arc)
-                if server is None:
-                    server = servers[arc] = PSServer()
-                for j in range(lo, hi):
-                    t = float(t_s[j])
-                    nxt = server.next_departure_time()
-                    while nxt is not None and nxt <= t:
-                        dt, cid = server.pop_departure()
-                        dep_pids.append(cid)
-                        dep_times.append(dt)
-                        nxt = server.next_departure_time()
-                    server.arrive(t, customer_id=int(p_s[j]))
-                self.active.add(arc)
-        for arc in sorted(self.active):
-            server = servers[arc]
-            nxt = server.next_departure_time()
-            while nxt is not None and nxt <= watermark:
-                dt, cid = server.pop_departure()
-                dep_pids.append(cid)
-                dep_times.append(dt)
-                nxt = server.next_departure_time()
-            if server.num_active == 0:
-                self.active.discard(arc)
-        return (
-            np.asarray(dep_pids, dtype=np.int64),
-            np.asarray(dep_times, dtype=float),
+            arcs, times, pids = arcs[order], times[order], pids[order]
+            self.due[arcs] = -np.inf  # an arc with new arrivals runs
+        take = ~(self.due[c_arcs] > watermark)
+        n_in = int(np.count_nonzero(take))
+        if not (n_in or arcs.shape[0]):
+            return np.zeros(0, dtype=np.int64), np.zeros(0)
+        keep = ~take
+        kept = (c_arcs[keep], c_pids[keep], c_thr[keep])
+        # a stable sort by arc puts each arc's carried customers ahead
+        # of its new arrivals, both already in service order
+        a_s = np.concatenate((c_arcs[take], arcs))
+        o = np.argsort(a_s, kind="stable")
+        a_s = a_s[o]
+        p_s = np.concatenate((c_pids[take], pids))[o]
+        t_s = np.concatenate((np.zeros(n_in), times))[o]
+        m = a_s.shape[0]
+        buf = np.zeros(m + 1)
+        buf[:-1] = np.concatenate((c_thr[take], np.zeros(arcs.shape[0])))[o]
+        first = np.empty(m, dtype=bool)
+        first[0] = True
+        np.not_equal(a_s[1:], a_s[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        ends = np.empty_like(starts)
+        ends[:-1] = starts[1:]
+        ends[-1] = m
+        adm = starts + np.add.reduceat((o < n_in).astype(np.int64), starts)
+        uniq = a_s[starts]
+        S, now = self.S[uniq], self.now[uniq]
+        head, due = _serve_ps(
+            t_s, buf, starts, adm, ends, np.ones(uniq.shape[0]), S, now, watermark
         )
+        self.S[uniq], self.now[uniq], self.due[uniq] = S, now, due
+        stay = np.arange(m) >= np.repeat(head, ends - starts)
+        gone = ~stay
+        self.rows[level] = (
+            np.concatenate((kept[0], a_s[stay])),
+            np.concatenate((kept[1], p_s[stay])),
+            np.concatenate((kept[2], buf[:-1][stay])),
+        )
+        return p_s[gone], buf[:-1][gone]
 
 
 def _require_chunkable(discipline: str, chunk_packets: int) -> int:
@@ -783,10 +1017,10 @@ def simulate_levelled_chunked(
     computed in birth-ordered chunks of at most ``chunk_packets``
     packets.
 
-    Matches the one-shot sweep exactly — FIFO bit for bit via the dense
-    Lindley prefix carry, PS by replaying the fair-share construction
-    through carried per-arc in-service state — with peak memory bounded
-    by the chunk size and the topology instead of the horizon.
+    Matches the one-shot sweep bit for bit — FIFO via the dense
+    Lindley prefix carry, PS via the PS kernel's carried per-arc state
+    — with peak memory bounded by the chunk size and the topology
+    instead of the horizon.
     """
     chunk = _require_chunkable(discipline, chunk_packets)
     num_levels = levels.num_levels
@@ -802,7 +1036,7 @@ def simulate_levelled_chunked(
     every = _every_packet_crosses(cross)
     fifo = discipline == "fifo"
     carry = _ArcCarry(levels.num_arcs) if fifo else None
-    ps_carry = None if fifo else [_PsLevelCarry() for _ in range(num_levels)]
+    ps_carry = None if fifo else _PsLevelCarry(levels.num_arcs, num_levels)
     empty_i = np.empty(0, dtype=np.int64)
     empty_f = np.empty(0)
     #: per level: rows parked by an earlier chunk because their arrival
@@ -829,7 +1063,7 @@ def simulate_levelled_chunked(
                     parked[li].append((pids_l[wait], t_l[wait]))
                     pids_l = pids_l[ready]
                     t_l = t_l[ready]
-            elif fifo or not ps_carry[li].busy:
+            elif fifo or not ps_carry.busy(li):
                 continue
             else:
                 pids_l, t_l = empty_i, empty_f
@@ -842,8 +1076,8 @@ def simulate_levelled_chunked(
             else:
                 # a busy arc drains up to the watermark even when this
                 # chunk brings it no new arrivals
-                out_pids, out_dep = ps_carry[li].serve(
-                    arc_ids, t_l, pids_l, watermark
+                out_pids, out_dep = ps_carry.serve(
+                    li, arc_ids, t_l, pids_l, watermark
                 )
             _advance(
                 level_in, delivery, li + 1, out_pids, out_dep, cross, every

@@ -79,9 +79,12 @@ def simulate_paths_fixed_point(
     :func:`repro.sim.eventsim.simulate_paths_event_driven` (and
     cross-validated against it): *paths* is a per-packet sequence of
     arc ids in ``range(num_arcs)``; a packet with an empty path is
-    delivered at birth.  FIFO sample paths agree with the event engine
-    bit-for-bit (both reduce to the same max-plus arithmetic); PS
-    agrees to floating-point round-off.
+    delivered at birth.  Sample paths match the feed-forward engine bit
+    for bit wherever both run (both solve each server with
+    :func:`~repro.sim.feedforward.serve_level`).  The event engine agrees
+    to about 1e-14 under FIFO, not bit for bit: its cores add
+    ``start + service`` one departure at a time where the sweeps use the
+    Lindley closed form.  Under PS it agrees to floating-point round-off.
 
     ``rep_blocks`` is the replication-batching fast path: boundaries of
     contiguous *hop-row* runs whose arc-id ranges are disjoint — how

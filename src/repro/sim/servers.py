@@ -14,6 +14,14 @@ deterministic work.  Both are implemented here exactly:
 Ties: an arrival that coincides with a departure epoch is processed
 *after* the departure (the departing customer's residual work hits zero
 exactly then, and an instantaneous overlap renders zero service).
+
+Who runs what: the sweep engines (feed-forward, fixed-point and the
+chunked sweep) solve PS with one kernel in :mod:`repro.sim.feedforward`
+that does :class:`PSServer`'s float operations for every arc of a
+level at once.  :class:`PSServer` and :func:`ps_departure_times` are
+its reference (tests compare it bit for bit) and the Lemma 7 oracle.
+:class:`PsServerBank` serves the event engine, whose PS departures
+cascade across arcs within one window.
 """
 
 from __future__ import annotations

@@ -246,11 +246,11 @@ class TestChunkedKernels:
 
 class TestChunkedPS:
     """The PS chunk carry: in-service packets carried per arc across
-    chunk boundaries, busy periods closed at the watermark.  Contract:
-    agreement with the one-shot fair-share sweep to <= 1e-9 at every
-    chunk size, on both chunk-composable networks."""
+    chunk boundaries, busy periods closed at the watermark.  The carry
+    runs the one-shot sweep's PS kernel on the same per-arc state, so
+    every chunk size reproduces the one-shot sweep bit for bit, on
+    both chunk-composable networks."""
 
-    TOL = 1e-9
     CHUNKS = (1, 7, 50, 333, 10**6)
 
     @staticmethod
@@ -277,8 +277,7 @@ class TestChunkedPS:
         one_shot = _one_shot(net, topology, spec, sample)
         for chunk in self.CHUNKS:
             chunked = _chunked(net, topology, spec, sample, chunk)
-            err = float(np.max(np.abs(chunked - one_shot)))
-            assert err <= self.TOL, f"chunk={chunk}: max deviation {err}"
+            assert np.array_equal(chunked, one_shot), f"chunk={chunk}"
 
     def test_ps_chunk_sweep_with_permuted_dim_order(self):
         """The carry composes with a permuted global crossing order —
@@ -293,7 +292,7 @@ class TestChunkedPS:
         one_shot = _one_shot(net, topology, spec, sample)
         for chunk in (1, 29, 10**6):
             chunked = _chunked(net, topology, spec, sample, chunk)
-            assert float(np.max(np.abs(chunked - one_shot))) <= self.TOL
+            assert np.array_equal(chunked, one_shot), f"chunk={chunk}"
 
     def test_ps_chunked_accepted_end_to_end(self):
         """The engine no longer rejects chunk_packets + PS: a chunked
@@ -307,8 +306,7 @@ class TestChunkedPS:
         m_chk = measure(
             spec.replace(extra={"chunk_packets": 16}), jobs=1, batch=True
         )
-        for a, b in zip(m_chk.replication_delays, m_one.replication_delays):
-            assert abs(a - b) <= self.TOL
+        assert m_chk.replication_delays == m_one.replication_delays
 
 
 class TestRepBlockedConvergence:

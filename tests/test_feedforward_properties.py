@@ -5,11 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.feedforward import (
+    _PS_LOCKSTEP_ARCS,
     _arc_time_pid_order,
     serve_level,
     simulate_hypercube_greedy,
 )
 from repro.sim.lindley import fifo_departure_times
+from repro.sim.servers import ps_departure_times
 from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
 
@@ -84,6 +86,52 @@ def test_property_ps_dominates_fifo_per_level(inst):
     dep_fifo, _ = serve_level(arcs, times, pids, discipline="fifo")
     dep_ps, _ = serve_level(arcs, times, pids, discipline="ps")
     assert np.all(dep_fifo <= dep_ps + 1e-9)
+
+
+# The PS branch of serve_level steps many arcs in lockstep and drains
+# the last few (or a narrow level's every arc) one event at a time;
+# both phases must reproduce the per-arc fair-share construction bit
+# for bit.  Times sit on a quarter grid, so ties are common.
+
+
+@st.composite
+def ps_level_instance(draw):
+    """(arcs, times, pids, service): a narrow level, or one with more
+    than twice the lockstep threshold in arcs and one hot arc, so both
+    kernel phases run; work scalar or per arc."""
+    wide = draw(st.booleans())
+    if wide:
+        num_arcs = 2 * _PS_LOCKSTEP_ARCS + draw(st.integers(1, 40))
+        n = draw(st.integers(3 * num_arcs, 6 * num_arcs))
+    else:
+        num_arcs = draw(st.integers(1, 8))
+        n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arcs = rng.integers(0, num_arcs, n)
+    if wide:
+        arcs[rng.random(n) < 0.2] = 0
+    times = rng.integers(0, 4 * max(n // num_arcs, 4), n) / 4.0
+    pids = rng.permutation(n).astype(np.int64)
+    works = np.array([0.5, 1.0, 1.7])
+    if draw(st.booleans()):
+        service = rng.choice(works, num_arcs)
+    else:
+        service = float(draw(st.sampled_from(works)))
+    return arcs, times, pids, service
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=ps_level_instance())
+def test_property_ps_serve_level_is_per_arc_ps_bit_for_bit(inst):
+    arcs, times, pids, service = inst
+    dep, _ = serve_level(arcs, times, pids, "ps", service)
+    expected = np.empty_like(dep)
+    for arc in np.unique(arcs):
+        rows = np.flatnonzero(arcs == arc)
+        rows = rows[np.lexsort((pids[rows], times[rows]))]
+        work = service[arc] if isinstance(service, np.ndarray) else service
+        expected[rows] = ps_departure_times(times[rows], work=work)
+    np.testing.assert_array_equal(dep.view(np.int64), expected.view(np.int64))
 
 
 # serve_level's returned order is the service permutation that

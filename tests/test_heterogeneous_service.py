@@ -49,6 +49,25 @@ class TestServeLevelPerArcService:
         )
         np.testing.assert_allclose(np.sort(dep), [2.0, 4.0, 6.0])
 
+    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("per_arc", [False, True])
+    def test_rejects_nonpositive_service(self, discipline, bad, per_arc):
+        """A touched arc's service must be > 0 under either discipline
+        (a FIFO packet served in -1 would leave before it arrived)."""
+        arcs = np.array([0, 0, 1])
+        times = np.array([0.0, 0.5, 0.2])
+        service = np.array([bad, 1.0]) if per_arc else bad
+        with pytest.raises(ValueError, match="service time must be > 0"):
+            serve_level(arcs, times, np.arange(3), discipline, service=service)
+
+    def test_untouched_arc_service_is_not_checked(self):
+        dep, _ = serve_level(
+            np.array([1]), np.array([0.0]), np.array([0]),
+            service=np.array([-1.0, 2.0]),
+        )
+        np.testing.assert_array_equal(dep, [2.0])
+
 
 class TestHeterogeneousMarkovian:
     def test_exit_times_reflect_services(self):
