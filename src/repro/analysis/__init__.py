@@ -1,44 +1,30 @@
-"""Experiment harness: statistics, sweep runners, and table formatting.
+"""Experiment harness: statistics, table formatting and theory checks.
 
 This layer sits on top of the simulators and the closed-form theory and
 produces the paper-shaped outputs recorded in ``EXPERIMENTS.md``:
 delay-vs-load series (Props 12/13), stability sweeps (Prop 6), bound
 checks, and the FIFO-vs-PS domination experiments (Prop 11).
+Measurements themselves come from the scenario runner
+(:func:`repro.runner.measure`).
 """
 
-from repro.analysis.experiments import (
-    DelayMeasurement,
-    measure_butterfly_delay,
-    measure_hypercube_delay,
-    sweep_load_factors,
-)
 from repro.analysis.plotting import ascii_plot, sparkline
-from repro.analysis.replication import ReplicationResult, replicate
-from repro.analysis.stats import (
+from repro.analysis.tables import format_series, format_table
+from repro.analysis.theory import BoundCheck, check_measurement
+from repro.stats import (
     batch_means_ci,
     mean_confidence_interval,
     time_average_step,
 )
-from repro.analysis.tables import format_series, format_table
-from repro.analysis.theory import BoundCheck, check_measurement
-from repro.analysis.warmup import detect_warmup, welch_moving_average
 
 __all__ = [
     "batch_means_ci",
     "mean_confidence_interval",
     "time_average_step",
-    "DelayMeasurement",
-    "measure_hypercube_delay",
-    "measure_butterfly_delay",
-    "sweep_load_factors",
     "format_table",
     "format_series",
     "ascii_plot",
     "sparkline",
-    "replicate",
-    "ReplicationResult",
     "BoundCheck",
     "check_measurement",
-    "detect_warmup",
-    "welch_moving_average",
 ]

@@ -1,6 +1,6 @@
 """Theory-vs-measurement comparators.
 
-Small helpers that turn a :class:`~repro.analysis.experiments.DelayMeasurement`
+Small helpers that turn a :class:`~repro.runner.results.DelayMeasurement`
 (or raw numbers) into pass/fail verdicts with slack, used by both the
 test suite and the benchmark harness when writing ``EXPERIMENTS.md``.
 """
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.experiments import DelayMeasurement
+from repro.runner.results import DelayMeasurement
 
 __all__ = ["BoundCheck", "check_measurement", "relative_position"]
 

@@ -1,31 +1,14 @@
-"""The engine-plugin registry: decorator registration + entry points.
+"""The engine axis of the plugin registry (:class:`repro.registry.Registry`).
 
-Completes the plugin trilogy (schemes, networks, **engines**),
-replacing the ``engine == "..."`` string branches that used to be
-scattered through the scheme adapters, the spec validation and the
-CLI.  This module is the **only** place in the library allowed to
-compare engine names — everything else goes through
-:func:`resolve_engine` / :func:`check_forced_engine` (enforced by a
-grep-style test, exactly as PR 3 did for networks).
-
-The registry is populated from three sources:
-
-1. **Built-ins** — the modules in :data:`_BUILTIN_MODULES` are imported
-   lazily on first lookup; each registers its plugin at import time
-   via the :func:`register_engine` decorator.
-2. **Entry points** — third-party distributions may declare::
-
-       [project.entry-points."repro.engine_plugins"]
-       myengine = "mypkg.engines:MyEnginePlugin"
-
-   and are discovered through :mod:`importlib.metadata` without this
-   repository knowing about them.  A broken third-party plugin emits a
-   warning instead of taking the registry down.
-3. **Runtime** — tests and notebooks call :func:`register_engine` /
-   :func:`unregister_engine` directly.
+Replaces the ``engine == "..."`` string branches that used to be
+scattered through the scheme adapters, the spec validation and the CLI.
+This module is the **only** place in the library allowed to compare
+engine names: everything else goes through :func:`resolve_engine` /
+:func:`check_forced_engine` (enforced by a grep-style test, as for
+networks).
 
 Two spellings are *reserved* and can never name a registered engine:
-``"auto"`` (the scheme's native engine — for greedy, whatever the
+``"auto"`` (the scheme's native engine; for greedy, whatever the
 network plugin declares native) and ``"vectorized"`` (the network's
 native *vectorised* engine: the level sweep on levelled networks, the
 fixed-point solver elsewhere).  Both are selection directives rather
@@ -35,11 +18,12 @@ unchanged and resolve per spec in :func:`resolve_engine`.
 
 from __future__ import annotations
 
-import warnings
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type, Union
+import functools
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.engines.api import ENGINE_KINDS, EnginePlugin
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plugins.api import SchemePlugin
@@ -59,6 +43,7 @@ __all__ = [
     "check_forced_engine",
     "ENTRY_POINT_GROUP",
     "RESERVED_ENGINE_NAMES",
+    "ENGINES",
 ]
 
 ENTRY_POINT_GROUP = "repro.engine_plugins"
@@ -66,192 +51,67 @@ ENTRY_POINT_GROUP = "repro.engine_plugins"
 #: selection directives, not engines; never registrable
 RESERVED_ENGINE_NAMES = ("auto", "vectorized")
 
-#: modules whose import registers the built-in engine plugins
-_BUILTIN_MODULES = (
-    "repro.engines.feedforward",
-    "repro.engines.eventsim",
-    "repro.engines.fixedpoint",
-)
 
-_PLUGINS: Dict[str, EnginePlugin] = {}
-_ALIASES: Dict[str, str] = {}  # alias -> canonical name
-_loaded = False
-_loading = False
-
-
-def register_engine(
-    plugin: Union[EnginePlugin, Type[EnginePlugin]],
-    *,
-    overwrite: bool = False,
-) -> Union[EnginePlugin, Type[EnginePlugin]]:
-    """Register a plugin (usable as a class decorator).
-
-    Accepts either an instance or an ``EnginePlugin`` subclass (which
-    is instantiated with no arguments).  Returns its argument unchanged
-    so it composes as ``@register_engine`` above a class definition.
-    """
-    instance = plugin() if isinstance(plugin, type) else plugin
-    if not isinstance(instance, EnginePlugin):
-        raise ConfigurationError(
-            f"{instance!r} does not implement the EnginePlugin protocol"
-        )
-    if not instance.name:
-        raise ConfigurationError("an engine plugin needs a non-empty name")
-    caps = getattr(instance, "capabilities", None)
+def _check_engine(plugin: EnginePlugin) -> None:
+    caps = getattr(plugin, "capabilities", None)
     if caps is None:
-        raise ConfigurationError(
-            f"engine {instance.name!r} declares no capabilities"
-        )
+        raise ConfigurationError(f"engine {plugin.name!r} declares no capabilities")
     if caps.kind not in ENGINE_KINDS:
         raise ConfigurationError(
-            f"engine {instance.name!r}: unknown kind {caps.kind!r} "
+            f"engine {plugin.name!r}: unknown kind {caps.kind!r} "
             f"(one of {', '.join(ENGINE_KINDS)})"
         )
     for reserved in RESERVED_ENGINE_NAMES:
-        if reserved == instance.name or reserved in instance.aliases:
+        if reserved == plugin.name or reserved in plugin.aliases:
             raise ConfigurationError(
                 f"engine name {reserved!r} is reserved (it is a selection "
                 "directive, resolved per spec)"
             )
-    existing = _PLUGINS.get(instance.name)
-    if existing is not None and not overwrite:
-        if type(existing) is type(instance):
-            return plugin  # idempotent re-import of the same plugin
-        raise ConfigurationError(
-            f"engine {instance.name!r} is already registered by "
-            f"{type(existing).__name__} (pass overwrite=True to replace it)"
-        )
-    for alias in instance.aliases:
-        # an alias may never shadow a canonical name, nor an alias a
-        # *different* plugin owns
-        if alias in _PLUGINS or _ALIASES.get(alias, instance.name) != instance.name:
-            raise ConfigurationError(
-                f"alias {alias!r} of engine {instance.name!r} collides "
-                f"with an existing engine name or alias"
-            )
-    if existing is not None:
-        unregister_engine(existing.name)
-    _PLUGINS[instance.name] = instance
-    for alias in instance.aliases:
-        _ALIASES[alias] = instance.name
-    return plugin
 
 
-def unregister_engine(name: str) -> None:
-    """Remove a plugin and the aliases it owns (primarily for tests)."""
-    plugin = _PLUGINS.pop(name, None)
-    if plugin is not None:
-        for alias in plugin.aliases:
-            if _ALIASES.get(alias) == name:
-                _ALIASES.pop(alias)
+ENGINES: Registry[EnginePlugin] = Registry(
+    "engine",
+    EnginePlugin,
+    (
+        "repro.engines.feedforward",
+        "repro.engines.eventsim",
+        "repro.engines.fixedpoint",
+    ),
+    ENTRY_POINT_GROUP,
+    validate=_check_engine,
+    unknown=(
+        "unknown engine {name!r}; registered engines: {known} "
+        f"(plus the directives {', '.join(RESERVED_ENGINE_NAMES)})"
+    ),
+)
+
+register_engine = ENGINES.register
+unregister_engine = ENGINES.unregister
+get_engine = ENGINES.get
+canonical_engine_name = ENGINES.canonical
+iter_engines = ENGINES.plugins
+available_engines = ENGINES.names
+declared_engine_names = functools.partial(ENGINES.declared, keep=RESERVED_ENGINE_NAMES)
 
 
-def _load_entry_points() -> None:
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - stdlib since 3.8
-        return
-    try:
-        eps = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 selection API
-        eps = entry_points().get(ENTRY_POINT_GROUP, ())
-    for ep in eps:
-        if ep.name in _PLUGINS or ep.name in _ALIASES:
-            continue  # built-ins (or an earlier entry point) win
-        try:
-            register_engine(ep.load())
-        except Exception as exc:  # noqa: BLE001 - isolate bad third parties
-            warnings.warn(
-                f"engine plugin entry point {ep.name!r} failed to load: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
-def _ensure_loaded() -> None:
-    global _loaded, _loading
-    if _loaded or _loading:
-        return
-    _loading = True  # re-entrancy guard, cleared on failure so a broken
-    try:  # import can be fixed and retried within the process
-        import importlib
-
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-        _load_entry_points()
-        _loaded = True
-    finally:
-        _loading = False
-
-
-def get_engine(name: str) -> EnginePlugin:
-    """The plugin registered under *name* (canonical or alias), or an
-    enumerating error."""
-    _ensure_loaded()
-    plugin = _PLUGINS.get(_ALIASES.get(name, name))
-    if plugin is None:
-        known = ", ".join(sorted(_PLUGINS)) or "(none)"
-        raise ConfigurationError(
-            f"unknown engine {name!r}; registered engines: {known} "
-            f"(plus the directives {', '.join(RESERVED_ENGINE_NAMES)})"
-        )
-    return plugin
-
-
-def canonical_engine_name(name: str) -> str:
-    """Resolve *name* (canonical or alias) to the canonical name."""
-    return get_engine(name).name
+def all_engine_names() -> Tuple[str, ...]:
+    """Sorted canonical names, aliases *and* directives (the full
+    ``ScenarioSpec.engine`` vocabulary)."""
+    return tuple(sorted({*ENGINES.all_names(), *RESERVED_ENGINE_NAMES}))
 
 
 def normalize_engine_name(name: str) -> str:
     """The spelling a :class:`~repro.runner.spec.ScenarioSpec` stores.
 
     The reserved directives pass through unchanged (they resolve per
-    spec); anything else is canonicalised through the registry —
-    **before** content-hashing, so an alias and its canonical name
-    always share one cache cell — or rejected with an enumerating
+    spec); anything else is canonicalised through the registry
+    (**before** content-hashing, so an alias and its canonical name
+    always share one cache cell) or rejected with an enumerating
     error.
     """
     if name in RESERVED_ENGINE_NAMES:
         return name
     return canonical_engine_name(name)
-
-
-def iter_engines() -> List[EnginePlugin]:
-    """All registered plugins, sorted by canonical name."""
-    _ensure_loaded()
-    return [_PLUGINS[name] for name in sorted(_PLUGINS)]
-
-
-def available_engines() -> Tuple[str, ...]:
-    """Sorted canonical names of every registered engine."""
-    _ensure_loaded()
-    return tuple(sorted(_PLUGINS))
-
-
-def all_engine_names() -> Tuple[str, ...]:
-    """Sorted canonical names, aliases *and* directives (the full
-    ``ScenarioSpec.engine`` vocabulary)."""
-    _ensure_loaded()
-    return tuple(sorted({*_PLUGINS, *_ALIASES, *RESERVED_ENGINE_NAMES}))
-
-
-def declared_engine_names(engines: Tuple[str, ...]) -> Tuple[str, ...]:
-    """Canonicalise a scheme's declared ``capabilities.engines`` tuple
-    (directives pass through; aliases collapse to canonical names).
-
-    A declared name that resolves to no registered engine is kept
-    verbatim rather than raised on: a scheme may declare a companion
-    engine whose distribution is not installed, and that must not
-    poison forcing the engines that *are* registered (nor the
-    ``repro engines`` matrix)."""
-    names = []
-    for engine in engines:
-        try:
-            names.append(normalize_engine_name(engine))
-        except ConfigurationError:
-            names.append(engine)
-    return tuple(dict.fromkeys(names))
 
 
 def resolve_engine(spec: "ScenarioSpec") -> Optional[EnginePlugin]:
@@ -261,8 +121,8 @@ def resolve_engine(spec: "ScenarioSpec") -> Optional[EnginePlugin]:
     ``"auto"`` asks the scheme plugin
     (:meth:`~repro.plugins.api.SchemePlugin.native_engine`);
     ``"vectorized"`` asks the network plugin
-    (:meth:`~repro.networks.api.NetworkPlugin.native_engine` — always a
-    vectorised engine: the level sweep on levelled networks, the
+    (:meth:`~repro.networks.api.NetworkPlugin.native_engine`: always a
+    vectorised engine, the level sweep on levelled networks and the
     fixed-point solver elsewhere); a concrete name looks itself up.
     """
     name: Optional[str] = spec.engine

@@ -1,39 +1,17 @@
-"""The network-plugin registry: decorator registration + entry points.
+"""The network axis of the plugin registry (:class:`repro.registry.Registry`).
 
-Mirrors the scheme registry (:mod:`repro.plugins.registry`) on the
-network axis, replacing the ``if network == ...`` branches that used to
-be scattered through the runner, the CLI and the scheme adapters.  The
-registry is populated from three sources:
-
-1. **Built-ins** — the modules in :data:`_BUILTIN_MODULES` are imported
-   lazily on first lookup; each registers its plugin at import time
-   via the :func:`register_network` decorator.
-2. **Entry points** — third-party distributions may declare::
-
-       [project.entry-points."repro.network_plugins"]
-       mynet = "mypkg.networks:MyNetworkPlugin"
-
-   and are discovered through :mod:`importlib.metadata` without this
-   repository knowing about them.  A broken third-party plugin emits a
-   warning instead of taking the registry down.
-3. **Runtime** — tests and notebooks call :func:`register_network` /
-   :func:`unregister_network` directly.
-
-Lookups accept **aliases**: each plugin may declare alternative
-spellings (``"cube"`` for ``"hypercube"``), and
-:func:`canonical_network_name` resolves any accepted spelling to the
-canonical one — which is what :class:`~repro.runner.spec.ScenarioSpec`
-stores (and content-hashes), so an alias and its canonical name always
-share one cache cell.
+Replaces the ``if network == ...`` branches that used to be scattered
+through the runner, the CLI and the scheme adapters.
+:func:`canonical_network_name` resolves any accepted spelling
+(``"cube"`` for ``"hypercube"``) to the canonical one, which is what
+:class:`~repro.runner.spec.ScenarioSpec` stores and content-hashes, so
+an alias and its canonical name always share one cache cell.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Tuple, Type, Union
-
-from repro.errors import ConfigurationError
 from repro.networks.api import NetworkPlugin
+from repro.registry import Registry
 
 __all__ = [
     "register_network",
@@ -44,145 +22,27 @@ __all__ = [
     "all_network_names",
     "canonical_network_name",
     "ENTRY_POINT_GROUP",
+    "NETWORKS",
 ]
 
 ENTRY_POINT_GROUP = "repro.network_plugins"
 
-#: modules whose import registers the built-in network plugins
-_BUILTIN_MODULES = (
-    "repro.networks.hypercube",
-    "repro.networks.butterfly",
-    "repro.networks.ring",
-    "repro.networks.torus",
+NETWORKS: Registry[NetworkPlugin] = Registry(
+    "network",
+    NetworkPlugin,
+    (
+        "repro.networks.hypercube",
+        "repro.networks.butterfly",
+        "repro.networks.ring",
+        "repro.networks.torus",
+    ),
+    ENTRY_POINT_GROUP,
 )
 
-_PLUGINS: Dict[str, NetworkPlugin] = {}
-_ALIASES: Dict[str, str] = {}  # alias -> canonical name
-_loaded = False
-_loading = False
-
-
-def register_network(
-    plugin: Union[NetworkPlugin, Type[NetworkPlugin]],
-    *,
-    overwrite: bool = False,
-) -> Union[NetworkPlugin, Type[NetworkPlugin]]:
-    """Register a plugin (usable as a class decorator).
-
-    Accepts either an instance or a ``NetworkPlugin`` subclass (which
-    is instantiated with no arguments).  Returns its argument unchanged
-    so it composes as ``@register_network`` above a class definition.
-    """
-    instance = plugin() if isinstance(plugin, type) else plugin
-    if not isinstance(instance, NetworkPlugin):
-        raise ConfigurationError(
-            f"{instance!r} does not implement the NetworkPlugin protocol"
-        )
-    if not instance.name:
-        raise ConfigurationError("a network plugin needs a non-empty name")
-    existing = _PLUGINS.get(instance.name)
-    if existing is not None and not overwrite:
-        if type(existing) is type(instance):
-            return plugin  # idempotent re-import of the same plugin
-        raise ConfigurationError(
-            f"network {instance.name!r} is already registered by "
-            f"{type(existing).__name__} (pass overwrite=True to replace it)"
-        )
-    for alias in instance.aliases:
-        # an alias may never shadow a canonical name, nor an alias a
-        # *different* plugin owns — overwrite only replaces same-name
-        # registrations, it does not license alias theft
-        if alias in _PLUGINS or _ALIASES.get(alias, instance.name) != instance.name:
-            raise ConfigurationError(
-                f"alias {alias!r} of network {instance.name!r} collides "
-                f"with an existing network name or alias"
-            )
-    if existing is not None:
-        unregister_network(existing.name)
-    _PLUGINS[instance.name] = instance
-    for alias in instance.aliases:
-        _ALIASES[alias] = instance.name
-    return plugin
-
-
-def unregister_network(name: str) -> None:
-    """Remove a plugin and the aliases it owns (primarily for tests)."""
-    plugin = _PLUGINS.pop(name, None)
-    if plugin is not None:
-        for alias in plugin.aliases:
-            if _ALIASES.get(alias) == name:
-                _ALIASES.pop(alias)
-
-
-def _load_entry_points() -> None:
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - stdlib since 3.8
-        return
-    try:
-        eps = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 selection API
-        eps = entry_points().get(ENTRY_POINT_GROUP, ())
-    for ep in eps:
-        if ep.name in _PLUGINS or ep.name in _ALIASES:
-            continue  # built-ins (or an earlier entry point) win
-        try:
-            register_network(ep.load())
-        except Exception as exc:  # noqa: BLE001 - isolate bad third parties
-            warnings.warn(
-                f"network plugin entry point {ep.name!r} failed to load: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
-def _ensure_loaded() -> None:
-    global _loaded, _loading
-    if _loaded or _loading:
-        return
-    _loading = True  # re-entrancy guard, cleared on failure so a broken
-    try:  # import can be fixed and retried within the process
-        import importlib
-
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-        _load_entry_points()
-        _loaded = True
-    finally:
-        _loading = False
-
-
-def get_network(name: str) -> NetworkPlugin:
-    """The plugin registered under *name* (canonical or alias), or an
-    enumerating error."""
-    _ensure_loaded()
-    plugin = _PLUGINS.get(_ALIASES.get(name, name))
-    if plugin is None:
-        known = ", ".join(sorted(_PLUGINS)) or "(none)"
-        raise ConfigurationError(
-            f"unknown network {name!r}; registered networks: {known}"
-        )
-    return plugin
-
-
-def canonical_network_name(name: str) -> str:
-    """Resolve *name* (canonical or alias) to the canonical name."""
-    return get_network(name).name
-
-
-def iter_networks() -> List[NetworkPlugin]:
-    """All registered plugins, sorted by canonical name."""
-    _ensure_loaded()
-    return [_PLUGINS[name] for name in sorted(_PLUGINS)]
-
-
-def available_networks() -> Tuple[str, ...]:
-    """Sorted canonical names of every registered network."""
-    _ensure_loaded()
-    return tuple(sorted(_PLUGINS))
-
-
-def all_network_names() -> Tuple[str, ...]:
-    """Sorted canonical names *and* aliases (the CLI vocabulary)."""
-    _ensure_loaded()
-    return tuple(sorted({*_PLUGINS, *_ALIASES}))
+register_network = NETWORKS.register
+unregister_network = NETWORKS.unregister
+get_network = NETWORKS.get
+canonical_network_name = NETWORKS.canonical
+iter_networks = NETWORKS.plugins
+available_networks = NETWORKS.names
+all_network_names = NETWORKS.all_names

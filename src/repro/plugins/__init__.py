@@ -43,7 +43,6 @@ from repro.plugins.api import (
     SchemePlugin,
 )
 from repro.plugins.registry import (
-    available_networks,
     available_schemes,
     get_plugin,
     iter_plugins,
@@ -58,7 +57,6 @@ __all__ = [
     "OptionSpec",
     "Runner",
     "SchemePlugin",
-    "available_networks",
     "available_schemes",
     "get_plugin",
     "iter_plugins",

@@ -1,33 +1,20 @@
-"""The scheme-plugin registry: decorator registration + entry points.
+"""The scheme axis of the plugin registry (:class:`repro.registry.Registry`).
 
-Replaces the closed ``_DISPATCH`` table of the pre-plugin code.  The
-registry is populated from three sources:
-
-1. **Built-ins** — the modules in :data:`_BUILTIN_MODULES` are imported
-   lazily on first lookup; each registers its plugins at import time
-   via the :func:`register_scheme` decorator.
-2. **Entry points** — third-party distributions may declare::
-
-       [project.entry-points."repro.scheme_plugins"]
-       myscheme = "mypkg.plugins:MySchemePlugin"
-
-   and are discovered through :mod:`importlib.metadata` without this
-   repository knowing about them.  A broken third-party plugin emits a
-   warning instead of taking the registry down.
-3. **Runtime** — tests and notebooks call :func:`register_scheme` /
-   :func:`unregister_scheme` directly.
-
-Lookups are name-based and error messages always enumerate what *is*
-registered, so ``ScenarioSpec(scheme="typo", ...)`` is self-diagnosing.
+Replaces the closed ``_DISPATCH`` table of the pre-plugin code.  A scheme
+must declare capabilities, and it takes no aliases:
+:class:`~repro.runner.spec.ScenarioSpec` stores ``scheme`` verbatim, so
+an alias would split cache cells.  On top of the shared registry this
+module answers which schemes can run on a network or under a traffic
+law.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Tuple, Type, Union
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.plugins.api import SchemePlugin
+from repro.registry import Registry
 
 __all__ = [
     "register_scheme",
@@ -35,142 +22,42 @@ __all__ = [
     "get_plugin",
     "iter_plugins",
     "available_schemes",
-    "available_networks",
     "schemes_for_network",
     "schemes_for_traffic",
     "ENTRY_POINT_GROUP",
+    "SCHEMES",
 ]
 
 ENTRY_POINT_GROUP = "repro.scheme_plugins"
 
-#: modules whose import registers the built-in plugins
-_BUILTIN_MODULES = (
-    "repro.plugins.greedy",
-    "repro.plugins.slotted",
-    "repro.schemes.random_order",
-    "repro.schemes.twophase",
-    "repro.schemes.valiant",
-    "repro.schemes.deflection",
-    "repro.schemes.static_tasks",
+
+def _check_scheme(plugin: SchemePlugin) -> None:
+    if getattr(plugin, "capabilities", None) is None:
+        raise ConfigurationError(f"plugin {plugin.name!r} declares no capabilities")
+
+
+SCHEMES: Registry[SchemePlugin] = Registry(
+    "scheme",
+    SchemePlugin,
+    (
+        "repro.plugins.greedy",
+        "repro.plugins.slotted",
+        "repro.schemes.random_order",
+        "repro.schemes.twophase",
+        "repro.schemes.valiant",
+        "repro.schemes.deflection",
+        "repro.schemes.static_tasks",
+    ),
+    ENTRY_POINT_GROUP,
+    validate=_check_scheme,
+    aliased=False,
 )
 
-_PLUGINS: Dict[str, SchemePlugin] = {}
-_loaded = False
-_loading = False
-
-
-def register_scheme(
-    plugin: Union[SchemePlugin, Type[SchemePlugin]],
-    *,
-    overwrite: bool = False,
-) -> Union[SchemePlugin, Type[SchemePlugin]]:
-    """Register a plugin (usable as a class decorator).
-
-    Accepts either an instance or a ``SchemePlugin`` subclass (which is
-    instantiated with no arguments).  Returns its argument unchanged so
-    it composes as ``@register_scheme`` above a class definition.
-    """
-    instance = plugin() if isinstance(plugin, type) else plugin
-    if not isinstance(instance, SchemePlugin):
-        raise ConfigurationError(
-            f"{instance!r} does not implement the SchemePlugin protocol"
-        )
-    if not instance.name:
-        raise ConfigurationError("a scheme plugin needs a non-empty name")
-    if getattr(instance, "capabilities", None) is None:
-        raise ConfigurationError(
-            f"plugin {instance.name!r} declares no capabilities"
-        )
-    existing = _PLUGINS.get(instance.name)
-    if existing is not None and not overwrite:
-        if type(existing) is type(instance):
-            return plugin  # idempotent re-import of the same plugin
-        raise ConfigurationError(
-            f"scheme {instance.name!r} is already registered by "
-            f"{type(existing).__name__} (pass overwrite=True to replace it)"
-        )
-    _PLUGINS[instance.name] = instance
-    return plugin
-
-
-def unregister_scheme(name: str) -> None:
-    """Remove a plugin (primarily for tests tearing down fakes)."""
-    _PLUGINS.pop(name, None)
-
-
-def _load_entry_points() -> None:
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - stdlib since 3.8
-        return
-    try:
-        eps = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 selection API
-        eps = entry_points().get(ENTRY_POINT_GROUP, ())
-    for ep in eps:
-        if ep.name in _PLUGINS:
-            continue  # built-ins (or an earlier entry point) win
-        try:
-            register_scheme(ep.load())
-        except Exception as exc:  # noqa: BLE001 - isolate bad third parties
-            warnings.warn(
-                f"scheme plugin entry point {ep.name!r} failed to load: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
-def _ensure_loaded() -> None:
-    global _loaded, _loading
-    if _loaded or _loading:
-        return
-    _loading = True  # re-entrancy guard, cleared on failure so a broken
-    try:  # import can be fixed and retried within the process
-        import importlib
-
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-        _load_entry_points()
-        _loaded = True
-    finally:
-        _loading = False
-
-
-def get_plugin(name: str) -> SchemePlugin:
-    """The plugin registered under *name*, or an enumerating error."""
-    _ensure_loaded()
-    try:
-        return _PLUGINS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PLUGINS)) or "(none)"
-        raise ConfigurationError(
-            f"unknown scheme {name!r}; registered schemes: {known}"
-        ) from None
-
-
-def iter_plugins() -> List[SchemePlugin]:
-    """All registered plugins, sorted by name."""
-    _ensure_loaded()
-    return [_PLUGINS[name] for name in sorted(_PLUGINS)]
-
-
-def available_schemes() -> Tuple[str, ...]:
-    """Sorted names of every registered scheme."""
-    _ensure_loaded()
-    return tuple(sorted(_PLUGINS))
-
-
-def available_networks() -> Tuple[str, ...]:
-    """Sorted canonical names of every registered **network plugin**.
-
-    The network axis has its own registry
-    (:mod:`repro.networks.registry`); this re-export keeps the historic
-    import path working and makes scheme-capability validation a true
-    scheme x network cross-product.
-    """
-    from repro.networks.registry import available_networks as _nets
-
-    return _nets()
+register_scheme = SCHEMES.register
+unregister_scheme = SCHEMES.unregister
+get_plugin = SCHEMES.get
+iter_plugins = SCHEMES.plugins
+available_schemes = SCHEMES.names
 
 
 def schemes_for_network(network: str) -> Tuple[str, ...]:
@@ -178,18 +65,14 @@ def schemes_for_network(network: str) -> Tuple[str, ...]:
     (canonical name or alias)."""
     from repro.networks.registry import canonical_network_name
 
-    _ensure_loaded()
     try:
         canon = canonical_network_name(network)
     except ConfigurationError:
         return ()  # unknown network: no scheme supports it
     return tuple(
-        sorted(
-            name
-            for name, p in _PLUGINS.items()
-            if canon in p.capabilities.networks
-            or "*" in p.capabilities.networks
-        )
+        p.name
+        for p in iter_plugins()
+        if canon in p.capabilities.networks or "*" in p.capabilities.networks
     )
 
 
@@ -198,16 +81,13 @@ def schemes_for_traffic(traffic: str) -> Tuple[str, ...]:
     (canonical name or alias)."""
     from repro.traffic.registry import canonical_traffic_name, declared_traffic_names
 
-    _ensure_loaded()
     try:
         canon = canonical_traffic_name(traffic)
     except ConfigurationError:
         return ()  # unknown traffic: no scheme supports it
     return tuple(
-        sorted(
-            name
-            for name, p in _PLUGINS.items()
-            if canon in declared_traffic_names(p.capabilities.traffics)
-            or "*" in p.capabilities.traffics
-        )
+        p.name
+        for p in iter_plugins()
+        if canon in declared_traffic_names(p.capabilities.traffics)
+        or "*" in p.capabilities.traffics
     )

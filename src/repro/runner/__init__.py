@@ -30,8 +30,8 @@ Quickstart::
     print(m.mean_delay, m.ci.halfwidth, m.within_bounds)
 """
 
+from repro.networks.registry import available_networks
 from repro.plugins.registry import (
-    available_networks,
     available_schemes,
     get_plugin,
     iter_plugins,

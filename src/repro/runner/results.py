@@ -1,8 +1,6 @@
 """Measurement results: the :class:`DelayMeasurement` record.
 
-Historically this dataclass lived in ``repro.analysis.experiments``;
-it moved here when the scenario runner became the canonical producer
-(the old module still re-exports it).  A measurement now carries its
+The scenario runner is its producer.  A measurement carries its
 provenance — scheme, traffic law, discipline, scenario name, and the
 per-replication delay estimates that the pooled confidence interval is built from — so
 a cached result is a complete record of how it was obtained.

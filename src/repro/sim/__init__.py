@@ -20,7 +20,6 @@ dispatches a :class:`~repro.runner.spec.ScenarioSpec` replication to
 whichever engine its scheme admits.
 """
 
-from repro.sim.engine import EventCalendar
 from repro.sim.lindley import (
     fifo_departure_times,
     fifo_waiting_times,
@@ -31,7 +30,6 @@ from repro.sim.servers import FifoServer, PSServer, ps_departure_times
 from repro.sim.measurement import DelayRecord, PopulationTracker, arc_arrival_counts
 
 __all__ = [
-    "EventCalendar",
     "ReplicationOutput",
     "run_spec",
     "fifo_departure_times",

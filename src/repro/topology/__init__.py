@@ -25,7 +25,6 @@ levels ``1..d+1``; this library uses 0-based indices throughout
 
 from repro.topology.base import Arc, Topology
 from repro.topology.butterfly import Butterfly, ButterflyArc
-from repro.topology.graphs import butterfly_digraph, hypercube_digraph
 from repro.topology.hypercube import Hypercube, HypercubeArc
 from repro.topology.ring import Ring
 from repro.topology.torus import Torus
@@ -49,6 +48,4 @@ __all__ = [
     "all_shortest_paths",
     "is_shortest_path",
     "path_arcs",
-    "hypercube_digraph",
-    "butterfly_digraph",
 ]

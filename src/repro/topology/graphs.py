@@ -4,7 +4,8 @@ These converters rebuild the cube/butterfly as ``networkx.DiGraph``
 objects so graph-theoretic invariants (degrees, diameter, path counts)
 can be checked against a third-party implementation in the test suite,
 and so downstream users can feed the topologies to standard graph
-tooling.
+tooling.  networkx is a ``dev`` extra, not a runtime dependency, so
+:mod:`repro.topology` does not import this module: import it directly.
 """
 
 from __future__ import annotations

@@ -1,41 +1,22 @@
-"""The traffic-plugin registry: decorator registration + entry points.
+"""The traffic axis of the plugin registry (:class:`repro.registry.Registry`).
 
-Mirrors the scheme/network/engine registries on the **traffic** axis,
-replacing the ``law``-selection branches that used to be hard-wired in
+Replaces the ``law``-selection branches that used to be hard-wired in
 the network plugins and the scheme adapters.  This package is the
-**only** place in the library allowed to compare traffic names —
+**only** place in the library allowed to compare traffic names:
 everything else goes through :func:`get_traffic` /
-:func:`canonical_traffic_name` (enforced by a grep-style test, exactly
-as PRs 3 and 4 did for networks and engines).
-
-The registry is populated from three sources:
-
-1. **Built-ins** — the modules in :data:`_BUILTIN_MODULES` are imported
-   lazily on first lookup; each registers its plugin at import time
-   via the :func:`register_traffic` decorator.
-2. **Entry points** — third-party distributions may declare::
-
-       [project.entry-points."repro.traffic_plugins"]
-       mylaw = "mypkg.traffic:MyTrafficPlugin"
-
-   and are discovered through :mod:`importlib.metadata` without this
-   repository knowing about them.  A broken third-party plugin emits a
-   warning instead of taking the registry down.
-3. **Runtime** — tests and notebooks call :func:`register_traffic` /
-   :func:`unregister_traffic` directly.
-
-Lookups accept **aliases** (``"bernoulli"`` for ``"uniform"``), and
-:class:`~repro.runner.spec.ScenarioSpec` stores (and content-hashes)
-the canonical spelling, so an alias and its canonical name always
-share one cache cell.
+:func:`canonical_traffic_name` (enforced by a grep-style test, as for
+networks and engines).  :class:`~repro.runner.spec.ScenarioSpec` stores
+and content-hashes the canonical spelling (``"uniform"`` for
+``"bernoulli"``), and :func:`merge_legacy_law` folds the retired
+``extra={"law": ...}`` option into the same cell.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Tuple, Type, Union
+import functools
 
 from repro.errors import ConfigurationError
+from repro.registry import Registry
 from repro.traffic.api import TrafficPlugin
 
 __all__ = [
@@ -49,173 +30,37 @@ __all__ = [
     "declared_traffic_names",
     "merge_legacy_law",
     "ENTRY_POINT_GROUP",
+    "TRAFFICS",
 ]
 
 ENTRY_POINT_GROUP = "repro.traffic_plugins"
-
-#: modules whose import registers the built-in traffic plugins
-_BUILTIN_MODULES = (
-    "repro.traffic.uniform",
-    "repro.traffic.permutations",
-    "repro.traffic.hotspot",
-    "repro.traffic.bursty",
-)
 
 #: the retired ``extra={"law": ...}`` vocabulary of the pre-axis
 #: hypercube network option, mapped onto the traffic axis so old specs
 #: keep constructing (and share cache cells with the new spelling)
 _LEGACY_LAWS = {"bernoulli": "uniform", "bitrev": "bitrev"}
 
-_PLUGINS: Dict[str, TrafficPlugin] = {}
-_ALIASES: Dict[str, str] = {}  # alias -> canonical name
-_loaded = False
-_loading = False
+TRAFFICS: Registry[TrafficPlugin] = Registry(
+    "traffic",
+    TrafficPlugin,
+    (
+        "repro.traffic.uniform",
+        "repro.traffic.permutations",
+        "repro.traffic.hotspot",
+        "repro.traffic.bursty",
+    ),
+    ENTRY_POINT_GROUP,
+    unknown="unknown traffic {name!r}; registered traffic laws: {known}",
+)
 
-
-def register_traffic(
-    plugin: Union[TrafficPlugin, Type[TrafficPlugin]],
-    *,
-    overwrite: bool = False,
-) -> Union[TrafficPlugin, Type[TrafficPlugin]]:
-    """Register a plugin (usable as a class decorator).
-
-    Accepts either an instance or a ``TrafficPlugin`` subclass (which
-    is instantiated with no arguments).  Returns its argument unchanged
-    so it composes as ``@register_traffic`` above a class definition.
-    """
-    instance = plugin() if isinstance(plugin, type) else plugin
-    if not isinstance(instance, TrafficPlugin):
-        raise ConfigurationError(
-            f"{instance!r} does not implement the TrafficPlugin protocol"
-        )
-    if not instance.name:
-        raise ConfigurationError("a traffic plugin needs a non-empty name")
-    existing = _PLUGINS.get(instance.name)
-    if existing is not None and not overwrite:
-        if type(existing) is type(instance):
-            return plugin  # idempotent re-import of the same plugin
-        raise ConfigurationError(
-            f"traffic {instance.name!r} is already registered by "
-            f"{type(existing).__name__} (pass overwrite=True to replace it)"
-        )
-    for alias in instance.aliases:
-        # an alias may never shadow a canonical name, nor an alias a
-        # *different* plugin owns — overwrite only replaces same-name
-        # registrations, it does not license alias theft
-        if alias in _PLUGINS or _ALIASES.get(alias, instance.name) != instance.name:
-            raise ConfigurationError(
-                f"alias {alias!r} of traffic {instance.name!r} collides "
-                f"with an existing traffic name or alias"
-            )
-    if existing is not None:
-        unregister_traffic(existing.name)
-    _PLUGINS[instance.name] = instance
-    for alias in instance.aliases:
-        _ALIASES[alias] = instance.name
-    return plugin
-
-
-def unregister_traffic(name: str) -> None:
-    """Remove a plugin and the aliases it owns (primarily for tests)."""
-    plugin = _PLUGINS.pop(name, None)
-    if plugin is not None:
-        for alias in plugin.aliases:
-            if _ALIASES.get(alias) == name:
-                _ALIASES.pop(alias)
-
-
-def _load_entry_points() -> None:
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - stdlib since 3.8
-        return
-    try:
-        eps = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 selection API
-        eps = entry_points().get(ENTRY_POINT_GROUP, ())
-    for ep in eps:
-        if ep.name in _PLUGINS or ep.name in _ALIASES:
-            continue  # built-ins (or an earlier entry point) win
-        try:
-            register_traffic(ep.load())
-        except Exception as exc:  # noqa: BLE001 - isolate bad third parties
-            warnings.warn(
-                f"traffic plugin entry point {ep.name!r} failed to load: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-
-def _ensure_loaded() -> None:
-    global _loaded, _loading
-    if _loaded or _loading:
-        return
-    _loading = True  # re-entrancy guard, cleared on failure so a broken
-    try:  # import can be fixed and retried within the process
-        import importlib
-
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-        _load_entry_points()
-        _loaded = True
-    finally:
-        _loading = False
-
-
-def get_traffic(name: str) -> TrafficPlugin:
-    """The plugin registered under *name* (canonical or alias), or an
-    enumerating error."""
-    _ensure_loaded()
-    plugin = _PLUGINS.get(_ALIASES.get(name, name))
-    if plugin is None:
-        known = ", ".join(sorted(_PLUGINS)) or "(none)"
-        raise ConfigurationError(
-            f"unknown traffic {name!r}; registered traffic laws: {known}"
-        )
-    return plugin
-
-
-def canonical_traffic_name(name: str) -> str:
-    """Resolve *name* (canonical or alias) to the canonical name."""
-    return get_traffic(name).name
-
-
-def iter_traffics() -> List[TrafficPlugin]:
-    """All registered plugins, sorted by canonical name."""
-    _ensure_loaded()
-    return [_PLUGINS[name] for name in sorted(_PLUGINS)]
-
-
-def available_traffics() -> Tuple[str, ...]:
-    """Sorted canonical names of every registered traffic law."""
-    _ensure_loaded()
-    return tuple(sorted(_PLUGINS))
-
-
-def all_traffic_names() -> Tuple[str, ...]:
-    """Sorted canonical names *and* aliases (the CLI vocabulary)."""
-    _ensure_loaded()
-    return tuple(sorted({*_PLUGINS, *_ALIASES}))
-
-
-def declared_traffic_names(traffics: Tuple[str, ...]) -> Tuple[str, ...]:
-    """Canonicalise a scheme's declared ``capabilities.traffics`` tuple
-    (the wildcard passes through; aliases collapse to canonical names).
-
-    A declared name that resolves to no registered law is kept verbatim
-    rather than raised on: a scheme may declare a companion law whose
-    distribution is not installed, and that must not poison the laws
-    that *are* registered (nor the ``repro traffics`` matrix)."""
-    names = []
-    for traffic in traffics:
-        if traffic == "*":
-            names.append(traffic)
-            continue
-        try:
-            names.append(canonical_traffic_name(traffic))
-        except ConfigurationError:
-            names.append(traffic)
-    return tuple(dict.fromkeys(names))
+register_traffic = TRAFFICS.register
+unregister_traffic = TRAFFICS.unregister
+get_traffic = TRAFFICS.get
+canonical_traffic_name = TRAFFICS.canonical
+iter_traffics = TRAFFICS.plugins
+available_traffics = TRAFFICS.names
+all_traffic_names = TRAFFICS.all_names
+declared_traffic_names = functools.partial(TRAFFICS.declared, keep=("*",))
 
 
 def merge_legacy_law(traffic: str, law: object) -> str:

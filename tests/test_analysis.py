@@ -1,19 +1,30 @@
-"""Tests for the analysis harness (experiments, tables, theory checks)."""
+"""Tests for the analysis harness (tables, theory checks) and the
+paper's delay brackets measured through the scenario runner."""
 
 import pytest
 
-from repro.analysis.experiments import (
-    measure_butterfly_delay,
-    measure_hypercube_delay,
-    sweep_load_factors,
-)
 from repro.analysis.tables import format_cell, format_series, format_table
 from repro.analysis.theory import check_measurement, relative_position
+from repro.runner import ScenarioSpec, measure, measure_many
+
+
+def greedy_spec(network="hypercube", **overrides) -> ScenarioSpec:
+    params = dict(
+        name=f"analysis-{network}",
+        network=network,
+        d=4,
+        rho=0.6,
+        horizon=250.0,
+        replications=1,
+        seed_policy="sequential",
+    )
+    params.update(overrides)
+    return ScenarioSpec(**params)
 
 
 class TestMeasurements:
     def test_hypercube_measurement_fields(self):
-        m = measure_hypercube_delay(4, rho=0.6, p=0.5, horizon=250.0, rng=0)
+        m = measure(greedy_spec(base_seed=0))
         assert m.network == "hypercube"
         assert m.d == 4
         assert m.rho == 0.6
@@ -22,28 +33,28 @@ class TestMeasurements:
         assert m.within_bounds
 
     def test_hypercube_with_ci(self):
-        m = measure_hypercube_delay(
-            4, rho=0.5, p=0.5, horizon=300.0, rng=1, with_ci=True
-        )
+        m = measure(greedy_spec(rho=0.5, horizon=300.0, replications=4, base_seed=1))
         assert m.ci is not None
         assert m.ci.lo <= m.mean_delay <= m.ci.hi
 
     def test_butterfly_measurement(self):
-        m = measure_butterfly_delay(4, rho=0.6, p=0.5, horizon=250.0, rng=2)
+        m = measure(greedy_spec("butterfly", base_seed=2))
         assert m.network == "butterfly"
         assert m.within_bounds
 
     def test_normalised_delay(self):
-        m = measure_hypercube_delay(4, rho=0.5, p=0.5, horizon=200.0, rng=3)
+        m = measure(greedy_spec(rho=0.5, horizon=200.0, base_seed=3))
         assert m.normalised_delay == pytest.approx(m.mean_delay / 4)
 
     def test_sweep_returns_one_point_per_rho(self):
-        points = sweep_load_factors(3, [0.3, 0.6], horizon=150.0, seed=4)
+        spec = greedy_spec(d=3, horizon=150.0, base_seed=4)
+        points = measure_many([spec.replace(rho=rho) for rho in (0.3, 0.6)])
         assert len(points) == 2
         assert [p.rho for p in points] == [0.3, 0.6]
 
     def test_sweep_delay_increases_with_load(self):
-        points = sweep_load_factors(4, [0.2, 0.8], horizon=500.0, seed=5)
+        spec = greedy_spec(horizon=500.0, base_seed=5)
+        points = measure_many([spec.replace(rho=rho) for rho in (0.2, 0.8)])
         assert points[0].mean_delay < points[1].mean_delay
 
 
@@ -54,14 +65,14 @@ class TestTheoryChecks:
         assert relative_position(1.0, 2.0, 2.0) == 0.0
 
     def test_check_measurement_pass(self):
-        m = measure_hypercube_delay(4, rho=0.6, p=0.5, horizon=400.0, rng=6)
+        m = measure(greedy_spec(horizon=400.0, base_seed=6))
         check = check_measurement(m)
         assert check.holds
         assert 0.0 <= check.position <= 1.0
         assert len(check.summary_row()) == 8
 
     def test_statistical_slack_widens(self):
-        m = measure_hypercube_delay(3, rho=0.5, p=0.5, horizon=200.0, rng=7)
+        m = measure(greedy_spec(d=3, rho=0.5, horizon=200.0, base_seed=7))
         strict = check_measurement(m, statistical_slack=0.0)
         loose = check_measurement(m, statistical_slack=0.5)
         assert loose.holds or not strict.holds  # slack can only help

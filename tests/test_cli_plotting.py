@@ -1,11 +1,9 @@
-"""Tests for the CLI, ASCII plotting, replication, and slotted butterfly."""
+"""Tests for the CLI, ASCII plotting, and slotted butterfly."""
 
-import numpy as np
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.analysis.plotting import ascii_plot, sparkline
-from repro.analysis.replication import replicate
 from repro.sim.slotted import SlottedGreedyButterfly
 
 
@@ -43,32 +41,6 @@ class TestAsciiPlot:
 
     def test_empty(self):
         assert ascii_plot([], []) == "(empty plot)"
-
-
-class TestReplication:
-    def test_interval_covers_mean(self):
-        gen = np.random.default_rng(0)
-        samples = {s: 10.0 + gen.normal() for s in range(10)}
-        res = replicate(lambda s: samples[s], seeds=range(10))
-        assert res.num_replications == 10
-        assert res.ci.lo <= res.mean <= res.ci.hi
-        assert res.spread > 0
-
-    def test_rejects_few_or_duplicate_seeds(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: 1.0, seeds=[1])
-        with pytest.raises(ValueError):
-            replicate(lambda s: 1.0, seeds=[1, 1])
-
-    def test_with_real_simulation(self):
-        from repro.core.greedy import GreedyHypercubeScheme
-
-        scheme = GreedyHypercubeScheme(d=3, lam=1.0, p=0.5)
-        res = replicate(
-            lambda s: scheme.measure_delay(200.0, rng=s), seeds=range(4)
-        )
-        assert scheme.delay_lower_bound() * 0.9 <= res.mean
-        assert res.mean <= scheme.delay_upper_bound() * 1.1
 
 
 class TestSlottedButterfly:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import sweep_load_factors
 from repro.core.greedy import GreedyHypercubeScheme
+from repro.runner import ScenarioSpec, measure_many
 from repro.sim.eventsim import simulate_paths_event_driven
 from repro.sim.feedforward import ArcLog
 
@@ -58,9 +58,11 @@ class TestEventSimExtras:
 
 class TestSweepButterfly:
     def test_butterfly_network_sweep(self):
-        points = sweep_load_factors(
-            3, [0.4, 0.7], horizon=200.0, seed=1, network="butterfly"
+        spec = ScenarioSpec(
+            name="sweep-butterfly", network="butterfly", d=3, rho=0.4,
+            horizon=200.0, replications=1, base_seed=1, seed_policy="sequential",
         )
+        points = measure_many([spec.replace(rho=rho) for rho in (0.4, 0.7)])
         assert [p.network for p in points] == ["butterfly", "butterfly"]
         assert points[0].mean_delay < points[1].mean_delay
 

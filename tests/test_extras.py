@@ -1,11 +1,15 @@
-"""Tests for the extras: networkx adapters, occupancy pmf, warm-up
-detection, butterfly-R external sampling, and the public API surface."""
+"""Tests for the extras: networkx adapters, occupancy pmf, butterfly-R
+external sampling, and the public API surface."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.analysis.warmup import detect_warmup, welch_moving_average
 from repro.core.qnetwork import ButterflyRSpec
 from repro.sim.feedforward import simulate_markovian
 from repro.sim.measurement import arc_occupancy_pmf
@@ -101,39 +105,6 @@ class TestOccupancyPmf:
             arc_occupancy_pmf(log, 0, 5.0, 5.0)
 
 
-class TestWarmup:
-    def test_moving_average_flat_series(self):
-        x = np.full(100, 3.0)
-        np.testing.assert_allclose(welch_moving_average(x, 10), 3.0)
-
-    def test_moving_average_preserves_length(self):
-        assert welch_moving_average(np.arange(17.0), 3).shape == (17,)
-
-    def test_moving_average_validates(self):
-        with pytest.raises(ValueError):
-            welch_moving_average(np.arange(5.0), 0)
-
-    def test_detect_on_shifted_series(self):
-        # transient at level 1 for 200 samples, then steady at 10
-        gen = np.random.default_rng(0)
-        x = np.concatenate(
-            [
-                np.linspace(1.0, 10.0, 200) + gen.normal(0, 0.1, 200),
-                10.0 + gen.normal(0, 0.1, 1800),
-            ]
-        )
-        cut = detect_warmup(x, window=50, band=0.05)
-        assert 100 <= cut <= 400
-
-    def test_detect_on_stationary_series(self):
-        gen = np.random.default_rng(1)
-        x = 5.0 + gen.normal(0, 0.05, 1000)
-        assert detect_warmup(x, window=50, band=0.1) < 100
-
-    def test_detect_empty(self):
-        assert detect_warmup(np.zeros(0)) == 0
-
-
 class TestButterflyRSampling:
     def test_external_arrivals_level0_only(self, bf3):
         spec = ButterflyRSpec(bf3, 0.3)
@@ -177,3 +148,25 @@ class TestPublicAPI:
         for mod in (q, s, t, tr):
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+    def test_import_needs_no_networkx(self):
+        # networkx is a dev extra (the adapter tests use it), not a
+        # runtime dependency: importing the package and resolving a
+        # scenario's plugins must not load it
+        import repro
+
+        code = (
+            "import sys\n"
+            "import repro, repro.runner, repro.topology\n"
+            "from repro.engines import resolve_engine\n"
+            "spec = repro.runner.get_scenario('smoke')\n"
+            "spec.plugin, spec.network_plugin, spec.traffic_plugin\n"
+            "resolve_engine(spec)\n"
+            "assert 'networkx' not in sys.modules, 'importing repro loaded networkx'\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr

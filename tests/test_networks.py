@@ -161,7 +161,7 @@ class TestRegistry:
         )
         try:
             with pytest.warns(RuntimeWarning, match="broken-net"):
-                network_registry._load_entry_points()
+                network_registry.NETWORKS._load_entry_points()
             assert "ep-net" in available_networks()
             assert "broken-net" not in available_networks()
         finally:

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.networks import available_networks
 from repro.plugins import (
     Capabilities,
     OptionSpec,
     SchemePlugin,
-    available_networks,
     available_schemes,
     get_plugin,
     iter_plugins,
@@ -98,7 +98,7 @@ class TestRegistry:
         )
         try:
             with pytest.warns(RuntimeWarning, match="broken-scheme"):
-                plugin_registry._load_entry_points()
+                plugin_registry.SCHEMES._load_entry_points()
             assert "ep-scheme" in available_schemes()
             assert "broken-scheme" not in available_schemes()
         finally:
