@@ -55,7 +55,7 @@ from repro.traffic.destinations import (
 )
 from repro.traffic.workload import ButterflyWorkload, HypercubeWorkload
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "__version__",

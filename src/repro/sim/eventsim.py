@@ -14,41 +14,39 @@ allocation, no per-packet Python objects:
 
 * paths live in a :class:`FlatPaths` packed layout
   (``flat[start[i]:start[i+1]]`` is packet *i*'s path);
-* per-packet columns (``hop_index``, ``join_time``, delivery) replace
-  the historical ``(pid, hop) -> t_in`` dict, and FIFO queues are an
-  intrusive linked list (one ``next`` slot per packet — a packet waits
-  in at most one queue);
+* per-packet columns (hop index, delivery) replace the historical
+  ``(pid, hop) -> t_in`` dict;
 * the arc log fills preallocated arrays (exactly one row per hop), so
   ``record_arc_log=True`` costs bounded extra memory, not growing
   Python lists.
 
-Two cores implement the same sample path bit for bit:
-
-* the **windowed** FIFO core drains *runs* of events per step: every
-  window ``[T, T + service)`` (``T`` the earliest pending event)
-  contains at most one completion per arc, every such completion is due
-  inside the window, and same-window queue joins never change which
-  packet is in service — so each window's completions, forwards, log
-  rows and refills are computed as a handful of vectorised array
-  operations instead of per-event heap traffic;
-* the **heap** core keeps strict event order but packs each event into
-  a single Python int — ``(time-bits, join?, id, version)`` bit fields,
-  IEEE-754 order-preserving time image — over the same flat state.  PS
-  always uses it (a PS departure can cascade across arcs inside one
-  service window); FIFO falls back to it when the calendar is too
-  sparse for windowing to pay (``mode="auto"``).
-
 Tie-breaking matches :mod:`repro.sim.feedforward` exactly: at equal
 times, service completions fire before queue-joins, and queue-joins
-fire in packet-id order.  Consequently FIFO sample paths agree with the
+fire in packet-id order, so every arc serves its joins in (time,
+packet id) order.  Consequently FIFO sample paths agree with the
 feed-forward engine to floating-point round-off.
+
+The two disciplines run different cores over the same flat state:
+
+* **FIFO** fixes a departure the moment its packet joins:
+  ``max(departure ahead, join) + service``.  Every join earlier than
+  ``T + service`` (``T`` the earliest pending join) is known when the
+  window ``[T, T + service)`` opens — a join is a birth or a departure,
+  and a departure comes at least one service after its own join — so
+  the core admits each window's joins as a handful of vectorised array
+  operations instead of per-event heap traffic;
+* **PS** keeps strict event order on a heap, packing each event into a
+  single Python int — ``(time-bits, join?, id, version)`` bit fields,
+  IEEE-754 order-preserving time image — because a PS departure moves
+  with every later arrival at its arc.
 
 :func:`simulate_paths_event_driven_batch` stacks R independent
 replications into **one** calendar by offsetting replication *r*'s arc
 ids by ``r * num_arcs``: the sub-systems are disjoint, their events
 interleave safely, and each replication's deliveries are bit-identical
 to its own sequential run — while the merged calendar is R times
-denser, exactly what the windowed core wants.
+denser, so each FIFO window's fixed cost is shared by R times the
+joins.
 """
 
 from __future__ import annotations
@@ -83,17 +81,12 @@ __all__ = [
 _EMPTY_F = np.empty(0)
 _EMPTY_I = np.empty(0, np.int64)
 
-#: events-per-service-window estimate below which ``mode="auto"``
-#: prefers the flat heap core: with almost-empty windows the fixed
-#: per-window cost of the vectorised drains dominates.
-_WINDOW_DENSITY = 16.0
-
-# packed event keys (heap core): a single Python int per event,
+# packed event keys (PS core): a single Python int per event,
 #   ((time_key << 1 | is_join) << 72) | (id << 40..32 bits) | version
 # so integer order == (time, completions-before-joins, id, version).
 # ``id`` is the packet id for joins (joins tie-break in pid order) and
-# the arc id for completions / PS checks; ``version`` is the PS
-# stale-check counter (0 for FIFO).
+# the arc id for departure checks; ``version`` is the stale-check
+# counter.
 _JOIN_BIT = 1 << 72
 _ID_MASK = (1 << 40) - 1
 _VER_MASK = (1 << 32) - 1
@@ -188,16 +181,6 @@ class _LogArrays:
         return ArcLog(self.pid, self.arc, self.t_in, self.t_out)
 
 
-def _calendar_density(
-    births: np.ndarray, hops: np.ndarray, service: float
-) -> float:
-    """Estimated events per service window (joins + completions)."""
-    active = hops > 0
-    bt = births[active]
-    span = float(bt.max() - bt.min()) if bt.shape[0] else 0.0
-    return 2.0 * float(hops.sum()) / (span / service + 1.0)
-
-
 def simulate_paths_event_driven(
     num_arcs: int,
     birth_times: np.ndarray,
@@ -206,7 +189,6 @@ def simulate_paths_event_driven(
     discipline: str = "fifo",
     service: float = 1.0,
     record_arc_log: bool = False,
-    mode: str = "auto",
 ) -> EventSimResult:
     """Simulate packets following explicit arc paths.
 
@@ -221,24 +203,19 @@ def simulate_paths_event_driven(
         packet with an empty path is delivered at birth.
     discipline:
         ``"fifo"`` or ``"ps"`` applied at every arc.
-    mode:
-        ``"auto"`` (default) picks the FIFO core by calendar density;
-        ``"windows"`` / ``"heap"`` force one.  PS always runs the heap
-        core (its departures cascade across arcs within a window), so
-        ``mode="windows"`` with PS is a configuration error.  All modes
-        produce the same sample path bit for bit.
+    service:
+        Deterministic service requirement per hop (``> 0``).
+    record_arc_log:
+        Also return one :class:`~repro.sim.feedforward.ArcLog` row per
+        hop (row order is unspecified).
+
+    FIFO runs one service window at a time and PS a strict-order heap
+    calendar (see the module docstring).
     """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
-    if service <= 0:
+    if not service > 0:
         raise ConfigurationError(f"service must be > 0, got {service}")
-    if mode not in ("auto", "heap", "windows"):
-        raise ConfigurationError(f"unknown event-core mode {mode!r}")
-    if discipline == "ps" and mode == "windows":
-        raise ConfigurationError(
-            "the windowed event core is FIFO-only (PS departures cascade "
-            "across arcs inside one service window); use mode='auto'"
-        )
     births = np.asarray(birth_times, dtype=float)
     n = births.shape[0]
     if len(paths) != n:
@@ -258,21 +235,8 @@ def simulate_paths_event_driven(
     delivery[trivial] = births[trivial]
     log = _LogArrays(total) if record_arc_log else None
     if total:
-        if discipline == "ps":
-            _ps_heap_core(
-                num_arcs, births, flat, start, hops, service, delivery, log
-            )
-        elif mode == "heap" or (
-            mode == "auto"
-            and _calendar_density(births, hops, service) < _WINDOW_DENSITY
-        ):
-            _fifo_heap_core(
-                num_arcs, births, flat, start, hops, service, delivery, log
-            )
-        else:
-            _fifo_window_core(
-                num_arcs, births, flat, start, hops, service, delivery, log
-            )
+        core = _ps_heap_core if discipline == "ps" else _fifo_core
+        core(num_arcs, births, flat, start, hops, service, delivery, log)
         if log is not None and log.fill != total:  # pragma: no cover
             raise SimulationError("some packets did not complete their paths")
     return EventSimResult(
@@ -287,14 +251,13 @@ def simulate_paths_event_driven_batch(
     *,
     discipline: str = "fifo",
     service: float = 1.0,
-    mode: str = "auto",
 ) -> List[np.ndarray]:
     """Delivery epochs of R independent replications as ONE calendar.
 
     Replication *r*'s arc ids are offset by ``r * num_arcs``, making
     the R sub-systems disjoint: their events interleave safely in a
     single merged run whose calendar is R times denser (which is where
-    the windowed core's per-window cost amortises).  Entry *r* of the
+    the FIFO core's per-window cost amortises).  Entry *r* of the
     result is **bit-identical** to
 
     ``simulate_paths_event_driven(num_arcs, birth_times[r], paths[r], ...)``
@@ -335,7 +298,6 @@ def simulate_paths_event_driven_batch(
         merged,
         discipline=discipline,
         service=service,
-        mode=mode,
     )
     out: List[np.ndarray] = []
     offset = 0
@@ -346,11 +308,11 @@ def simulate_paths_event_driven_batch(
 
 
 # ---------------------------------------------------------------------------
-# the windowed FIFO core
+# the FIFO core: one service window at a time
 # ---------------------------------------------------------------------------
 
 
-def _fifo_window_core(
+def _fifo_core(
     num_arcs: int,
     births: np.ndarray,
     path_flat: np.ndarray,
@@ -360,252 +322,83 @@ def _fifo_window_core(
     delivery: np.ndarray,
     log: Optional[_LogArrays],
 ) -> None:
-    """Vectorised drains of same-window event runs.
+    """Admit every join of each window ``[T, T + service)`` at once.
 
-    Window invariants (``T`` = earliest pending event, window =
-    ``[T, T + service)``):
-
-    * at most one completion per arc falls in the window (the refill
-      after a completion at ``t`` lands at ``t + service >= T +
-      service``), and every arc busy at ``T`` has its completion due
-      inside it (service started before ``T``);
-    * completions are independent of same-window joins: the packet in
-      service is the queue head, joins append to the tail of a
-      non-empty queue;
-    * each packet joins at most one queue per window (its next join is
-      at its completion epoch, beyond the window end);
-
-    so all completions pop as one gather/scatter, all joins (births +
-    forwards) splice into the intrusive queues as one segmented pass,
-    and refills are decided per arc from the spliced state.
+    ``T`` is the earliest pending join.  Each arc serves its joins in
+    (time, pid) order and departs one at ``max(departure ahead, join) +
+    service``.  Only an arc's first join in a window can find the
+    departure ahead earlier than itself: a later join arrives before
+    ``T + service``, and the departure ahead of it is at least that, so
+    its departure is the one ahead plus ``service`` -- added one rank
+    at a time, the same float additions as the recursion.  A departure
+    is never before ``T + service``, so each packet joins at most once
+    per window and every join of the window is known when it opens.
     """
     record = log is not None
     hop_index = np.zeros(births.shape[0], np.int64)
-    cur_join = np.zeros(births.shape[0])
-    nxt = np.full(births.shape[0], -1, np.int64)
-    q_head = np.full(num_arcs, -1, np.int64)
-    q_tail = np.full(num_arcs, -1, np.int64)
-    q_len = np.zeros(num_arcs, np.int64)
-    # per-window scratch: which arcs completed this window, and when
-    arc_stamp = np.zeros(num_arcs, np.int64)
-    arc_done_t = np.zeros(num_arcs)
-
+    last = np.full(num_arcs, -np.inf)  # departure of each arc's latest join
     bidx = np.flatnonzero(hops > 0)
-    order = np.argsort(births[bidx], kind="stable")
-    bp = bidx[order]
-    bt = births[bidx][order]
+    bp = bidx[np.argsort(births[bidx], kind="stable")]
+    bt = births[bp]
     nb = bp.shape[0]
     ptr = 0
-    ct = _EMPTY_F  # pending completions: times ...
-    ca = _EMPTY_I  # ... and their arcs (the "carry")
-    w = 0
-    while ptr < nb or ct.shape[0]:
-        w += 1
+    pt = _EMPTY_F  # forwarded joins: times ...
+    pp = _EMPTY_I  # ... and packets
+    while ptr < nb or pt.shape[0]:
         tmin = bt[ptr] if ptr < nb else np.inf
-        if ct.shape[0]:
-            cmin = ct.min()
-            if cmin < tmin:
-                tmin = cmin
+        if pt.shape[0]:
+            tmin = min(tmin, pt.min())
         wend = tmin + service
-        # completions due in this window, chronological (ties by arc)
-        nd = 0
-        if ct.shape[0]:
-            due = ct < wend
-            d_t = ct[due]
-            d_a = ca[due]
-            ct = ct[~due]
-            ca = ca[~due]
-            nd = d_t.shape[0]
-            if nd > 1:
-                o2 = np.lexsort((d_a, d_t))
-                d_t = d_t[o2]
-                d_a = d_a[o2]
-        # births entering this window (bt sorted)
+        if not wend > tmin:  # inf/NaN times, or t + service rounds to t
+            raise SimulationError(f"service {service} vanishes at t={tmin}")
         j = ptr + int(np.searchsorted(bt[ptr:], wend, side="left"))
-        b_p = bp[ptr:j]
-        b_t = bt[ptr:j]
+        due = pt < wend
+        j_p = np.concatenate((bp[ptr:j], pp[due]))
+        j_t = np.concatenate((bt[ptr:j], pt[due]))
         ptr = j
-        # pop every completed head; forward or deliver
-        if nd:
-            len0 = q_len[d_a]
-            h = q_head[d_a]
-            q_head[d_a] = nxt[h]
-            len1 = len0 - 1
-            q_len[d_a] = len1
-            if record:
-                fill = log.fill
-                log.pid[fill : fill + nd] = h
-                log.arc[fill : fill + nd] = d_a
-                log.t_in[fill : fill + nd] = cur_join[h]
-                log.t_out[fill : fill + nd] = d_t
-                log.fill = fill + nd
-            hop_index[h] += 1
-            hi = hop_index[h]
-            fin = hi == hops[h]
-            delivery[h[fin]] = d_t[fin]
-            fwd = ~fin
-            f_p = h[fwd]
-            f_t = d_t[fwd]
-            f_a = path_flat[path_start[f_p] + hi[fwd]]
-            arc_stamp[d_a] = w
-            arc_done_t[d_a] = d_t
-        else:
-            f_p = _EMPTY_I
-            f_t = _EMPTY_F
-            f_a = _EMPTY_I
-        # all joins of the window (births + forwards), grouped by arc,
-        # chronological within an arc (ties by pid)
-        if b_p.shape[0]:
-            j_p = np.concatenate((b_p, f_p))
-            j_t = np.concatenate((b_t, f_t))
-            j_a = np.concatenate((path_flat[path_start[b_p]], f_a))
-        else:
-            j_p, j_t, j_a = f_p, f_t, f_a
+        keep = ~due
+        pt = pt[keep]
+        pp = pp[keep]
+        hi = hop_index[j_p]
+        j_a = path_flat[path_start[j_p] + hi]
+        # service order: grouped by arc, (time, pid) within an arc
+        o = np.lexsort((j_p, j_t, j_a))
+        j_p = j_p[o]
+        j_t = j_t[o]
+        j_a = j_a[o]
+        hi = hi[o] + 1
         nj = j_p.shape[0]
-        if nj:
-            o3 = np.lexsort((j_p, j_t, j_a))
-            j_p = j_p[o3]
-            j_t = j_t[o3]
-            j_a = j_a[o3]
-            cur_join[j_p] = j_t
-            newseg = np.empty(nj, bool)
-            newseg[0] = True
-            np.not_equal(j_a[1:], j_a[:-1], out=newseg[1:])
-            seg_start = np.flatnonzero(newseg)
-            u_arcs = j_a[seg_start]
-            seg_end = np.append(seg_start[1:], nj)
-            counts = seg_end - seg_start
-            # splice each arc's joins into its intrusive queue
-            same = ~newseg[1:]
-            nxt[j_p[:-1][same]] = j_p[1:][same]
-            first = j_p[seg_start]
-            last = j_p[seg_end - 1]
-            len_pre = q_len[u_arcs]
-            em = len_pre == 0
-            q_head[u_arcs[em]] = first[em]
-            ne = ~em
-            nxt[q_tail[u_arcs[ne]]] = first[ne]
-            q_tail[u_arcs] = last
-            q_len[u_arcs] = len_pre + counts
-            # arcs idle at window start (no completion, empty queue):
-            # their first join starts service immediately
-            no_d = (arc_stamp[u_arcs] != w) & em
-            new_a0 = u_arcs[no_d]
-            new_t0 = j_t[seg_start[no_d]] + service
-            # per join-arc: did any join land before the arc's
-            # completion epoch? (logical OR per segment)
-            any_before = np.maximum.reduceat(
-                (arc_stamp[j_a] == w) & (j_t < arc_done_t[j_a]), seg_start
-            )
-        else:
-            new_a0 = _EMPTY_I
-            new_t0 = _EMPTY_F
-        # arcs that completed: refill from the spliced queue state
-        if nd:
-            if nj:
-                pos = np.searchsorted(u_arcs, d_a)
-                posc = np.minimum(pos, u_arcs.shape[0] - 1)
-                hasj = u_arcs[posc] == d_a
-                before = hasj & any_before[posc]
-                # non-empty after the pop, or a join slipped in before
-                # the completion epoch -> next service starts at d_t;
-                # else the earliest join (>= d_t) starts it
-                busy_again = (len1 > 0) | before
-                refill_t = j_t[seg_start[posc]]
-                new_t1 = np.where(busy_again, d_t, refill_t) + service
-                valid = busy_again | hasj
-            else:
-                busy_again = len1 > 0
-                new_t1 = d_t + service
-                valid = busy_again
-            new_a1 = d_a[valid]
-            new_t1 = new_t1[valid]
-        else:
-            new_a1 = _EMPTY_I
-            new_t1 = _EMPTY_F
-        ct = np.concatenate((ct, new_t0, new_t1))
-        ca = np.concatenate((ca, new_a0, new_a1))
+        first = np.empty(nj, bool)
+        first[0] = True
+        np.not_equal(j_a[1:], j_a[:-1], out=first[1:])
+        follow = np.append(~first[1:], False)  # next join is the same arc's
+        dep = np.empty(nj)
+        dep[first] = np.maximum(last[j_a[first]], j_t[first]) + service
+        pos = np.flatnonzero(first & follow)
+        while pos.shape[0]:
+            pos += 1
+            dep[pos] = dep[pos - 1] + service
+            pos = pos[follow[pos]]
+        tail = ~follow
+        last[j_a[tail]] = dep[tail]
+        if record:
+            fill = log.fill
+            log.pid[fill : fill + nj] = j_p
+            log.arc[fill : fill + nj] = j_a
+            log.t_in[fill : fill + nj] = j_t
+            log.t_out[fill : fill + nj] = dep
+            log.fill = fill + nj
+        hop_index[j_p] = hi
+        fin = hi == hops[j_p]
+        delivery[j_p[fin]] = dep[fin]
+        fwd = ~fin
+        pt = np.concatenate((pt, dep[fwd]))
+        pp = np.concatenate((pp, j_p[fwd]))
 
 
 # ---------------------------------------------------------------------------
-# the flat heap cores (packed int64-key events, no per-event allocation)
+# the PS core (packed int-key events, no per-event allocation)
 # ---------------------------------------------------------------------------
-
-
-def _fifo_heap_core(
-    num_arcs: int,
-    births: np.ndarray,
-    path_flat: np.ndarray,
-    path_start: np.ndarray,
-    hops: np.ndarray,
-    service: float,
-    delivery: np.ndarray,
-    log: Optional[_LogArrays],
-) -> None:
-    """Strict event order over flat state: one packed int per event."""
-    n = births.shape[0]
-    flat_l = path_flat.tolist()
-    start_l = path_start.tolist()
-    hops_l = hops.tolist()
-    join_t = births.tolist()  # per-packet join epoch of the current hop
-    hop_i = [0] * n
-    nxt = [0] * n
-    q_head = [0] * num_arcs
-    q_tail = [0] * num_arcs
-    q_len = [0] * num_arcs
-    done_t = [0.0] * num_arcs  # the (single) outstanding completion
-    record = log is not None
-    heap = [
-        (_time_key(join_t[p]) << 73) | _JOIN_BIT | (p << 32)
-        for p in range(n)
-        if hops_l[p]
-    ]
-    heapq.heapify(heap)
-    pop = heapq.heappop
-    push = heapq.heappush
-    tkey = _time_key
-    fill = 0
-    while heap:
-        key = pop(heap)
-        if key & _JOIN_BIT:
-            p = (key >> 32) & _ID_MASK
-            t = join_t[p]
-            a = flat_l[start_l[p] + hop_i[p]]
-            if q_len[a]:
-                nxt[q_tail[a]] = p
-                q_tail[a] = p
-                q_len[a] += 1
-            else:
-                q_head[a] = p
-                q_tail[a] = p
-                q_len[a] = 1
-                td = t + service
-                done_t[a] = td
-                push(heap, (tkey(td) << 73) | (a << 32))
-        else:
-            a = (key >> 32) & _ID_MASK
-            t = done_t[a]
-            p = q_head[a]
-            q_head[a] = nxt[p]
-            q_len[a] -= 1
-            if record:
-                log.pid[fill] = p
-                log.arc[fill] = a
-                log.t_in[fill] = join_t[p]
-                log.t_out[fill] = t
-                fill += 1
-            hop_i[p] += 1
-            if hop_i[p] == hops_l[p]:
-                delivery[p] = t
-            else:
-                join_t[p] = t
-                push(heap, (tkey(t) << 73) | _JOIN_BIT | (p << 32))
-            if q_len[a]:
-                td = t + service
-                done_t[a] = td
-                push(heap, (tkey(td) << 73) | (a << 32))
-    if record:
-        log.fill = fill
 
 
 def _ps_heap_core(

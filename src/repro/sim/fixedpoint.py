@@ -82,7 +82,7 @@ def simulate_paths_fixed_point(
     delivered at birth.  Sample paths match the feed-forward engine bit
     for bit wherever both run (both solve each server with
     :func:`~repro.sim.feedforward.serve_level`).  The event engine agrees
-    to about 1e-14 under FIFO, not bit for bit: its cores add
+    to about 1e-14 under FIFO, not bit for bit: its FIFO core adds
     ``start + service`` one departure at a time where the sweeps use the
     Lindley closed form.  Under PS it agrees to floating-point round-off.
 

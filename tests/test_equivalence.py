@@ -3,7 +3,7 @@
 The strongest correctness evidence in the suite: independent
 implementations must produce the *same sample paths*:
 
-* feed-forward (vectorised Lindley) vs event-driven (heap), FIFO & PS;
+* feed-forward (vectorised Lindley) vs the event calendar, FIFO & PS;
 * the physical hypercube vs network Q fed with the same packets
   (§3.1's equivalence, Lemma 4 coupling).
 """

@@ -1,11 +1,15 @@
 """Tests for the event-driven engine."""
 
+import heapq
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.eventsim import (
     FlatPaths,
     flatten_paths,
@@ -13,6 +17,7 @@ from repro.sim.eventsim import (
     simulate_paths_event_driven,
     simulate_paths_event_driven_batch,
 )
+from repro.sim.lindley import fifo_departure_times_loop
 from repro.traffic.workload import TrafficSample
 
 
@@ -70,6 +75,16 @@ class TestEventDrivenFifo:
             simulate_paths_event_driven(
                 1, np.array([0.0]), [[0]], discipline="bad"
             )
+        for service in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigurationError):
+                simulate_paths_event_driven(
+                    1, np.array([0.0]), [[0]], service=service
+                )
+
+    def test_rejects_times_where_service_vanishes(self):
+        for t in (1e17, np.inf):
+            with pytest.raises(SimulationError):
+                simulate_paths_event_driven(1, np.array([t]), [[0]])
 
     def test_custom_service_time(self):
         res = simulate_paths_event_driven(
@@ -99,41 +114,142 @@ class TestEventDrivenPS:
         np.testing.assert_allclose(res.delivery, [3.0, 3.0, 3.0])
 
 
+def _heap_fifo(num_arcs, births, paths, service=1.0):
+    """FIFO delivery epochs and arc log in strict event order on a heap.
+
+    Events are ``(time, kind, id)``: completions (kind 0, id = arc)
+    fire before joins (kind 1, id = pid) at equal times, and joins in
+    pid order.  Each arc holds a FIFO queue whose head is in service.
+    """
+    delivery = np.asarray(births, dtype=float).copy()
+    join_t = delivery.tolist()
+    hop = [0] * len(paths)
+    queues = [deque() for _ in range(num_arcs)]
+    heap = [(join_t[p], 1, p) for p in range(len(paths)) if len(paths[p])]
+    heapq.heapify(heap)
+    rows = []
+    while heap:
+        t, kind, i = heapq.heappop(heap)
+        if kind:
+            q = queues[paths[i][hop[i]]]
+            q.append(i)
+            if len(q) == 1:
+                heapq.heappush(heap, (t + service, 0, paths[i][hop[i]]))
+            continue
+        p = queues[i].popleft()
+        rows.append((p, i, join_t[p], t))
+        hop[p] += 1
+        if hop[p] == len(paths[p]):
+            delivery[p] = t
+        else:
+            join_t[p] = t
+            heapq.heappush(heap, (t, 1, p))
+        if queues[i]:
+            heapq.heappush(heap, (t + service, 0, i))
+    pid, arc, t_in, t_out = (np.array(c) for c in zip(*rows))
+    return delivery, (pid, arc, t_in, t_out)
+
+
 class TestCoreModes:
-    """The heap and windowed FIFO cores are interchangeable bit for bit."""
+    """The windowed FIFO core and a strict-order heap agree bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_heap_and_window_cores_agree_exactly(self, seed):
         rng = np.random.default_rng(seed)
         births, paths = _random_system(rng)
-        heap = simulate_paths_event_driven(
-            12, births, paths, mode="heap", record_arc_log=True
-        )
         win = simulate_paths_event_driven(
-            12, births, paths, mode="windows", record_arc_log=True
+            12, births, paths, record_arc_log=True
         )
-        auto = simulate_paths_event_driven(12, births, paths, mode="auto")
-        assert np.array_equal(heap.delivery, win.delivery)
-        assert np.array_equal(heap.delivery, auto.delivery)
+        delivery, heap_log = _heap_fifo(12, births, paths)
+        assert np.array_equal(win.delivery, delivery)
         # the service history must agree hop for hop, not just at exit
-        for log_a, log_b in ((heap.arc_log, win.arc_log),):
-            order_a = np.lexsort((log_a.arc, log_a.pid, log_a.t_in))
-            order_b = np.lexsort((log_b.arc, log_b.pid, log_b.t_in))
-            for col in ("pid", "arc", "t_in", "t_out"):
-                assert np.array_equal(
-                    getattr(log_a, col)[order_a], getattr(log_b, col)[order_b]
-                ), col
+        log = win.arc_log
+        order_a = np.lexsort((log.arc, log.pid, log.t_in))
+        order_b = np.lexsort((heap_log[1], heap_log[0], heap_log[2]))
+        got = (log.pid, log.arc, log.t_in, log.t_out)
+        for col, a, b in zip(("pid", "arc", "t_in", "t_out"), got, heap_log):
+            assert np.array_equal(a[order_a], b[order_b]), col
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigurationError):
-            simulate_paths_event_driven(
-                1, np.array([0.0]), [[0]], mode="turbo"
-            )
 
-    def test_ps_rejects_window_mode(self):
-        with pytest.raises(ConfigurationError):
-            simulate_paths_event_driven(
-                1, np.array([0.0]), [[0]], discipline="ps", mode="windows"
+def _oracle_fifo(births, paths, service):
+    """FIFO delivery epochs and arc log by iterated per-arc recursions.
+
+    Each arc serves its joins in (time, pid) order; a packet joins hop
+    k + 1 when it departs hop k.  Starting from every hop joined at
+    birth, rerun the literal Lindley recursion on every arc until the
+    network's sample path stops changing.  Rows are packet-major.
+    """
+    hops = np.array([len(p) for p in paths], np.int64)
+    ends = np.cumsum(hops)
+    pid = np.repeat(np.arange(len(paths)), hops)
+    arc = np.array([a for p in paths for a in p], np.int64)
+    later = np.ones(pid.shape[0], bool)
+    later[(ends - hops)[hops > 0]] = False
+    t_in = births[pid]
+    t_out = np.empty_like(t_in)
+    for _ in range(pid.shape[0] + 2):
+        for a in np.unique(arc):
+            rows = np.flatnonzero(arc == a)
+            rows = rows[np.lexsort((pid[rows], t_in[rows]))]
+            t_out[rows] = fifo_departure_times_loop(t_in[rows], service)
+        nxt = births[pid]
+        nxt[later] = t_out[np.flatnonzero(later) - 1]
+        if np.array_equal(nxt, t_in):
+            break
+        t_in = nxt
+    else:  # pragma: no cover
+        raise AssertionError("the oracle found no fixed point")
+    delivery = births.copy()
+    delivery[hops > 0] = t_out[ends[hops > 0] - 1]
+    return delivery, (pid, arc, t_in, t_out)
+
+
+def _fifo_system(seed, num_arcs, n, span, service, ties):
+    """Cyclic paths over few (hot) or many arcs, tied or sparse births."""
+    rng = np.random.default_rng(seed)
+    births = rng.uniform(0.0, span, size=n)
+    if ties:
+        births = np.round(births * 4.0) / 4.0  # quarter-unit grid
+    hops = rng.integers(0, 7, size=n)  # empty paths included
+    paths = [list(rng.integers(0, num_arcs, size=h)) for h in hops]
+    return num_arcs, births, paths, service
+
+
+_FIFO_SYSTEMS = st.builds(
+    _fifo_system,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3, 12, 40]),
+    st.integers(0, 120),
+    st.sampled_from([4.0, 40.0, 2000.0]),
+    st.sampled_from([0.5, 1.0, 1.7, 3.0]),
+    st.booleans(),
+)
+
+
+class TestFifoOracle:
+    """The FIFO core reproduces per-arc Lindley recursions bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=_FIFO_SYSTEMS)
+    @example(system=_fifo_system(0, 3, 120, 40.0, 1.7, True))  # hot, tied
+    @example(system=_fifo_system(1, 12, 120, 4.0, 0.5, True))  # dense
+    @example(system=_fifo_system(2, 40, 60, 2000.0, 3.0, False))  # sparse
+    def test_matches_iterated_lindley_oracle(self, system):
+        num_arcs, births, paths, service = system
+        res = simulate_paths_event_driven(
+            num_arcs, births, paths, service=service, record_arc_log=True
+        )
+        delivery, rows = _oracle_fifo(births, paths, service)
+        assert np.array_equal(
+            res.delivery.view(np.int64), delivery.view(np.int64)
+        )
+        log = res.arc_log
+        # a packet's joins rise hop by hop: (pid, t_in) is packet-major
+        order = np.lexsort((log.t_in, log.pid))
+        got = (log.pid, log.arc, log.t_in, log.t_out)
+        for col, want in zip(got, rows):
+            assert np.array_equal(
+                col[order].view(np.int64), want.view(np.int64)
             )
 
 
@@ -155,17 +271,6 @@ class TestBatchedCalendar:
             solo = simulate_paths_event_driven(
                 12, births, paths, discipline=discipline
             )
-            assert np.array_equal(solo.delivery, delivery)
-
-    @pytest.mark.parametrize("mode", ["heap", "windows"])
-    def test_batch_modes_agree(self, mode):
-        rng = np.random.default_rng(11)
-        reps = [_random_system(rng) for _ in range(3)]
-        batched = simulate_paths_event_driven_batch(
-            12, [b for b, _ in reps], [p for _, p in reps], mode=mode
-        )
-        for (births, paths), delivery in zip(reps, batched):
-            solo = simulate_paths_event_driven(12, births, paths)
             assert np.array_equal(solo.delivery, delivery)
 
     def test_empty_batch(self):

@@ -135,9 +135,21 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_version(self):
+        """One version: the package metadata reads ``repro.__version__``."""
+        import importlib.metadata
+
         import repro
 
-        assert repro.__version__ == "1.1.0"
+        try:
+            installed = importlib.metadata.version("repro-greedy-routing")
+        except importlib.metadata.PackageNotFoundError:
+            # run from the source tree: pyproject.toml must not pin its own
+            pyproject = Path(repro.__file__).parents[2] / "pyproject.toml"
+            text = pyproject.read_text()
+            assert 'dynamic = ["version"]' in text
+            assert 'version = { attr = "repro.__version__" }' in text
+        else:
+            assert installed == repro.__version__
 
     def test_subpackage_all_exports(self):
         import repro.queueing as q
