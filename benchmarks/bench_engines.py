@@ -1,4 +1,4 @@
-"""Engine-axis baseline: the three execution paths, timed and pinned.
+"""Engine-axis baseline: the execution paths, timed and pinned.
 
 Emits ``BENCH_engines.json`` at the **repo root** pinning the
 wall-clock and memory profile of the replication fan-out for one
@@ -17,12 +17,12 @@ wall-clock and memory profile of the replication fan-out for one
   its gated figure (pinned ≥ 10); ``batched_vs_sequential =
   sequential_s / batched_s`` is reported, not gated: both routes run
   the same FIFO sweep, so host drift decides which one wins.
-* ``batched_jobs4_s`` — the batched path composed with ``jobs=4``: the
-  shared-workload route (workloads generated once in the parent,
-  published to workers via a memory-mapped file, workers pinned to
-  cores with ``pin_workers``).  On a host with fewer than 4 cores the
-  column records ``"skipped_single_core"`` instead of timing pure pool
-  overhead — the ratio is only honest when ``host_cpu_cores >= 4``.
+* ``batched_jobs4_s`` — the batch route split across a ``jobs=4``
+  pool: one contiguous seed range per worker, each worker drawing its
+  own range's workloads and solving them as one stack.  On a host with
+  fewer than 4 cores the column records ``"skipped_single_core"``
+  instead of timing pure pool overhead — the ratio is only honest when
+  ``host_cpu_cores >= 4``.
 * ``chunked_s`` + ``memory`` — the bounded-memory chunked-horizon mode
   (``chunk_packets``): wall-clock on the pinned cell, plus tracemalloc
   peaks of the one-shot vs chunked kernel on a long-horizon cell where
@@ -239,9 +239,7 @@ def run_experiment(quick=False):
     if jobs4_skipped:
         par_s, par_m = None, None
     else:
-        par_s, par_m = _best_of(
-            lambda: measure(spec, jobs=4, batch=True, pin_workers=True)
-        )
+        par_s, par_m = _best_of(lambda: measure(spec, jobs=4, batch=True))
     chunk_spec = spec.replace(extra={"chunk_packets": TIMING_CHUNK})
     chk_s, chk_m = _best_of(lambda: measure(chunk_spec, jobs=1, batch=True))
 
@@ -299,7 +297,6 @@ def run_experiment(quick=False):
         "batched_jobs4_s": (
             "skipped_single_core" if jobs4_skipped else round(par_s, 4)
         ),
-        "batched_jobs4_pin_workers": not jobs4_skipped,
         "chunked_s": round(chk_s, 4),
         "chunked_chunk_packets": TIMING_CHUNK,
         "speedup_vs_seed": round(seed_s / bat_s, 2),
@@ -348,12 +345,13 @@ def run_experiment(quick=False):
 def emit_json(results):
     path = ROOT / "BENCH_engines.json"
     payload = {
-        "description": "the three replication fan-out routes on one "
+        "description": "the replication fan-out routes on one "
         "hypercube-greedy cell: sequential per-replication tasks, the "
         "cache-resident sub-batched engine path (jobs=1, same process), "
-        "and the shared-workload parallel composition (jobs=4); plus the "
-        "bounded-memory chunked-horizon mode and the seed's per-arc "
-        "serve_level re-enacted verbatim as the historical baseline",
+        "and the same batch route split across a jobs=4 pool (one "
+        "contiguous seed range per worker); plus the bounded-memory "
+        "chunked-horizon mode and the seed's per-arc serve_level "
+        "re-enacted verbatim as the historical baseline",
         **results,
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

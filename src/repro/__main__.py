@@ -133,9 +133,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     specs = [
         _legacy_spec(args, rho, args.seed + i) for i, rho in enumerate(rhos)
     ]
-    measurements = measure_many(
-        specs, jobs=args.jobs, pin_workers=args.pin_workers
-    )
+    measurements = measure_many(specs, jobs=args.jobs)
     xs = [m.rho for m in measurements]
     ys = [m.mean_delay for m in measurements]
     rows = [
@@ -515,8 +513,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             profiler = cProfile.Profile()
             profiler.enable()
             try:
-                m = measure(spec, jobs=args.jobs, store=store, refresh=True,
-                            pin_workers=args.pin_workers)
+                m = measure(spec, jobs=args.jobs, store=store, refresh=True)
             finally:
                 profiler.disable()
                 stats = pstats.Stats(profiler, stream=sys.stderr)
@@ -525,7 +522,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     stats.dump_stats(args.profile_out)
         else:
             m = measure(spec, jobs=args.jobs, store=store,
-                        refresh=args.refresh, pin_workers=args.pin_workers)
+                        refresh=args.refresh)
     rows = [
         ("network / scheme", f"{m.network} / {m.scheme} ({m.discipline})"),
         ("traffic", m.traffic),
@@ -604,9 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1,
                     help="parallel worker processes")
-    sp.add_argument("--pin-workers", action="store_true",
-                    help="pin shared-workload pool workers to cores "
-                    "(os.sched_setaffinity; no-op where unsupported)")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("list-scenarios", help="the registered scenario catalog")
@@ -707,9 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="KEY=VALUE",
                     help="override a typed engine/network/traffic option "
                     "(e.g. --set chunk_packets=32768); repeatable")
-    sp.add_argument("--pin-workers", action="store_true",
-                    help="pin shared-workload pool workers to cores "
-                    "(os.sched_setaffinity; no-op where unsupported)")
     sp.add_argument("--cache-dir", default=None,
                     help="results store root (default: $REPRO_CACHE_DIR or .repro-cache)")
     sp.add_argument("--no-cache", action="store_true",

@@ -23,12 +23,10 @@ implements the hooks the rest of the stack used to hard-code behind
   computation (offsetting arc ids per replication keeps the
   sub-systems disjoint, so the batch is bit-identical to R sequential
   runs).  :func:`repro.runner.engine.measure_many` routes through this
-  hook whenever the resolved engine declares ``batching``; at
-  ``jobs > 1`` it decomposes the template instead — workloads are
-  generated once centrally and each worker calls
-  :meth:`~EnginePlugin.batch_deliveries` + :func:`batch_output` on a
-  shared-memory slice (the scheme's ``batch_engine`` hook exposes the
-  engine for exactly this).  How an engine *internally* organises a
+  hook whenever the resolved engine declares ``batching``: in process
+  at ``jobs <= 1``, and at ``jobs > 1`` once per worker on a
+  contiguous range of the centrally derived seeds (each worker draws
+  its own range's workloads).  How an engine *internally* organises a
   batch is its own affair: the feed-forward engine stacks replications
   in cache-resident sub-batches and streams chunk-composable kernels
   under its ``chunk_packets`` option.
@@ -229,17 +227,21 @@ class EnginePlugin:
 
 
 def batch_output(
-    spec: "ScenarioSpec", sample: "TrafficSample", delivery: "np.ndarray"
+    spec: "ScenarioSpec",
+    sample: "TrafficSample",
+    delivery: "np.ndarray",
+    metrics: Tuple[Tuple[str, float], ...] = (),
 ) -> "ReplicationOutput":
     """The batched replication epilogue: one stacked replication's
-    delivery array through the **same** trim-and-wrap code the
-    sequential runner uses (:func:`repro.plugins.api.steady_output`),
-    minus the per-packet record (as the pooled path drops it)."""
+    delivery array (and its side *metrics*) through the **same**
+    trim-and-wrap code the sequential runner uses
+    (:func:`repro.plugins.api.steady_output`), minus the per-packet
+    record (as the pooled path drops it)."""
     from repro.plugins.api import steady_output
     from repro.sim.measurement import DelayRecord
     from repro.sim.run_spec import ReplicationOutput
 
     out = steady_output(
-        spec, DelayRecord(sample.times, delivery, sample.horizon)
+        spec, DelayRecord(sample.times, delivery, sample.horizon), metrics
     )
     return ReplicationOutput(out.mean_delay, out.num_packets, out.metrics, None)

@@ -273,23 +273,8 @@ class SchemePlugin:
         runner on ``as_generator(seeds[k])``.  The parallel runner
         (:func:`repro.runner.engine.measure_many`) routes a spec's
         replications through this hook whenever it returns a runner —
-        in process for small batches, chunked across the pool for
-        large ones.
-        """
-        return None
-
-    def batch_engine(self, spec: "ScenarioSpec") -> Optional[Any]:
-        """The batching-capable :class:`~repro.engines.api.EnginePlugin`
-        behind :meth:`batch_runner`, or ``None`` when the scheme cannot
-        batch or owns its batch loop opaquely (the default).
-
-        Exposing the engine — not just the sealed runner closure — lets
-        the parallel runner *decompose* a batch: generate all R
-        workloads once in the parent (one vectorised
-        ``build_workload_batch`` pass), publish the arrays to workers
-        through shared memory, and have each worker call the engine's
-        ``batch_deliveries``/``batch_output`` on its slice.  The
-        bit-identity contract is :meth:`batch_runner`'s, seed for seed.
+        in process at ``jobs <= 1``, one contiguous seed range per
+        worker at ``jobs > 1``.
         """
         return None
 

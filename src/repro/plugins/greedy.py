@@ -113,16 +113,10 @@ class GreedyPlugin(SchemePlugin):
 
         return run
 
-    def batch_engine(self, spec: "ScenarioSpec"):
+    def batch_runner(self, spec: "ScenarioSpec"):
         from repro.engines.registry import resolve_engine
 
         engine = resolve_engine(spec)
         if engine is None or not engine.supports_batch(spec):
-            return None
-        return engine
-
-    def batch_runner(self, spec: "ScenarioSpec"):
-        engine = self.batch_engine(spec)
-        if engine is None:
             return None
         return lambda seeds: engine.simulate_batch(spec, seeds)

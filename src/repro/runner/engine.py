@@ -2,26 +2,17 @@
 
 The hot path of every experiment is running R independent replications
 of one spec (or a whole sweep of specs).  This module executes that
-fan-out along three routes:
+fan-out along two routes:
 
 * **Batched** — when the spec's scheme exposes a batch runner
   (:meth:`~repro.plugins.api.SchemePlugin.batch_runner`, backed by an
-  engine plugin declaring ``batching``), R replications stack into
-  **one** vectorised computation: no per-task pickling, no per-
-  replication Python overhead.  At ``jobs <= 1`` the whole batch runs
-  in process.
-* **Shared-workload parallel** — the composition of batching with
-  ``jobs > 1``.  When the scheme also exposes the engine behind its
-  batch runner (:meth:`~repro.plugins.api.SchemePlugin.batch_engine`),
-  the parent generates **all** R workloads once (one vectorised
-  ``build_workload_batch`` pass — this is where the replication
-  streams are consumed, so seeding stays centralized), publishes the
-  concatenated arrays through a memory-mapped scratch file, and hands
-  each worker only ``(path, offsets, rep range)``: workers attach
-  zero-copy views and run the engine's stacked solver on their slice.
-  Nothing large is ever pickled, and each replication's output is
-  bit-identical to its sequential twin because the workload draw and
-  the per-replication sample path are both unchanged.
+  engine plugin declaring ``batching`` or by the scheme's own stacked
+  calendar), R replications stack into **one** vectorised computation:
+  no per-replication Python overhead.  At ``jobs <= 1`` the whole
+  batch runs in process; at ``jobs > 1`` the seeds split into one
+  contiguous range per worker, and each worker draws its range's
+  workloads from those seeds and solves them as one stack.  Only seeds
+  cross the pool, never workloads.
 * **Pooled** — everything else flattens into a one-replication-per-task
   list executed with :mod:`multiprocessing` (chunked sensibly, so
   large sweeps do not pay per-task IPC overhead).
@@ -32,16 +23,13 @@ replication consumes only its own stream — so the numbers are
 bit-for-bit identical whatever ``jobs`` is, whichever route runs,
 and identical to calling :func:`repro.sim.run_spec.run_spec` by hand
 (the batched route's bit-identity is golden-pinned in
-``tests/test_golden_dispatch.py``; the three-route equivalence in
+``tests/test_golden_dispatch.py``; the route equivalence in
 ``tests/test_execution_paths.py``).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import shutil
-import tempfile
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -131,87 +119,20 @@ def run_replication(
     return run_spec(spec, seeds[rep], keep_record=keep_record)
 
 
-#: one unit of pool work, tagged by route; every variant returns one
+#: one unit of pool work, tagged by route; both variants return one
 #: ReplicationOutput per replication, in seed order:
 #:
 #: * ``("seq", spec, seeds)`` — a plain per-seed loop
-#: * ``("batch", spec, seeds, runner_or_None, cpu)`` — one stacked
-#:   engine computation; the resolved runner rides along only in
-#:   process (closures do not cross the pool — workers rebuild from
-#:   the spec)
-#: * ``("shm", spec, path, bounds, horizons, lo, hi, cpu)`` —
-#:   replications ``lo:hi`` of a shared pre-generated workload file
-#:   (see :func:`_share_workloads` for the layout)
-#:
-#: ``cpu`` is the core the executing worker pins itself to
-#: (``pin_workers``), or ``None``
+#: * ``("batch", spec, seeds, runner_or_None)`` — one stacked
+#:   computation over a contiguous seed range; the resolved runner
+#:   rides along only in process (closures do not cross the pool —
+#:   workers rebuild it from the spec)
 _Task = Tuple[Any, ...]
 
 
-def _worker_cpus(pin_workers: bool) -> Optional[List[int]]:
-    """Cores available for round-robin worker pinning, or ``None``
-    when pinning is off or the platform has no CPU affinity API."""
-    if not pin_workers:
-        return None
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return None
-    return cpus or None
-
-
-def _pin_to_cpu(cpu: Optional[int]) -> None:
-    """Pin the executing worker to *cpu* (no-op on ``None`` or where
-    the platform lacks CPU affinity)."""
-    if cpu is None:
-        return
-    try:
-        os.sched_setaffinity(0, {int(cpu)})
-    except (AttributeError, OSError):  # pragma: no cover - no-op
-        pass
-
-
-def _run_shm_task(task: _Task) -> List[ReplicationOutput]:
-    """Attach the shared workload file and solve replications
-    ``lo:hi`` as one stacked computation."""
-    from repro.engines.api import batch_output
-    from repro.traffic.workload import TrafficSample
-
-    _, spec, path, bounds, horizons, lo, hi, cpu = task
-    _pin_to_cpu(cpu)
-    total = bounds[-1]
-    times = np.memmap(path, dtype=np.float64, mode="r", shape=(total,))
-    origins = np.memmap(
-        path, dtype=np.int64, mode="r", offset=8 * total, shape=(total,)
-    )
-    dests = np.memmap(
-        path, dtype=np.int64, mode="r", offset=16 * total, shape=(total,)
-    )
-    samples = [
-        TrafficSample(
-            np.asarray(times[bounds[r] : bounds[r + 1]]),
-            np.asarray(origins[bounds[r] : bounds[r + 1]]),
-            np.asarray(dests[bounds[r] : bounds[r + 1]]),
-            horizons[r],
-        )
-        for r in range(lo, hi)
-    ]
-    engine = spec.plugin.batch_engine(spec)
-    topology = spec.network_plugin.build_topology(spec)
-    deliveries = engine.batch_deliveries(spec, topology, samples)
-    return [
-        batch_output(spec, sample, delivery)
-        for sample, delivery in zip(samples, deliveries)
-    ]
-
-
 def _run_task(task: _Task) -> List[ReplicationOutput]:
-    kind = task[0]
-    if kind == "shm":
-        return _run_shm_task(task)
-    if kind == "batch":
-        _, spec, seeds, runner, cpu = task
-        _pin_to_cpu(cpu)
+    if task[0] == "batch":
+        _, spec, seeds, runner = task
         if runner is None:
             runner = spec.plugin.batch_runner(spec)
         if runner is not None:
@@ -236,62 +157,6 @@ def _chunk_bounds(
     chunks = min(chunks, n)
     bounds = np.linspace(0, n, chunks + 1).astype(int)
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def _chunked(
-    seeds: Sequence[object], jobs: int, wave_reps: Optional[int] = None
-) -> List[Tuple[object, ...]]:
-    """Split a batched spec's seeds into contiguous chunks: one
-    in-process batch at ``jobs <= 1``, otherwise one chunk per
-    worker (both further split when ``wave_reps`` caps the wave)."""
-    if len(seeds) <= 1:
-        return [tuple(seeds)]
-    bounds = _chunk_bounds(len(seeds), 1 if jobs <= 1 else jobs, wave_reps)
-    return [tuple(seeds[lo:hi]) for lo, hi in bounds]
-
-
-def _share_workloads(
-    spec: ScenarioSpec, seeds: Sequence[object], scratch_dir: str, tag: int
-) -> Optional[Tuple[str, Tuple[int, ...], Tuple[float, ...]]]:
-    """Generate every seed's workload in the parent and publish the
-    arrays through one memory-mapped scratch file.
-
-    Layout (``total`` = packets across all replications): ``times`` as
-    float64 at offset 0, ``origins`` as int64 at ``8 * total``,
-    ``destinations`` as int64 at ``16 * total``; replication *r* owns
-    rows ``bounds[r]:bounds[r + 1]``.  Returns ``None`` for an empty
-    workload (nothing to share — the caller falls back to the plain
-    batched route).
-    """
-    from repro.rng import as_generator
-
-    net = spec.network_plugin
-    samples = net.build_workload_batch(
-        spec, spec.horizon, [as_generator(seed) for seed in seeds]
-    )
-    counts = np.array([s.num_packets for s in samples], dtype=np.int64)
-    bounds = tuple(int(x) for x in np.concatenate(([0], np.cumsum(counts))))
-    if bounds[-1] == 0:
-        return None
-    path = os.path.join(scratch_dir, f"workloads-{tag}.bin")
-    with open(path, "wb") as fh:
-        fh.write(
-            np.concatenate(
-                [np.asarray(s.times, dtype=np.float64) for s in samples]
-            ).tobytes()
-        )
-        fh.write(
-            np.concatenate(
-                [np.asarray(s.origins, dtype=np.int64) for s in samples]
-            ).tobytes()
-        )
-        fh.write(
-            np.concatenate(
-                [np.asarray(s.destinations, dtype=np.int64) for s in samples]
-            ).tobytes()
-        )
-    horizons = tuple(float(s.horizon) for s in samples)
-    return path, bounds, horizons
 
 
 def _execute(
@@ -384,7 +249,6 @@ def measure(
     cancel: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[MeasureProgress], None]] = None,
     wave_reps: Optional[int] = None,
-    pin_workers: bool = False,
 ) -> DelayMeasurement:
     """Run every replication of *spec* (in parallel when ``jobs > 1``)
     and pool them into one :class:`DelayMeasurement`.
@@ -394,9 +258,9 @@ def measure(
     recomputation (and overwrites the cache cell).  ``batch=False``
     forces the one-replication-per-task route even when the spec's
     engine could batch (benchmarking and cross-validation).
-    ``cancel``/``progress``/``wave_reps``/``pin_workers`` are forwarded
-    to :func:`measure_many` — see there for the
-    cooperative-cancellation and resumability contract.
+    ``cancel``/``progress``/``wave_reps`` are forwarded to
+    :func:`measure_many` — see there for the cooperative-cancellation
+    and resumability contract.
     """
     return measure_many(
         [spec],
@@ -407,7 +271,6 @@ def measure(
         cancel=cancel,
         progress=progress,
         wave_reps=wave_reps,
-        pin_workers=pin_workers,
     )[0]
 
 
@@ -420,29 +283,26 @@ def measure_many(
     cancel: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[MeasureProgress], None]] = None,
     wave_reps: Optional[int] = None,
-    pin_workers: bool = False,
 ) -> List[DelayMeasurement]:
     """Batched :func:`measure`: one flat task list across all *specs*.
 
     Cached specs contribute no tasks; the rest fan out together, so a
     20-cell sweep with 4 replications each keeps ``jobs`` processes
     busy.  A spec whose scheme exposes a batch runner contributes
-    stacked replication-batch tasks — at ``jobs > 1``, when the scheme
-    also exposes the engine behind the runner, its workloads are
-    generated once in the parent and published to the workers through
-    a memory-mapped scratch file (the shared-workload route: nothing
-    large crosses the pool).  The rest contribute one task per
-    replication.  The batch runner and engine are resolved **once per
-    spec** here, never per task.
+    stacked replication-batch tasks: one in process at ``jobs <= 1``,
+    one contiguous seed range per worker at ``jobs > 1`` (each worker
+    draws and solves its own range's workloads).  The rest contribute
+    one task per replication.  The batch runner is resolved **once per
+    spec** here, never per task in the same process.
 
     Caching is two-level.  A spec whose pooled measurement is already
     stored is returned outright; otherwise the store is probed **per
     replication** (cells keyed by ``(replication_hash, k)``, which is
     independent of the replication count), so raising ``replications``
     on a previously measured spec simulates only the new replications
-    and pools them with the cached ones.  All routes preserve the
-    cells: a batched or shared-workload replication's output is
-    bit-identical to its pooled twin.
+    and pools them with the cached ones.  Both routes preserve the
+    cells: a batched replication's output is bit-identical to its
+    pooled twin.
 
     **Cancellation and resumability.**  *cancel* is polled between
     task waves (and once up front); when it returns true the run stops
@@ -454,14 +314,6 @@ def measure_many(
     cancel/persist granularity); *progress* receives a
     :class:`MeasureProgress` per spec up front (its cached count) and
     after every wave.
-
-    *pin_workers* gives each shared-workload and chunked-batch task a
-    core (round-robin over the process's CPU affinity set) that the
-    executing worker pins itself to with :func:`os.sched_setaffinity`
-    — steadier cache residency for the stacked kernels and the
-    zero-copy memmap slices on multi-core hosts.  A
-    runner-level knob, not a spec option: it cannot change a content
-    hash or a cache cell, and it is a no-op where unsupported.
     """
     results: List[Optional[DelayMeasurement]] = [None] * len(specs)
     tasks: List[_Task] = []
@@ -469,107 +321,78 @@ def measure_many(
     meta: List[Tuple[int, Tuple[int, ...]]] = []
     #: per pending spec: (spec index, missing rep indices, cached outputs by rep)
     slots: List[Tuple[int, List[int], Dict[int, ReplicationOutput]]] = []
-    scratch_dir: Optional[str] = None
-    cpus = _worker_cpus(pin_workers)
     if cancel is not None and cancel():
         raise MeasurementCancelled(0)
-    try:
-        for i, spec in enumerate(specs):
-            cached_reps: Dict[int, ReplicationOutput] = {}
-            if store is not None and not refresh:
-                cached = store.load(spec)
-                if cached is not None:
-                    results[i] = cached
-                    if progress is not None:
-                        progress(
-                            MeasureProgress(
-                                i, 0, spec.replications, spec.replications
-                            )
+    for i, spec in enumerate(specs):
+        cached_reps: Dict[int, ReplicationOutput] = {}
+        if store is not None and not refresh:
+            cached = store.load(spec)
+            if cached is not None:
+                results[i] = cached
+                if progress is not None:
+                    progress(
+                        MeasureProgress(
+                            i, 0, spec.replications, spec.replications
                         )
-                    continue
-                cached_reps = {
-                    k: out
-                    for k in range(spec.replications)
-                    if (out := store.load_replication(spec, k)) is not None
-                }
-            seeds = replication_seeds(
-                spec.base_seed, spec.replications, spec.seed_policy
-            )
-            missing = [k for k in range(spec.replications) if k not in cached_reps]
-            slot_idx = len(slots)
-            slots.append((i, missing, cached_reps))
-            if progress is not None:
-                progress(
-                    MeasureProgress(i, 0, len(cached_reps), spec.replications)
-                )
-            missing_seeds = [seeds[k] for k in missing]
-            runner = (
-                spec.plugin.batch_runner(spec) if batch and missing else None
-            )
-            if runner is None:
-                for k, seed in zip(missing, missing_seeds):
-                    tasks.append(("seq", spec, (seed,)))
-                    meta.append((slot_idx, (k,)))
+                    )
                 continue
-            shared = None
-            if jobs > 1 and len(missing_seeds) > 1:
-                engine = spec.plugin.batch_engine(spec)
-                if engine is not None:
-                    if scratch_dir is None:
-                        scratch_dir = tempfile.mkdtemp(prefix="repro-shm-")
-                    shared = _share_workloads(
-                        spec, missing_seeds, scratch_dir, tag=len(tasks)
-                    )
-            if shared is not None:
-                path, bounds, horizons = shared
-                for lo, hi in _chunk_bounds(len(missing_seeds), jobs, wave_reps):
-                    cpu = None if cpus is None else cpus[len(tasks) % len(cpus)]
-                    tasks.append(
-                        ("shm", spec, path, bounds, horizons, lo, hi, cpu)
-                    )
-                    meta.append((slot_idx, tuple(missing[lo:hi])))
-            else:
-                # the resolved runner closure rides along only when no
-                # pool is involved; workers rebuild it from the spec
-                payload = runner if jobs <= 1 else None
-                for lo, hi in _chunk_bounds(
-                    len(missing_seeds), 1 if jobs <= 1 else jobs, wave_reps
-                ):
-                    cpu = None if cpus is None else cpus[len(tasks) % len(cpus)]
-                    tasks.append(
-                        ("batch", spec, tuple(missing_seeds[lo:hi]), payload, cpu)
-                    )
-                    meta.append((slot_idx, tuple(missing[lo:hi])))
+            cached_reps = {
+                k: out
+                for k in range(spec.replications)
+                if (out := store.load_replication(spec, k)) is not None
+            }
+        seeds = replication_seeds(
+            spec.base_seed, spec.replications, spec.seed_policy
+        )
+        missing = [k for k in range(spec.replications) if k not in cached_reps]
+        slot_idx = len(slots)
+        slots.append((i, missing, cached_reps))
+        if progress is not None:
+            progress(
+                MeasureProgress(i, 0, len(cached_reps), spec.replications)
+            )
+        missing_seeds = [seeds[k] for k in missing]
+        runner = (
+            spec.plugin.batch_runner(spec) if batch and missing else None
+        )
+        if runner is None:
+            for k, seed in zip(missing, missing_seeds):
+                tasks.append(("seq", spec, (seed,)))
+                meta.append((slot_idx, (k,)))
+            continue
+        # the resolved runner closure rides along only when no pool is
+        # involved; workers rebuild it from the spec
+        payload = runner if jobs <= 1 else None
+        for lo, hi in _chunk_bounds(len(missing_seeds), jobs, wave_reps):
+            tasks.append(("batch", spec, tuple(missing_seeds[lo:hi]), payload))
+            meta.append((slot_idx, tuple(missing[lo:hi])))
 
-        completed_total = 0
-        completed_by_slot = [0] * len(slots)
+    completed_total = 0
+    completed_by_slot = [0] * len(slots)
 
-        def _on_task_done(t_idx: int, outs: List[ReplicationOutput]) -> None:
-            nonlocal completed_total
-            slot_idx, reps = meta[t_idx]
-            i, _, cached_reps = slots[slot_idx]
-            spec = specs[i]
-            if store is not None:
-                for k, out in zip(reps, outs):
-                    store.save_replication(spec, k, out)
-            completed_by_slot[slot_idx] += len(reps)
-            completed_total += len(reps)
-            if progress is not None:
-                progress(
-                    MeasureProgress(
-                        i,
-                        completed_by_slot[slot_idx],
-                        len(cached_reps),
-                        spec.replications,
-                    )
+    def _on_task_done(t_idx: int, outs: List[ReplicationOutput]) -> None:
+        nonlocal completed_total
+        slot_idx, reps = meta[t_idx]
+        i, _, cached_reps = slots[slot_idx]
+        spec = specs[i]
+        if store is not None:
+            for k, out in zip(reps, outs):
+                store.save_replication(spec, k, out)
+        completed_by_slot[slot_idx] += len(reps)
+        completed_total += len(reps)
+        if progress is not None:
+            progress(
+                MeasureProgress(
+                    i,
+                    completed_by_slot[slot_idx],
+                    len(cached_reps),
+                    spec.replications,
                 )
-            if cancel is not None and cancel():
-                raise MeasurementCancelled(completed_total)
+            )
+        if cancel is not None and cancel():
+            raise MeasurementCancelled(completed_total)
 
-        outputs = _execute(tasks, jobs, _on_task_done)
-    finally:
-        if scratch_dir is not None:
-            shutil.rmtree(scratch_dir, ignore_errors=True)
+    outputs = _execute(tasks, jobs, _on_task_done)
     cursor = 0
     for i, missing, cached_reps in slots:
         spec = specs[i]

@@ -160,12 +160,8 @@ class RandomOrderPlugin(SchemePlugin):
         Workloads draw through ``build_workload_batch`` (each from its
         own seed's stream), the per-packet shuffles follow from the
         same stream — exactly the sequential RNG order — and the R
-        path sets run as one arc-offset batch.  ``batch_engine`` stays
-        ``None``: the shuffles consume the replication stream *after*
-        the workload draw, so the shared-workload shm decomposition
-        (which reconstructs state from published samples alone) cannot
-        reproduce them; at ``jobs > 1`` the runner composes this
-        batch runner through chunked batch tasks instead.
+        path sets run as one arc-offset batch.  At ``jobs > 1`` each
+        worker runs this on its own contiguous seed range.
         """
         from repro.engines.api import batch_output
         from repro.sim.eventsim import simulate_paths_event_driven_batch

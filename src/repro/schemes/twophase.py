@@ -267,14 +267,11 @@ class TwoPhasePlugin(SchemePlugin):
         intermediates, then the R path sets run as one arc-offset
         batch.  The ``mean_hops`` side metric is recomputed per
         replication from the flat paths — bit-identical to the
-        sequential ``TwoPhaseResult.mean_hops``.  ``batch_engine``
-        stays ``None``: the intermediates draw follows the workload on
-        the replication stream, which the shared-workload shm route
-        (samples only, no generator state) cannot replay; ``jobs > 1``
-        composes through chunked batch tasks instead.
+        sequential ``TwoPhaseResult.mean_hops``.  At ``jobs > 1``
+        each worker runs this on its own contiguous seed range.
         """
+        from repro.engines.api import batch_output
         from repro.sim.eventsim import simulate_paths_event_driven_batch
-        from repro.sim.run_spec import ReplicationOutput
 
         scheme = TwoPhaseScheme(d=spec.d, lam=spec.resolved_lam)
 
@@ -299,14 +296,10 @@ class TwoPhasePlugin(SchemePlugin):
             for sample, delivery, fp in zip(samples, deliveries, paths):
                 hops = fp.hops()
                 mean_hops = float(hops.mean()) if len(hops) else 0.0
-                out = steady_output(
-                    spec,
-                    DelayRecord(sample.times, delivery, sample.horizon),
-                    metrics=(("mean_hops", mean_hops),),
-                )
                 outputs.append(
-                    ReplicationOutput(
-                        out.mean_delay, out.num_packets, out.metrics, None
+                    batch_output(
+                        spec, sample, delivery,
+                        metrics=(("mean_hops", mean_hops),),
                     )
                 )
             return outputs

@@ -3,7 +3,7 @@
 A *job* is one cache-missing :class:`~repro.runner.spec.ScenarioSpec`
 queued onto a :class:`~concurrent.futures.ProcessPoolExecutor`.  The
 worker routes through :func:`repro.runner.engine.measure` — the exact
-seq/batch/shm machinery the CLI uses — against a concurrent-safe
+seq/batch machinery the CLI uses — against a concurrent-safe
 store, so a job's cache cells are byte-identical to a ``repro run`` of
 the same spec.
 

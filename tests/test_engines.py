@@ -344,15 +344,18 @@ class TestBatchedFastPath:
         assert grown.replication_delays[:2] == first.replication_delays
 
     def test_seed_chunking_preserves_order(self):
-        from repro.runner.engine import _chunked
+        from repro.runner.engine import _chunk_bounds
 
-        seeds = list(range(17))
-        chunks = _chunked(seeds, jobs=4)
-        assert [s for c in chunks for s in c] == seeds
-        assert len(chunks) == 4  # one chunk per worker: nobody idles
-        assert _chunked(seeds, jobs=1) == [tuple(seeds)]
-        # more workers than seeds: one replication per chunk
-        assert _chunked([1, 2], jobs=8) == [(1,), (2,)]
+        bounds = _chunk_bounds(17, jobs=4)
+        assert [k for lo, hi in bounds for k in range(lo, hi)] == list(range(17))
+        assert len(bounds) == 4  # one range per worker: nobody idles
+        assert _chunk_bounds(17, jobs=1) == [(0, 17)]
+        # more workers than seeds: one replication per range
+        assert _chunk_bounds(2, jobs=8) == [(0, 1), (1, 2)]
+        # wave_reps caps every range, still covering 0..n-1 in order
+        capped = _chunk_bounds(10, 2, wave_reps=3)
+        assert [k for lo, hi in capped for k in range(lo, hi)] == list(range(10))
+        assert all(hi - lo <= 3 for lo, hi in capped)
 
 
 class TestCustomEngineEndToEnd:

@@ -1,10 +1,11 @@
-"""The three-route equivalence contract of the parallel runner.
+"""The route equivalence contract of the parallel runner.
 
-One spec, three ways to execute its replications — sequential
-per-replication tasks, the cache-resident sub-batched engine path, and
-the shared-workload parallel composition (``jobs > 1`` with workloads
-generated centrally and published through a memory-mapped file) — plus
-the bounded-memory chunked-horizon mode.  All of them must be
+One spec, several ways to execute its replications — sequential
+per-replication tasks, and the stacked batch route both in process
+(``jobs=1``) and split across the pool (``jobs > 1``: one contiguous
+range of the centrally derived seeds per worker, each worker drawing
+its own range's workloads) — plus the bounded-memory chunked-horizon
+mode.  All of them must be
 **bit-identical**: same pooled measurement, and byte-identical
 per-replication cache cells (the cells are how sweeps compose across
 sessions, so even a one-ulp drift would poison every downstream
@@ -46,7 +47,7 @@ CELLS = [
     ),
 ]
 
-#: the two pool widths the shared-workload route is exercised at
+#: the two pool widths the batch route is split across
 WORKER_COUNTS = (2, 4)
 
 
@@ -112,11 +113,10 @@ class TestThreeRouteEquivalence:
         assert m_par.replication_delays == m_seq.replication_delays
 
 
-#: event-engine cells: greedy forced onto the calendar engine rides
-#: every route (its shared-workload decomposition rebuilds paths from
-#: the published samples); the cyclic-scheme cells have no shm
-#: decomposition (their scheme RNG follows the workload draw) and
-#: compose through chunked batch tasks at jobs > 1 instead
+#: event-engine cells: greedy forced onto the calendar engine, and the
+#: cyclic schemes whose own batch runners draw scheme randomness from
+#: the replication stream after the workload; all split across the
+#: pool the same way at jobs > 1
 EVENT_CELLS = [
     ScenarioSpec(
         name="paths-ev-greedy", network="hypercube", scheme="greedy",
@@ -145,12 +145,12 @@ CYCLIC_CELLS = [
 
 
 class TestEventRouteEquivalence:
-    """The three-route contract extended to the event calendar."""
+    """The route contract extended to the event calendar."""
 
     @pytest.mark.parametrize("spec", EVENT_CELLS, ids=lambda s: s.name)
     def test_event_engine_three_routes_identical(self, spec, tmp_path):
-        """Greedy on the forced event engine: sequential, batched and
-        shared-workload (jobs=2) cells byte-identical."""
+        """Greedy on the forced event engine: sequential, in-process
+        batch and pool batch (jobs=2) cells byte-identical."""
         seq_store = ResultsStore(tmp_path / "seq")
         m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
         reference = _cell_bytes(seq_store, spec)
@@ -167,9 +167,9 @@ class TestEventRouteEquivalence:
 
     @pytest.mark.parametrize("spec", CYCLIC_CELLS, ids=lambda s: s.name)
     def test_cyclic_scheme_batched_routes_identical(self, spec, tmp_path):
-        """Cyclic schemes (batch runner, no shm decomposition): the
-        batched calendar and its jobs=2 chunked composition reproduce
-        the sequential cells byte for byte."""
+        """Cyclic schemes: the batched calendar, in process and split
+        across the pool at jobs=2, reproduces the sequential cells
+        byte for byte."""
         seq_store = ResultsStore(tmp_path / "seq")
         m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
         reference = _cell_bytes(seq_store, spec)
@@ -463,23 +463,22 @@ class TestRunnerResolution:
         measure(spec, jobs=1, batch=True)
         assert calls == [spec.name]
 
-    def test_shared_workload_scratch_is_cleaned_up(self, tmp_path, monkeypatch):
-        """The memory-mapped scratch directory must not outlive the
-        measure_many call."""
-        import tempfile
-
-        created = []
-        real = tempfile.mkdtemp
-
-        def tracking(*args, **kwargs):
-            path = real(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(tempfile, "mkdtemp", tracking)
-        measure(CELLS[0], jobs=2, batch=True)
-        import os
-
-        scratch = [p for p in created if "repro-shm-" in p]
-        assert scratch, "the jobs>1 batched route should share workloads"
-        assert not any(os.path.exists(p) for p in scratch)
+    def test_pool_route_parent_holds_seeds_not_workloads(self):
+        """At jobs > 1 only seeds cross the pool: each worker draws its
+        own range's workloads, so the parent's peak stays below three
+        replications' workloads (times, origins and destinations: 24
+        bytes a packet) however many replications the spec has."""
+        spec = ScenarioSpec(
+            name="pool-memory", network="hypercube", scheme="greedy", d=8,
+            rho=0.7, horizon=40.0, replications=64, base_seed=31,
+        )
+        # warm-up: module imports and lazy set-up are not the route's
+        measure(spec.replace(horizon=2.0, replications=2), jobs=1)
+        tracemalloc.start()
+        try:
+            m = measure(spec, jobs=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        workload_bytes = 24 * m.num_packets / spec.replications
+        assert peak < 3 * workload_bytes
