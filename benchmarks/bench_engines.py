@@ -50,6 +50,15 @@ wall-clock and memory profile of the replication fan-out for one
   ``event_batched_vs_event = event_s / event_batched_s``
   is pinned ≥ 2.0, with per-replication results bit-identical by
   construction (asserted).
+* ``fixedpoint_sweeps_s`` / ``fixedpoint_s`` — one batched FIFO
+  measurement of a **non-levelled** cell (ring d=6 ρ=0.7 horizon 200
+  ×8 on the fixed-point engine), with FIFO routed through the
+  fixed-point sweep loop (one module attribute swapped, as for the
+  seed's ``serve_level``) and through the one-pass solver that serves
+  every hop row once.  ``fixedpoint_pass_vs_sweeps =
+  fixedpoint_sweeps_s / fixedpoint_s`` is pinned ≥ 5 and
+  ``fixedpoint_bit_identical`` asserts the two measurements are equal
+  (both reach the unique consistent sample path).
 
 Every path produces **bit-identical** measurements (asserted — the
 golden-pinned contract), so the comparison is pure wall clock.  The
@@ -73,6 +82,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.sim.feedforward as _ff
+import repro.sim.fixedpoint as _fp
 from repro.rng import as_generator, replication_seeds
 from repro.runner import ScenarioSpec, measure
 from repro.sim.lindley import fifo_departure_times
@@ -107,6 +117,11 @@ QUICK_PS = dict(d=8, rho=0.7, horizon=10.0, replications=4)
 #: into one denser calendar pays the most
 FULL_EVENT = dict(d=4, rho=0.3, horizon=400.0, replications=32)
 QUICK_EVENT = dict(d=4, rho=0.3, horizon=120.0, replications=16)
+
+#: non-levelled FIFO cell for the fixed-point column: the ring, where
+#: the sweep loop re-solves every hop row once per ~1.7 time units
+FULL_FIXEDPOINT = dict(d=6, rho=0.7, horizon=200.0, replications=8)
+QUICK_FIXEDPOINT = dict(d=4, rho=0.7, horizon=60.0, replications=2)
 
 REPEATS = 5  # best-of timings
 
@@ -145,6 +160,17 @@ def _with_seed_serve_level(fn):
         return fn()
     finally:
         _ff.serve_level = modern
+
+
+def _with_fifo_sweeps(fn):
+    """Run *fn* with FIFO solved by the fixed-point sweep loop instead
+    of the one-pass solver."""
+    one_pass = _fp._fifo_pass
+    _fp._fifo_pass = _fp._sweeps
+    try:
+        return fn()
+    finally:
+        _fp._fifo_pass = one_pass
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -260,6 +286,16 @@ def run_experiment(quick=False):
     ev_s, ev_m = _best_of(lambda: measure(event_spec, jobs=1, batch=False))
     evb_s, evb_m = _best_of(lambda: measure(event_spec, jobs=1, batch=True))
 
+    fp_spec = ScenarioSpec(
+        name="bench-engines-fixedpoint", network="ring", engine="fixedpoint",
+        base_seed=0, seed_policy="spawn",
+        **(QUICK_FIXEDPOINT if quick else FULL_FIXEDPOINT)
+    )
+    fp_sweeps_s, fp_sweeps_m = _with_fifo_sweeps(
+        lambda: _best_of(lambda: measure(fp_spec, jobs=1, batch=True))
+    )
+    fp_s, fp_m = _best_of(lambda: measure(fp_spec, jobs=1, batch=True))
+
     bit_identical = seed_m == seq_m == bat_m and (
         par_m is None or par_m == bat_m
     )
@@ -337,6 +373,19 @@ def run_experiment(quick=False):
         "ps_s": round(ps_s, 4),
         "ps_speedup_vs_seed": round(ps_seed_s / ps_s, 2),
         "ps_bit_identical": bool(ps_seed_m == ps_m),
+        "fixedpoint_spec": {
+            "network": fp_spec.network,
+            "engine": fp_spec.engine,
+            "discipline": fp_spec.discipline,
+            "d": fp_spec.d,
+            "rho": fp_spec.rho,
+            "horizon": fp_spec.horizon,
+            "replications": fp_spec.replications,
+        },
+        "fixedpoint_sweeps_s": round(fp_sweeps_s, 4),
+        "fixedpoint_s": round(fp_s, 4),
+        "fixedpoint_pass_vs_sweeps": round(fp_sweeps_s / fp_s, 2),
+        "fixedpoint_bit_identical": bool(fp_sweeps_m == fp_m),
         "memory": _memory_peaks(QUICK_MEM if quick else FULL_MEM),
         "chunked_ps": _chunked_ps_agreement(params, TIMING_CHUNK),
     }
@@ -350,8 +399,9 @@ def emit_json(results):
         "cache-resident sub-batched engine path (jobs=1, same process), "
         "and the same batch route split across a jobs=4 pool (one "
         "contiguous seed range per worker); plus the bounded-memory "
-        "chunked-horizon mode and the seed's per-arc serve_level "
-        "re-enacted verbatim as the historical baseline",
+        "chunked-horizon mode, the seed's per-arc serve_level "
+        "re-enacted verbatim as the historical baseline, and the "
+        "fixed-point FIFO pass against its sweep loop on a ring cell",
         **results,
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -369,6 +419,7 @@ def test_engines_benchmark():
     assert results["chunked_ps"]["max_abs_diff"] == 0.0
     assert results["event_bit_identical"]
     assert results["ps_bit_identical"]
+    assert results["fixedpoint_bit_identical"]
     print(f"\n[written to {path}]")
 
 
@@ -385,6 +436,7 @@ if __name__ == "__main__":
         and results["event_bit_identical"]
         and results["memory"]["bit_identical"]
         and results["ps_bit_identical"]
+        and results["fixedpoint_bit_identical"]
     ):
         sys.exit("FAIL: execution paths are not bit-identical")
     if results["chunked_ps"]["max_abs_diff"] != 0.0:
@@ -397,3 +449,5 @@ if __name__ == "__main__":
         sys.exit("FAIL: batched event calendar is not >= 2x sequential")
     if not quick and results["ps_speedup_vs_seed"] < 5.0:
         sys.exit("FAIL: PS kernel is not >= 5x the seed's per-arc loop")
+    if not quick and results["fixedpoint_pass_vs_sweeps"] < 5.0:
+        sys.exit("FAIL: fixed-point FIFO pass is not >= 5x the sweep loop")

@@ -1,27 +1,28 @@
 """Engine plugin for the vectorised fixed-point solver.
 
-Wraps :func:`repro.sim.fixedpoint.simulate_paths_fixed_point`: the
-vectorised batch machinery of the feed-forward engine iterated to the
-unique consistent sample path, which is what makes *non-levelled*
-networks (ring, torus, any third-party topology shipping only
-``greedy_paths``) fast without an event calendar.  On a levelled
-network it converges to the feed-forward engine's sample path bit for
-bit — forcing ``engine="fixedpoint"`` on the hypercube is a legitimate
+Wraps :func:`repro.sim.fixedpoint.simulate_paths_fixed_point`, which
+solves *non-levelled* networks (ring, torus, any third-party topology
+shipping only ``greedy_paths``) with the feed-forward engine's
+vectorised kernels and no event calendar: FIFO in one time-ordered
+pass that serves every hop row once, PS by sweeping to the unique
+consistent sample path.  On a levelled network it reproduces the
+feed-forward engine's sample path bit for bit — forcing
+``engine="fixedpoint"`` on the hypercube is a legitimate
 cross-validation axis (tested).
 
-The engine owns one typed option, ``max_sweeps`` — the iteration
+The engine owns one typed option, ``max_sweeps`` — the PS sweep
 ceiling past which a far-above-saturation system raises
 :class:`~repro.errors.SimulationError` instead of returning an
-unconverged path.
+unconverged path.  FIFO makes one pass and needs no ceiling.
 
-**Batching**: R replications' path sets concatenate with arc ids
-offset by ``replication * num_arcs``, so one fixed-point solve settles
-R disjoint sub-systems at once.  A replication's sub-system iterates
-independently of the others (its chained rows and dirty arcs never
-cross the offset boundary), so each converged sub-path is bit-identical
-to its sequential run — and once a replication converges its rows drop
-out of the remaining sweeps entirely (rep-blocked convergence, made
-observable by ``FixedPointResult.sweep_rows``).
+**Batching**: R replications' path sets stack with arc ids offset by
+``replication * num_arcs``, so one solve settles R disjoint
+sub-systems at once, each bit-identical to its sequential run.  Under
+PS a replication's sub-system iterates independently of the others
+(its chained rows and dirty arcs never cross the offset boundary), and
+once it converges its rows drop out of the remaining sweeps entirely
+(rep-blocked convergence, made observable by
+``FixedPointResult.sweep_rows``).
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class FixedPointEngine(EnginePlugin):
             OptionSpec(
                 "max_sweeps",
                 kind="int",
-                description="iteration ceiling before a far-above-"
+                description="PS sweep ceiling before a far-above-"
                 "saturation system raises SimulationError "
-                "(default: scales with the hop count)",
+                "(default: scales with the hop count); FIFO makes "
+                "one pass",
             ),
         ),
     )

@@ -23,7 +23,6 @@ them — so this scheme runs on the event-driven engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 

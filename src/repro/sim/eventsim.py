@@ -55,7 +55,7 @@ import heapq
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,6 +72,7 @@ __all__ = [
     "flatten_paths",
     "simulate_paths_event_driven",
     "simulate_paths_event_driven_batch",
+    "stack_replications",
     "hypercube_packet_paths",
     "hypercube_dims_flat",
     "hypercube_arcs_flat",
@@ -271,9 +272,37 @@ def simulate_paths_event_driven_batch(
         raise ConfigurationError("paths and birth_times must be parallel")
     if reps == 0:
         return []
-    births_list = [np.asarray(b, dtype=float) for b in birth_times]
+    births, stacked, bounds = stack_replications(num_arcs, birth_times, paths)
+    result = simulate_paths_event_driven(
+        num_arcs * reps,
+        births,
+        stacked,
+        discipline=discipline,
+        service=service,
+    )
+    return [
+        result.delivery[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def stack_replications(
+    num_arcs: int,
+    birth_times: Sequence[np.ndarray],
+    paths: Sequence[Union[FlatPaths, Sequence[Sequence[int]]]],
+) -> Tuple[np.ndarray, FlatPaths, np.ndarray]:
+    """R parallel replications as one system of R disjoint sub-networks.
+
+    Replication *r*'s arc ids are offset by ``r * num_arcs``.  Returns
+    the concatenated births, the stacked paths and the packet bounds:
+    replication *r* owns packets ``bounds[r]:bounds[r + 1]``, and so
+    hop rows ``start[bounds[r]]:start[bounds[r + 1]]``.  Arc ids are
+    checked per replication, before the offset, where an id past
+    ``num_arcs`` would otherwise alias a sibling's arc.
+    """
     flats = [flatten_paths(p) for p in paths]
-    for b, f in zip(births_list, flats):
+    births = [np.asarray(b, dtype=float) for b in birth_times]
+    bounds = np.zeros(len(flats) + 1, np.int64)
+    for r, (b, f) in enumerate(zip(births, flats)):
         if f.num_packets != b.shape[0]:
             raise ConfigurationError("paths and birth_times must be parallel")
         if f.flat.shape[0]:
@@ -282,29 +311,15 @@ def simulate_paths_event_driven_batch(
             if lo < 0 or hi >= num_arcs:
                 bad = lo if lo < 0 else hi
                 raise SimulationError(f"arc id {bad} out of range")
-    merged_flat = np.concatenate(
-        [f.flat + r * num_arcs for r, f in enumerate(flats)]
-    )
+        bounds[r + 1] = bounds[r] + b.shape[0]
+    flat = np.concatenate([f.flat + r * num_arcs for r, f in enumerate(flats)])
     starts = []
     hop_off = 0
     for f in flats:
         starts.append(f.start[:-1] + hop_off)
         hop_off += int(f.start[-1])
     starts.append(np.array([hop_off], np.int64))
-    merged = FlatPaths(merged_flat, np.concatenate(starts))
-    result = simulate_paths_event_driven(
-        num_arcs * reps,
-        np.concatenate(births_list),
-        merged,
-        discipline=discipline,
-        service=service,
-    )
-    out: List[np.ndarray] = []
-    offset = 0
-    for b in births_list:
-        out.append(result.delivery[offset : offset + b.shape[0]].copy())
-        offset += b.shape[0]
-    return out
+    return np.concatenate(births), FlatPaths(flat, np.concatenate(starts)), bounds
 
 
 # ---------------------------------------------------------------------------

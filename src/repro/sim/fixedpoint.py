@@ -1,51 +1,76 @@
-"""Vectorised fixed-point simulation of non-levelled networks.
+"""Vectorised simulation of non-levelled networks.
 
 The feed-forward engine (:mod:`repro.sim.feedforward`) solves a
 levelled network in one sweep because a packet leaving level ``l``
-only ever joins a level ``> l``.  Ring and torus greedy paths have no
-such global order — a path can wrap around the arc id space — so no
-single sweep order makes every server's arrival stream complete before
-it is solved.
+only ever joins a level ``> l`` (Property B).  Ring and torus greedy
+paths have no such global order — a path can wrap around the arc id
+space — so no level order makes every server's arrival stream complete
+before it is solved.  This module solves *hop rows* instead (one row
+per packet and hop, packet-major), with the feed-forward engine's
+kernels, in one of two ways:
 
-This module keeps the vectorised batch machinery anyway, by iterating
-it to a fixed point.  Per-hop arrival-time estimates start at the
-free-flow lower bound (birth + hops-so-far × service); each sweep
-solves **every** server in one vectorised shot with the estimated
-arrivals (:func:`repro.sim.feedforward.serve_level` — the same Lindley
-/ Processor-Sharing kernels the feed-forward engine uses) and feeds
-each departure into the next hop's arrival estimate.  When a sweep
-changes nothing, the estimates are a *consistent sample path*: every
-server's departures are exactly its discipline applied to its actual
-arrivals.
+* **FIFO: one time-ordered pass.**  A FIFO departure comes one service
+  after its join at the earliest, so when a window ``[T, T + w)``
+  opens — ``T`` the earliest known unserved arrival, ``w`` one service
+  less a rounding margin — every hop row arriving inside it is known
+  (a birth, or the departure of a row already served), and every row
+  arriving before it is already served: each arc's rows reach it in
+  (time, row) order.  Each window's rows are served once on the
+  chunked sweep's Lindley prefix carry
+  (:func:`~repro.sim.feedforward._serve_fifo_carry` on one
+  :class:`~repro.sim.feedforward._ArcCarry`), which continues
+  :func:`~repro.sim.feedforward.serve_level`'s closed form bit for
+  bit, and each departure becomes the arrival of its packet's next
+  row.  The margin covers the closed form's rounding, which can put a
+  departure a few ulps below ``fl(t + service)``.  Should a departure
+  still land inside its own window (the service vanishes against the
+  times involved), the pass raises
+  :class:`~repro.errors.SimulationError` rather than return a wrong
+  path.
+* **PS: sweeps to a fixed point.**  A PS departure moves with every
+  later arrival at its arc, so no window is ever final.  Per-hop
+  arrival estimates start at the free-flow lower bound (birth +
+  hops-so-far × service); each sweep solves every server whose
+  arrivals moved in one vectorised shot
+  (:func:`~repro.sim.feedforward.serve_level`) and feeds each
+  departure into the next hop's arrival estimate, until a sweep moves
+  nothing.  The sweep loop is discipline-generic: run on FIFO it is
+  the oracle the pass is tested against.  A non-converging system
+  (far above saturation, with a horizon so long that dependency
+  chains exceed ``max_sweeps``) raises
+  :class:`~repro.errors.SimulationError` rather than return an
+  unconverged path.
 
-Such a consistent sample path is **unique** (so the fixed point is the
-true one, identical to the event calendar's): service times are bounded
-below by a positive constant, so the first event where two consistent
-paths could differ is determined by strictly earlier events — on which
-they agree.  For a levelled network the iteration converges after at
-most ``max hops`` sweeps and reproduces the feed-forward engine
-bit-for-bit (tested); for ring/torus it converges in a few dozen
-sweeps at the loads the scenarios use.  A non-converging system (e.g.
-far above saturation with a horizon so long that dependency chains
-exceed ``max_sweeps``) raises :class:`~repro.errors.SimulationError`
-rather than returning an unconverged path.
+Both end at a *consistent sample path*: every server's departures are
+exactly its discipline applied to its actual arrivals.  Such a path is
+**unique** — service times are bounded below by a positive constant,
+so the first event where two consistent paths could differ is
+determined by strictly earlier events, on which they agree — so the
+pass returns the sweeps' answer bit for bit, and on a levelled network
+both reproduce the feed-forward engine (tested).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.feedforward import serve_level
+from repro.sim.eventsim import FlatPaths, flatten_paths, stack_replications
+from repro.sim.feedforward import _ArcCarry, _serve_fifo_carry, serve_level
 
 __all__ = [
     "FixedPointResult",
     "simulate_paths_fixed_point",
     "simulate_paths_fixed_point_batch",
 ]
+
+#: the FIFO pass closes each window this fraction of a service short of
+#: ``T + service``: far above the closed form's few-ulp rounding at the
+#: times and queue lengths a window admits, far below one service
+_MARGIN = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -54,19 +79,21 @@ class FixedPointResult:
 
     delivery: np.ndarray
     hops: np.ndarray
-    #: sweeps needed to reach the fixed point (diagnostics / benchmarks)
+    #: PS: sweeps needed to reach the fixed point; FIFO: 1 (one pass);
+    #: 0 when no packet has a hop
     sweeps: int
-    #: total hop-rows scanned across all sweeps — the convergence
-    #: loop's real work metric: with ``rep_blocks``, replications that
-    #: reached their fixed point drop out of later sweeps, so this is
-    #: less than ``sweeps * total_rows`` on mixed-convergence batches
+    #: hop rows solved: under PS, summed over the sweeps — with
+    #: ``rep_blocks``, replications that reached their fixed point drop
+    #: out of later sweeps, so this is less than ``sweeps * total_rows``
+    #: on mixed-convergence batches; under FIFO, the row count (the
+    #: pass serves each row once)
     sweep_rows: int = 0
 
 
 def simulate_paths_fixed_point(
     num_arcs: int,
     birth_times: np.ndarray,
-    paths: Sequence[Sequence[int]],
+    paths: Union[FlatPaths, Sequence[Sequence[int]]],
     *,
     discipline: str = "fifo",
     service: float = 1.0,
@@ -78,53 +105,138 @@ def simulate_paths_fixed_point(
     Same contract as
     :func:`repro.sim.eventsim.simulate_paths_event_driven` (and
     cross-validated against it): *paths* is a per-packet sequence of
-    arc ids in ``range(num_arcs)``; a packet with an empty path is
-    delivered at birth.  Sample paths match the feed-forward engine bit
-    for bit wherever both run (both solve each server with
-    :func:`~repro.sim.feedforward.serve_level`).  The event engine agrees
-    to about 1e-14 under FIFO, not bit for bit: its FIFO core adds
-    ``start + service`` one departure at a time where the sweeps use the
-    Lindley closed form.  Under PS it agrees to floating-point round-off.
+    arc ids in ``range(num_arcs)``, or a
+    :class:`~repro.sim.eventsim.FlatPaths`; a packet with an empty path
+    is delivered at birth.  Sample paths match the feed-forward engine
+    bit for bit wherever both run (both solve each server with the
+    closed form of :func:`~repro.sim.feedforward.serve_level`).  The
+    event engine agrees to about 1e-14 under FIFO, not bit for bit: its
+    FIFO core adds ``start + service`` one departure at a time where
+    the closed form does not.  Under PS it agrees to floating-point
+    round-off.
 
-    ``rep_blocks`` is the replication-batching fast path: boundaries of
-    contiguous *hop-row* runs whose arc-id ranges are disjoint — how
-    the batch entry point stacks R replications.  Blocks converge
-    independently: once a block's sweep moves nothing it is dropped
-    from all later sweeps (its arc ids are disjoint, so no sibling can
-    perturb it), which :attr:`FixedPointResult.sweep_rows` makes
-    observable — on a mixed-convergence batch it is strictly less than
-    ``sweeps * total_rows`` while the sample path stays bit-identical.
+    FIFO makes one time-ordered pass; PS sweeps to a fixed point, at
+    most ``max_sweeps`` times (see the module docstring).
+
+    ``rep_blocks`` is the replication-batching fast path of the PS
+    sweeps: boundaries of contiguous *hop-row* runs whose arc-id ranges
+    are disjoint — how the batch entry point stacks R replications.
+    Blocks converge independently: once a block's sweep moves nothing
+    it is dropped from all later sweeps (its arc ids are disjoint, so
+    no sibling can perturb it), which :attr:`FixedPointResult.sweep_rows`
+    makes observable — on a mixed-convergence batch it is strictly less
+    than ``sweeps * total_rows`` while the sample path stays
+    bit-identical.
     """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
-    if service <= 0:
+    if not service > 0:
         raise ConfigurationError(f"service must be > 0, got {service}")
     births = np.asarray(birth_times, dtype=float)
-    n = births.shape[0]
-    if len(paths) != n:
+    if len(paths) != births.shape[0]:
         raise ConfigurationError("paths and birth_times must be parallel")
-    hops = np.array([len(p) for p in paths], dtype=np.int64)
-    total = int(hops.sum())
+    fp = flatten_paths(paths)
+    hops = fp.hops()
     delivery = births.copy()  # zero-hop packets are delivered at birth
-    if total == 0:
+    if fp.flat.shape[0] == 0:
         return FixedPointResult(delivery, hops, 0, 0)
-
-    # Flatten the ragged paths: one row per (packet, hop).
-    hop_arc = np.fromiter(
-        (a for p in paths for a in p), dtype=np.int64, count=total
-    )
-    if hop_arc.size and (hop_arc.min() < 0 or hop_arc.max() >= num_arcs):
+    if fp.flat.min() < 0 or fp.flat.max() >= num_arcs:
         raise SimulationError("arc id out of range")
-    hop_pid = np.repeat(np.arange(n, dtype=np.int64), hops)
-    first = np.r_[0, np.cumsum(hops)[:-1]]  # row of each packet's hop 0
-    last = first + hops - 1  # row of each packet's final hop
+    solve = _fifo_pass if discipline == "fifo" else _sweeps
+    departures, sweeps, sweep_rows = solve(
+        num_arcs, births, fp, discipline, service, max_sweeps, rep_blocks
+    )
     routed = hops > 0
+    delivery[routed] = departures[fp.start[1:][routed] - 1]
+    return FixedPointResult(delivery, hops, sweeps, sweep_rows)
+
+
+def _fifo_pass(
+    num_arcs: int,
+    births: np.ndarray,
+    fp: FlatPaths,
+    discipline: str,
+    service: float,
+    max_sweeps: Optional[int],
+    rep_blocks: Optional[np.ndarray],
+) -> Tuple[np.ndarray, int, int]:
+    """FIFO departures of every hop row, window by window in time order.
+
+    Takes :func:`_sweeps`' arguments, so either can solve FIFO; one
+    pass needs no sweep ceiling and no per-block convergence, so
+    ``discipline``, ``max_sweeps`` and ``rep_blocks`` go unused.
+    """
+    hop_arc = fp.flat
+    total = hop_arc.shape[0]
+    departures = np.empty(total)
+    carry = _ArcCarry(num_arcs)
+    width = service - service * _MARGIN
+    routed = fp.hops() > 0
+    final = np.zeros(total, dtype=bool)
+    final[fp.start[1:][routed] - 1] = True
+    # births in time order behind a pointer; forwarded rows pending
+    b_rows = fp.start[:-1][routed]
+    b_t = births[routed]
+    order = np.argsort(b_t, kind="stable")
+    b_rows, b_t = b_rows[order], b_t[order]
+    ptr = 0
+    p_rows = np.zeros(0, dtype=np.int64)
+    p_t = np.zeros(0)
+    while ptr < b_t.shape[0] or p_t.shape[0]:
+        t0 = b_t[ptr] if ptr < b_t.shape[0] else np.inf
+        if p_t.shape[0]:
+            t0 = min(t0, p_t.min())
+        wend = t0 + width
+        if not wend > t0:  # inf/NaN times, or t + service rounds to t
+            raise SimulationError(f"service {service} vanishes at t={t0}")
+        j = int(np.searchsorted(b_t, wend))
+        due = p_t < wend
+        rows = np.concatenate((b_rows[ptr:j], p_rows[due]))
+        times = np.concatenate((b_t[ptr:j], p_t[due]))
+        ptr = j
+        wait = ~due
+        p_rows, p_t = p_rows[wait], p_t[wait]
+        dep = _serve_fifo_carry(hop_arc[rows], times, rows, service, carry)
+        departures[rows] = dep
+        fwd = ~final[rows]
+        if fwd.any():
+            nxt = dep[fwd]
+            if nxt.min() < wend:
+                raise SimulationError(
+                    f"a departure at {nxt.min()} rejoins the window "
+                    f"[{t0}, {wend}) it left: service {service} is lost "
+                    "to rounding at these times"
+                )
+            p_rows = np.concatenate((p_rows, rows[fwd] + 1))
+            p_t = np.concatenate((p_t, nxt))
+    return departures, 1, total
+
+
+def _sweeps(
+    num_arcs: int,
+    births: np.ndarray,
+    fp: FlatPaths,
+    discipline: str,
+    service: float,
+    max_sweeps: Optional[int],
+    rep_blocks: Optional[np.ndarray],
+) -> Tuple[np.ndarray, int, int]:
+    """Departures of every hop row by sweeping to a fixed point.
+
+    Returns ``(departures, sweeps, sweep_rows)``; raises
+    :class:`~repro.errors.SimulationError` after ``max_sweeps`` sweeps
+    without convergence.
+    """
+    hop_arc = fp.flat
+    total = hop_arc.shape[0]
+    hops = fp.hops()
+    hop_pid = np.repeat(np.arange(hops.shape[0], dtype=np.int64), hops)
     #: rows whose arrival is the previous row's departure (same packet)
     chained = np.zeros(total, dtype=bool)
     chained[1:] = hop_pid[1:] == hop_pid[:-1]
 
     # Free-flow lower bound: birth + (hops already crossed) * service.
-    position = np.arange(total, dtype=np.int64) - np.repeat(first, hops)
+    position = np.arange(total, dtype=np.int64) - np.repeat(fp.start[:-1], hops)
     arrivals = np.repeat(births, hops) + position * service
 
     if max_sweeps is None:
@@ -168,8 +280,7 @@ def simulate_paths_fixed_point(
             departures[act_chained - 1] != arrivals[act_chained]
         ]
         if moved.size == 0:
-            delivery[routed] = departures[last[routed]]
-            return FixedPointResult(delivery, hops, sweep, sweep_rows)
+            return departures, sweep, sweep_rows
         arrivals[moved] = departures[moved - 1]
         arc_dirty[:] = False
         arc_dirty[hop_arc[moved]] = True
@@ -195,7 +306,7 @@ def simulate_paths_fixed_point(
 def simulate_paths_fixed_point_batch(
     num_arcs: int,
     birth_times: Sequence[np.ndarray],
-    paths: Sequence[Sequence[Sequence[int]]],
+    paths: Sequence[Union[FlatPaths, Sequence[Sequence[int]]]],
     *,
     discipline: str = "fifo",
     service: float = 1.0,
@@ -204,28 +315,22 @@ def simulate_paths_fixed_point_batch(
     """One fixed-point solve for R independent replications.
 
     ``birth_times[r]`` / ``paths[r]`` describe replication *r*;
-    offsetting its arc ids by ``r * num_arcs`` turns the batch into one
-    system of R disjoint sub-networks, settled by a **single**
-    vectorised iteration.  A replication's chained rows and dirty arcs
-    never cross the offset boundary, so entry *r* of the result is
-    bit-identical to ``simulate_paths_fixed_point(num_arcs,
-    birth_times[r], paths[r], ...).delivery`` (a converged replication
-    drops out of the remaining sweeps entirely — extra sweeps demanded
-    by a slower-converging sibling never touch its rows).
+    offsetting its arc ids by ``r * num_arcs``
+    (:func:`~repro.sim.eventsim.stack_replications`) turns the batch
+    into one system of R disjoint sub-networks, solved by a **single**
+    FIFO pass or PS sweep loop.  No replication's rows ever share an
+    arc with another's, so entry *r* of the result is bit-identical to
+    ``simulate_paths_fixed_point(num_arcs, birth_times[r], paths[r],
+    ...).delivery`` (under PS a converged replication drops out of the
+    remaining sweeps entirely — extra sweeps demanded by a
+    slower-converging sibling never touch its rows).
     """
     reps = len(birth_times)
     if len(paths) != reps:
         raise ConfigurationError("birth_times and paths must be parallel")
     if reps == 0:
         return []
-    births = np.concatenate([np.asarray(t, dtype=float) for t in birth_times])
-    stacked: List[List[int]] = []
-    rep_hops = np.empty(reps, dtype=np.int64)
-    for r, rep_paths in enumerate(paths):
-        base = r * num_arcs
-        stacked.extend([arc + base for arc in path] for path in rep_paths)
-        rep_hops[r] = sum(len(path) for path in rep_paths)
-    rep_blocks = np.concatenate(([0], np.cumsum(rep_hops)))
+    births, stacked, bounds = stack_replications(num_arcs, birth_times, paths)
     result = simulate_paths_fixed_point(
         num_arcs * reps,
         births,
@@ -233,7 +338,6 @@ def simulate_paths_fixed_point_batch(
         discipline=discipline,
         service=service,
         max_sweeps=max_sweeps,
-        rep_blocks=rep_blocks,
+        rep_blocks=stacked.start[bounds],
     )
-    counts = np.cumsum([len(t) for t in birth_times])[:-1]
-    return np.split(result.delivery, counts)
+    return np.split(result.delivery, bounds[1:-1])

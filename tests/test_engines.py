@@ -258,7 +258,7 @@ class TestAdmissibility:
     def test_tiny_max_sweeps_raises_simulation_error(self):
         from repro.errors import SimulationError
 
-        spec = greedy_spec("ring", engine="fixedpoint",
+        spec = greedy_spec("ring", engine="fixedpoint", discipline="ps",
                            extra={"max_sweeps": 1})
         with pytest.raises(SimulationError, match="converge"):
             run_spec(spec, spec.base_seed)

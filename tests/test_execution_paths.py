@@ -310,10 +310,10 @@ class TestChunkedPS:
 
 
 class TestRepBlockedConvergence:
-    """The fixed-point solver's rep-blocked convergence: a replication
-    that reaches its fixed point drops out of the remaining sweeps
-    (observable via FixedPointResult.sweep_rows) while the final sample
-    paths stay bit-identical to the standalone solves."""
+    """The fixed-point solver's rep-blocked convergence (PS sweeps): a
+    replication that reaches its fixed point drops out of the remaining
+    sweeps (observable via FixedPointResult.sweep_rows) while the final
+    sample paths stay bit-identical to the standalone solves."""
 
     @staticmethod
     def _mixed_reps():
@@ -346,7 +346,8 @@ class TestRepBlockedConvergence:
             )
             for births, paths in reps
         ]
-        assert solo[0].sweeps < solo[1].sweeps  # genuinely heterogeneous
+        if discipline == "ps":  # FIFO makes one pass, with no sweeps
+            assert solo[0].sweeps < solo[1].sweeps  # genuinely heterogeneous
         batch = simulate_paths_fixed_point_batch(
             num_arcs,
             [r[0] for r in reps],
@@ -369,13 +370,16 @@ class TestRepBlockedConvergence:
             [0, sum(len(p) for p in reps[0][1]), total], dtype=np.int64
         )
         res = simulate_paths_fixed_point(
-            num_arcs * 2, births, stacked, rep_blocks=rep_blocks
+            num_arcs * 2, births, stacked, discipline="ps",
+            rep_blocks=rep_blocks,
         )
         # the fast block converged early and was dropped: strictly
         # fewer rows swept than sweeps * total
         assert res.sweep_rows < res.sweeps * total
         # and without rep_blocks every sweep scans every row
-        flat = simulate_paths_fixed_point(num_arcs * 2, births, stacked)
+        flat = simulate_paths_fixed_point(
+            num_arcs * 2, births, stacked, discipline="ps"
+        )
         assert flat.sweep_rows == flat.sweeps * total
         assert np.array_equal(flat.delivery, res.delivery)
 

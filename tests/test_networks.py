@@ -11,10 +11,13 @@ survives outside ``src/repro/networks/``.
 """
 
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.networks import (
@@ -384,7 +387,35 @@ class TestFixedPointEngine:
         times = np.zeros(4)
         paths = [[0, 1], [1, 0], [0, 1], [1, 0]]
         with pytest.raises(SimulationError, match="converge"):
-            simulate_paths_fixed_point(2, times, paths, max_sweeps=1)
+            simulate_paths_fixed_point(
+                2, times, paths, discipline="ps", max_sweeps=1
+            )
+        # FIFO makes one pass: the sweep ceiling cannot cut it short
+        one = simulate_paths_fixed_point(2, times, paths, max_sweeps=1)
+        default = simulate_paths_fixed_point(2, times, paths)
+        assert np.array_equal(one.delivery, default.delivery)
+
+    @pytest.mark.parametrize("service", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
+    def test_rejects_nonpositive_or_nan_service(self, discipline, service):
+        from repro.sim.fixedpoint import simulate_paths_fixed_point
+
+        with pytest.raises(ConfigurationError, match="service"):
+            simulate_paths_fixed_point(
+                2, np.zeros(2), [[0, 1], [1]],
+                discipline=discipline, service=service,
+            )
+
+    def test_fifo_service_vanishing_at_large_times_raises(self):
+        """At t = 1e17, t + 1 rounds to t: no consistent path exists
+        in floats, and the pass says so rather than deliver at birth."""
+        from repro.errors import SimulationError
+        from repro.sim.fixedpoint import simulate_paths_fixed_point
+
+        with pytest.raises(SimulationError, match="vanishes"):
+            simulate_paths_fixed_point(
+                2, np.full(2, 1e17), [[0, 1], [1, 0]]
+            )
 
     def test_empty_and_zero_hop_packets(self):
         from repro.sim.fixedpoint import simulate_paths_fixed_point
@@ -392,6 +423,92 @@ class TestFixedPointEngine:
         out = simulate_paths_fixed_point(4, np.array([1.0, 2.0]), [[], []])
         np.testing.assert_array_equal(out.delivery, [1.0, 2.0])
         assert out.sweeps == 0
+
+
+@contextmanager
+def _fifo_through_sweeps():
+    """Solve FIFO with the sweep loop instead of the one-pass solver."""
+    import repro.sim.fixedpoint as fixedpoint
+
+    one_pass = fixedpoint._fifo_pass
+    fixedpoint._fifo_pass = fixedpoint._sweeps
+    try:
+        yield
+    finally:
+        fixedpoint._fifo_pass = one_pass
+
+
+def _cyclic_batch(seed, num_arcs, reps, n, span, grid, service):
+    """*reps* random cyclic systems on *num_arcs* arcs: unsorted births
+    over *span*, on a quarter grid or off it, and paths that wrap
+    around the arc ids, revisit arcs or are empty."""
+    rng = np.random.default_rng(seed)
+    births, paths = [], []
+    for r in range(reps):
+        size = n if r == 0 else int(rng.integers(0, n + 1))
+        b = rng.uniform(0.0, span, size=size)
+        births.append(np.round(b * 4.0) / 4.0 if grid else b)
+        rep_paths = []
+        for hops in rng.integers(0, 8, size=size):
+            if rng.random() < 0.5:  # a ring walk, either way round
+                first = int(rng.integers(num_arcs))
+                step = int(rng.choice([-1, 1]))
+                rep_paths.append(
+                    [(first + step * k) % num_arcs for k in range(hops)]
+                )
+            else:  # any arcs, repeats included
+                rep_paths.append(rng.integers(0, num_arcs, size=hops).tolist())
+        paths.append(rep_paths)
+    return num_arcs, births, paths, service
+
+
+_CYCLIC_BATCHES = st.builds(
+    _cyclic_batch,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([3, 12, 40]),
+    st.integers(1, 3),
+    st.integers(0, 300),
+    st.sampled_from([4.0, 40.0, 400.0]),
+    st.booleans(),
+    # 1.7 is where the closed form most often rounds below fl(t + s)
+    st.sampled_from([0.5, 1.0, 1.7, 3.0]),
+)
+
+
+class TestFifoPassOracle:
+    """The FIFO pass serves each hop row once; the sweep loop run on
+    FIFO iterates to the same unique consistent path.  They agree bit
+    for bit, on stacked batches and on one replication alone."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(system=_CYCLIC_BATCHES)
+    @example(system=_cyclic_batch(1, 3, 1, 300, 40.0, True, 1.7))  # hot
+    @example(system=_cyclic_batch(0, 12, 3, 200, 4.0, False, 1.7))  # dense
+    @example(system=_cyclic_batch(2, 40, 2, 150, 400.0, False, 3.0))  # sparse
+    def test_pass_matches_sweeps_bit_for_bit(self, system):
+        from repro.sim.fixedpoint import (
+            simulate_paths_fixed_point,
+            simulate_paths_fixed_point_batch,
+        )
+
+        num_arcs, births, paths, service = system
+        got = simulate_paths_fixed_point_batch(
+            num_arcs, births, paths, service=service
+        )
+        with _fifo_through_sweeps():
+            want = simulate_paths_fixed_point_batch(
+                num_arcs, births, paths, service=service
+            )
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        solo = simulate_paths_fixed_point(
+            num_arcs, births[-1], paths[-1], service=service
+        )
+        assert np.array_equal(
+            solo.delivery.view(np.int64), got[-1].view(np.int64)
+        )
+        rows = sum(len(p) for p in paths[-1])
+        assert (solo.sweeps, solo.sweep_rows) == ((1, rows) if rows else (0, 0))
 
 
 class TestScenarioCatalog:
