@@ -42,11 +42,12 @@ wall-clock and memory profile of the replication fan-out for one
   kernel).  ``ps_speedup_vs_seed = ps_seed_s / ps_s`` is pinned ≥ 5
   and ``ps_bit_identical`` asserts the two measurements are equal.
 * ``event_s`` / ``event_batched_s`` — the replication-batched event
-  calendar on a **sparse cyclic-scheme cell** (``random_order``: the
-  server graph is cyclic, so only the event engine can run it):
-  sequential per-replication calendars vs all replications stacked
-  into one arc-offset calendar.  The merged calendar is R times
-  denser, which is where the FIFO core's per-window cost amortises —
+  engine on a **sparse cyclic-scheme cell** (``random_order``: the
+  server graph is cyclic, so it runs on the event engine, whose FIFO
+  is the fixed-point engine's time-ordered pass and whose PS is a heap
+  calendar): sequential per-replication solves vs all replications
+  stacked into one arc-offset system.  The merged system is R times
+  denser, which is where the pass's per-window cost amortises —
   ``event_batched_vs_event = event_s / event_batched_s``
   is pinned ≥ 2.0, with per-replication results bit-identical by
   construction (asserted).

@@ -4,17 +4,16 @@ Wraps :func:`repro.sim.eventsim.simulate_paths_event_driven`: events in
 chronological order replaying per-packet arc paths, deliberately
 independent of the levelled structure.  It drives **every** network
 (third-party ones included) through the
-:meth:`~repro.networks.api.NetworkPlugin.greedy_paths` hook, and its
-sample paths agree with the vectorised engines to float round-off —
-about 1e-14 under FIFO, where its FIFO core adds ``start + service``
-one departure at a time and the sweeps use the Lindley closed form —
-which is exactly what makes it the reference the fast engines are
-validated against.
+:meth:`~repro.networks.api.NetworkPlugin.greedy_paths` hook.  FIFO runs
+the fixed-point engine's time-ordered pass and PS a heap calendar of
+its own, and its sample paths agree with the vectorised engines —
+bit for bit under FIFO, to float round-off under PS — which is what
+makes it the reference the fast engines are validated against.
 
 Batching: replications are independent, so R replications share one
 calendar with replication *r*'s arc ids offset by ``r * num_arcs``
 (:func:`repro.sim.eventsim.simulate_paths_event_driven_batch`).  The
-merged calendar is R times denser — which is where the FIFO core's
+merged calendar is R times denser — which is where the FIFO pass's
 fixed per-window cost amortises — and each replication's
 deliveries stay bit-identical to its own sequential run, so the
 per-replication cache cells cannot tell the two routes apart.

@@ -41,7 +41,7 @@ without cycles; concrete plugins import their machinery lazily.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
 from repro.plugins.api import OptionSpec
 
@@ -49,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.runner.spec import ScenarioSpec
+    from repro.sim.eventsim import FlatPaths
     from repro.topology.base import Topology
     from repro.traffic.workload import TrafficSample
 
@@ -170,8 +171,12 @@ class NetworkPlugin:
         topology: "Topology",
         spec: "ScenarioSpec",
         sample: "TrafficSample",
-    ) -> List[List[int]]:
-        """Per-packet greedy arc paths (the event-engine hook)."""
+    ) -> Union["FlatPaths", Sequence[Sequence[int]]]:
+        """Per-packet greedy arc paths (the path engines' hook): one
+        arc-id sequence per packet, or a
+        :class:`~repro.sim.eventsim.FlatPaths` holding the same paths
+        packed flat, which spares the engines their flattening pass
+        (every built-in network returns one)."""
         raise NotImplementedError  # pragma: no cover - protocol
 
     def greedy_levels(self, topology: "Topology", spec: "ScenarioSpec") -> Any:

@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.runner.spec import ScenarioSpec
+    from repro.sim.eventsim import FlatPaths
     from repro.sim.feedforward import ButterflyLevels
     from repro.topology.butterfly import Butterfly
     from repro.traffic.workload import TrafficSample
@@ -66,7 +67,7 @@ class ButterflyNetwork(NetworkPlugin):
 
     def greedy_paths(
         self, topology: "Butterfly", spec: "ScenarioSpec", sample: "TrafficSample"
-    ) -> List[List[int]]:
+    ) -> "FlatPaths":
         from repro.sim.eventsim import butterfly_packet_paths
 
         return butterfly_packet_paths(topology, sample)

@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.runner.spec import ScenarioSpec
+    from repro.sim.eventsim import FlatPaths
     from repro.sim.feedforward import HypercubeLevels
     from repro.topology.hypercube import Hypercube
     from repro.traffic.workload import TrafficSample
@@ -77,10 +78,18 @@ class HypercubeNetwork(NetworkPlugin):
 
     def greedy_paths(
         self, topology: "Hypercube", spec: "ScenarioSpec", sample: "TrafficSample"
-    ) -> List[List[int]]:
-        from repro.sim.eventsim import hypercube_packet_paths
+    ) -> "FlatPaths":
+        from repro.sim.eventsim import (
+            FlatPaths,
+            hypercube_arcs_flat,
+            hypercube_dims_flat,
+        )
 
-        return hypercube_packet_paths(topology, sample)
+        dims, start = hypercube_dims_flat(
+            topology.d, sample.origins, sample.destinations
+        )
+        arcs = hypercube_arcs_flat(topology.num_nodes, sample.origins, dims, start)
+        return FlatPaths(arcs, start)
 
     def greedy_levels(
         self, topology: "Hypercube", spec: "ScenarioSpec"

@@ -26,7 +26,7 @@ against the event calendar exactly like the butterfly.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.networks.api import (
     NetworkPlugin,
@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.runner.spec import ScenarioSpec
+    from repro.sim.eventsim import FlatPaths
     from repro.topology.ring import Ring
     from repro.traffic.workload import TrafficSample
 
@@ -106,14 +107,11 @@ class RingNetwork(NetworkPlugin):
 
     def greedy_paths(
         self, topology: "Ring", spec: "ScenarioSpec", sample: "TrafficSample"
-    ) -> List[List[int]]:
-        variant = self._variant(spec)
-        return [
-            topology.greedy_path_arcs(
-                int(sample.origins[i]), int(sample.destinations[i]), variant
-            )
-            for i in range(sample.num_packets)
-        ]
+    ) -> "FlatPaths":
+        from repro.sim.eventsim import torus_packet_paths
+
+        clockwise = self._variant(spec) == "clockwise"
+        return torus_packet_paths(topology.n, 1, sample, clockwise)
 
     # greedy_levels: the NetworkPlugin default (None, so the
     # fixed-point engine runs greedy_paths) — the ring is not levelled

@@ -22,7 +22,7 @@ is the fixed-point solver, cross-validated against the event calendar.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.errors import ConfigurationError
 from repro.networks.api import (
@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.runner.spec import ScenarioSpec
+    from repro.sim.eventsim import FlatPaths
     from repro.topology.torus import Torus
     from repro.traffic.workload import TrafficSample
 
@@ -100,13 +101,10 @@ class TorusNetwork(NetworkPlugin):
 
     def greedy_paths(
         self, topology: "Torus", spec: "ScenarioSpec", sample: "TrafficSample"
-    ) -> List[List[int]]:
-        return [
-            topology.greedy_path_arcs(
-                int(sample.origins[i]), int(sample.destinations[i])
-            )
-            for i in range(sample.num_packets)
-        ]
+    ) -> "FlatPaths":
+        from repro.sim.eventsim import torus_packet_paths
+
+        return torus_packet_paths(topology.side, topology.d, sample)
 
     # greedy_levels: the NetworkPlugin default (None, so the
     # fixed-point engine runs greedy_paths) — multi-hop in-dimension movement is not levelled

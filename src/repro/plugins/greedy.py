@@ -12,8 +12,8 @@ calendar for cross-validation) turns a sample into delivery epochs.
 
 RNG contract (golden-pinned): the workload sample is drawn from the
 replication stream *before* the engine runs, so forcing the engine
-never changes which packets exist — only how their contention is
-resolved (identically, up to float round-off).
+never changes which packets exist, and every engine resolves their
+contention alike: bit for bit under FIFO, to float round-off under PS.
 
 The scheme also exposes the replication-batched fast path: when the
 resolved engine declares batching, :meth:`GreedyPlugin.batch_runner`

@@ -9,32 +9,30 @@ deliberately independent of the levelled structure, so it can simulate
 * **non-levelled** schemes such as per-packet random dimension order
   (the E13 ablation), which the feed-forward engine cannot express.
 
-The state is flat preallocated NumPy/array storage — no per-event
-allocation, no per-packet Python objects:
+The state is flat NumPy storage — no per-packet Python objects:
 
 * paths live in a :class:`FlatPaths` packed layout
   (``flat[start[i]:start[i+1]]`` is packet *i*'s path);
-* per-packet columns (hop index, delivery) replace the historical
-  ``(pid, hop) -> t_in`` dict;
 * the arc log fills preallocated arrays (exactly one row per hop), so
   ``record_arc_log=True`` costs bounded extra memory, not growing
   Python lists.
 
 Tie-breaking matches :mod:`repro.sim.feedforward` exactly: at equal
-times, service completions fire before queue-joins, and queue-joins
-fire in packet-id order, so every arc serves its joins in (time,
-packet id) order.  Consequently FIFO sample paths agree with the
-feed-forward engine to floating-point round-off.
+times, service completions come before queue-joins, and queue-joins
+in packet-id order, so every arc serves its joins in (time, packet
+id) order.
 
-The two disciplines run different cores over the same flat state:
+The two disciplines run different solvers over the same flat state:
 
-* **FIFO** fixes a departure the moment its packet joins:
-  ``max(departure ahead, join) + service``.  Every join earlier than
+* **FIFO** runs the fixed-point engine's time-ordered pass
+  (:func:`repro.sim.fixedpoint._fifo_pass`): every join earlier than
   ``T + service`` (``T`` the earliest pending join) is known when the
   window ``[T, T + service)`` opens — a join is a birth or a departure,
   and a departure comes at least one service after its own join — so
-  the core admits each window's joins as a handful of vectorised array
-  operations instead of per-event heap traffic;
+  each window is served once, as a handful of vectorised array
+  operations, by the feed-forward engine's Lindley closed form.  Both
+  path engines thus solve FIFO with one function, and FIFO sample
+  paths equal the feed-forward engine's bit for bit;
 * **PS** keeps strict event order on a heap, packing each event into a
   single Python int — ``(time-bits, join?, id, version)`` bit fields,
   IEEE-754 order-preserving time image — because a PS departure moves
@@ -60,7 +58,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.feedforward import ArcLog
+from repro.sim.feedforward import ArcLog, ButterflyLevels
 from repro.sim.servers import PsServerBank
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
@@ -77,10 +75,8 @@ __all__ = [
     "hypercube_dims_flat",
     "hypercube_arcs_flat",
     "butterfly_packet_paths",
+    "torus_packet_paths",
 ]
-
-_EMPTY_F = np.empty(0)
-_EMPTY_I = np.empty(0, np.int64)
 
 # packed event keys (PS core): a single Python int per event,
 #   ((time_key << 1 | is_join) << 72) | (id << 40..32 bits) | version
@@ -132,6 +128,7 @@ class FlatPaths:
         return self.num_packets
 
     def __getitem__(self, i: int) -> np.ndarray:
+        i = range(self.num_packets)[i]  # negatives count from the end
         return self.flat[self.start[i] : self.start[i + 1]]
 
 
@@ -210,8 +207,8 @@ def simulate_paths_event_driven(
         Also return one :class:`~repro.sim.feedforward.ArcLog` row per
         hop (row order is unspecified).
 
-    FIFO runs one service window at a time and PS a strict-order heap
-    calendar (see the module docstring).
+    FIFO runs the fixed-point engine's time-ordered pass and PS a
+    strict-order heap calendar (see the module docstring).
     """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
@@ -231,18 +228,31 @@ def simulate_paths_event_driven(
             bad = lo if lo < 0 else hi
             raise SimulationError(f"arc id {bad} out of range")
     hops = np.diff(start)
-    delivery = np.empty(n)
-    trivial = hops == 0
-    delivery[trivial] = births[trivial]
-    log = _LogArrays(total) if record_arc_log else None
-    if total:
-        core = _ps_heap_core if discipline == "ps" else _fifo_core
-        core(num_arcs, births, flat, start, hops, service, delivery, log)
+    delivery = births.copy()  # zero-hop packets are delivered at birth
+    if discipline == "ps":
+        log = _LogArrays(total) if record_arc_log else None
+        _ps_heap_core(num_arcs, births, flat, start, hops, service, delivery, log)
         if log is not None and log.fill != total:  # pragma: no cover
             raise SimulationError("some packets did not complete their paths")
-    return EventSimResult(
-        delivery, hops, log.freeze() if log is not None else None
+        return EventSimResult(
+            delivery, hops, log.freeze() if log is not None else None
+        )
+    from repro.sim import fixedpoint  # imports this module at load
+
+    dep, _, _ = fixedpoint._fifo_pass(
+        num_arcs, births, fp, discipline, service, None, None
     )
+    routed = hops > 0
+    delivery[routed] = dep[start[1:][routed] - 1]
+    arc_log = None
+    if record_arc_log:
+        # rows are packet-major: a hop joins when the one before departs
+        t_in = np.empty(total)
+        t_in[1:] = dep[:-1]
+        t_in[start[:-1][routed]] = births[routed]
+        pid = np.repeat(np.arange(n, dtype=np.int64), hops)
+        arc_log = ArcLog(pid, flat.copy(), t_in, dep)
+    return EventSimResult(delivery, hops, arc_log)
 
 
 def simulate_paths_event_driven_batch(
@@ -258,7 +268,7 @@ def simulate_paths_event_driven_batch(
     Replication *r*'s arc ids are offset by ``r * num_arcs``, making
     the R sub-systems disjoint: their events interleave safely in a
     single merged run whose calendar is R times denser (which is where
-    the FIFO core's per-window cost amortises).  Entry *r* of the
+    the FIFO pass's per-window cost amortises).  Entry *r* of the
     result is **bit-identical** to
 
     ``simulate_paths_event_driven(num_arcs, birth_times[r], paths[r], ...)``
@@ -320,95 +330,6 @@ def stack_replications(
         hop_off += int(f.start[-1])
     starts.append(np.array([hop_off], np.int64))
     return np.concatenate(births), FlatPaths(flat, np.concatenate(starts)), bounds
-
-
-# ---------------------------------------------------------------------------
-# the FIFO core: one service window at a time
-# ---------------------------------------------------------------------------
-
-
-def _fifo_core(
-    num_arcs: int,
-    births: np.ndarray,
-    path_flat: np.ndarray,
-    path_start: np.ndarray,
-    hops: np.ndarray,
-    service: float,
-    delivery: np.ndarray,
-    log: Optional[_LogArrays],
-) -> None:
-    """Admit every join of each window ``[T, T + service)`` at once.
-
-    ``T`` is the earliest pending join.  Each arc serves its joins in
-    (time, pid) order and departs one at ``max(departure ahead, join) +
-    service``.  Only an arc's first join in a window can find the
-    departure ahead earlier than itself: a later join arrives before
-    ``T + service``, and the departure ahead of it is at least that, so
-    its departure is the one ahead plus ``service`` -- added one rank
-    at a time, the same float additions as the recursion.  A departure
-    is never before ``T + service``, so each packet joins at most once
-    per window and every join of the window is known when it opens.
-    """
-    record = log is not None
-    hop_index = np.zeros(births.shape[0], np.int64)
-    last = np.full(num_arcs, -np.inf)  # departure of each arc's latest join
-    bidx = np.flatnonzero(hops > 0)
-    bp = bidx[np.argsort(births[bidx], kind="stable")]
-    bt = births[bp]
-    nb = bp.shape[0]
-    ptr = 0
-    pt = _EMPTY_F  # forwarded joins: times ...
-    pp = _EMPTY_I  # ... and packets
-    while ptr < nb or pt.shape[0]:
-        tmin = bt[ptr] if ptr < nb else np.inf
-        if pt.shape[0]:
-            tmin = min(tmin, pt.min())
-        wend = tmin + service
-        if not wend > tmin:  # inf/NaN times, or t + service rounds to t
-            raise SimulationError(f"service {service} vanishes at t={tmin}")
-        j = ptr + int(np.searchsorted(bt[ptr:], wend, side="left"))
-        due = pt < wend
-        j_p = np.concatenate((bp[ptr:j], pp[due]))
-        j_t = np.concatenate((bt[ptr:j], pt[due]))
-        ptr = j
-        keep = ~due
-        pt = pt[keep]
-        pp = pp[keep]
-        hi = hop_index[j_p]
-        j_a = path_flat[path_start[j_p] + hi]
-        # service order: grouped by arc, (time, pid) within an arc
-        o = np.lexsort((j_p, j_t, j_a))
-        j_p = j_p[o]
-        j_t = j_t[o]
-        j_a = j_a[o]
-        hi = hi[o] + 1
-        nj = j_p.shape[0]
-        first = np.empty(nj, bool)
-        first[0] = True
-        np.not_equal(j_a[1:], j_a[:-1], out=first[1:])
-        follow = np.append(~first[1:], False)  # next join is the same arc's
-        dep = np.empty(nj)
-        dep[first] = np.maximum(last[j_a[first]], j_t[first]) + service
-        pos = np.flatnonzero(first & follow)
-        while pos.shape[0]:
-            pos += 1
-            dep[pos] = dep[pos - 1] + service
-            pos = pos[follow[pos]]
-        tail = ~follow
-        last[j_a[tail]] = dep[tail]
-        if record:
-            fill = log.fill
-            log.pid[fill : fill + nj] = j_p
-            log.arc[fill : fill + nj] = j_a
-            log.t_in[fill : fill + nj] = j_t
-            log.t_out[fill : fill + nj] = dep
-            log.fill = fill + nj
-        hop_index[j_p] = hi
-        fin = hi == hops[j_p]
-        delivery[j_p[fin]] = dep[fin]
-        fwd = ~fin
-        pt = np.concatenate((pt, dep[fwd]))
-        pp = np.concatenate((pp, j_p[fwd]))
 
 
 # ---------------------------------------------------------------------------
@@ -591,21 +512,58 @@ def hypercube_packet_paths(
     return paths
 
 
-def butterfly_packet_paths(
-    bf: Butterfly, sample: TrafficSample
-) -> List[List[int]]:
+def butterfly_packet_paths(bf: Butterfly, sample: TrafficSample) -> FlatPaths:
     """Arc paths for each packet of a butterfly traffic sample.
 
     Origins/destinations are row addresses; each packet follows the
     *unique* §4.1 path from ``[origin; 0]`` to ``[destination; d]`` —
     exactly one arc per level, vertical wherever the row addresses
-    differ.  This is what lets the event calendar cross-validate
-    :func:`repro.sim.feedforward.simulate_butterfly_greedy`: both
-    engines share the tie-breaking rule (completions before joins,
-    joins in packet-id order), so FIFO sample paths agree to
-    floating-point round-off.
+    differ — which is the level map's arc at each level
+    (:class:`~repro.sim.feedforward.ButterflyLevels`), so the paths pack
+    as one (packets × d) array.  This is what lets the event calendar
+    cross-validate :func:`repro.sim.feedforward.simulate_butterfly_greedy`.
     """
-    return [
-        bf.path_arcs(int(sample.origins[i]), int(sample.destinations[i]))
-        for i in range(sample.num_packets)
-    ]
+    levels = ButterflyLevels(bf)
+    origins = np.asarray(sample.origins, np.int64)
+    diff = origins ^ np.asarray(sample.destinations, np.int64)
+    arcs = np.stack([levels.arcs(lvl, origins, diff) for lvl in range(bf.d)], 1)
+    start = bf.d * np.arange(sample.num_packets + 1, dtype=np.int64)
+    return FlatPaths(arcs.reshape(-1), start)
+
+
+def torus_packet_paths(
+    side: int, d: int, sample: TrafficSample, clockwise: bool = False
+) -> FlatPaths:
+    """Greedy arc paths on the (side, d)-torus, packed flat.
+
+    Dimensions are corrected in increasing order, each in its shorter
+    direction (ties at ``side/2`` go +), or always + with
+    ``clockwise``.  Arc ids follow :class:`~repro.topology.torus.Torus`,
+    ``(2*dim + direction) * side**d + tail``; at ``d = 1`` that is
+    :class:`~repro.topology.ring.Ring`'s ``direction * n + tail``, so
+    ring paths are ``torus_packet_paths(n, 1, ...)``.  Both topologies'
+    ``greedy_path_arcs`` build the same paths one packet at a time.
+
+    Each (packet, dimension) pair is one run of hops; hop ``s`` of the
+    run leaves the node whose coordinate ``dim`` is ``(c + step*s) mod
+    side``, with the coordinates below ``dim`` already the
+    destination's and those above still the origin's.
+    """
+    x = np.asarray(sample.origins, np.int64)[:, None]
+    z = np.asarray(sample.destinations, np.int64)[:, None]
+    stride = side ** np.arange(d, dtype=np.int64)
+    c = x // stride % side  # (packet, dim) origin coordinates
+    k = (z // stride % side - c) % side  # ... and + offsets
+    plus = np.full(k.shape, True) if clockwise else 2 * k <= side
+    run_hops = np.where(plus, k, side - k)
+    start = np.zeros(x.shape[0] + 1, np.int64)
+    np.cumsum(run_hops.sum(axis=1), out=start[1:])
+    hops = run_hops.ravel()
+    # per run: its arc class offset plus its tails with coordinate
+    # ``dim`` zeroed (the destination's below ``dim``, the origin's above)
+    base = (2 * np.arange(d) + ~plus) * side**d + z % stride + x - x % (stride * side)
+    run = np.repeat(np.arange(hops.shape[0]), hops)
+    s = np.arange(run.shape[0]) - (np.cumsum(hops) - hops)[run]
+    coord = (c.ravel()[run] + np.where(plus, 1, -1).ravel()[run] * s) % side
+    flat = base.ravel()[run] + coord * np.broadcast_to(stride, k.shape).ravel()[run]
+    return FlatPaths(flat, start)

@@ -110,10 +110,8 @@ def simulate_paths_fixed_point(
     is delivered at birth.  Sample paths match the feed-forward engine
     bit for bit wherever both run (both solve each server with the
     closed form of :func:`~repro.sim.feedforward.serve_level`).  The
-    event engine agrees to about 1e-14 under FIFO, not bit for bit: its
-    FIFO core adds ``start + service`` one departure at a time where
-    the closed form does not.  Under PS it agrees to floating-point
-    round-off.
+    event engine solves FIFO with this module's pass, so it agrees bit
+    for bit under FIFO; under PS it agrees to floating-point round-off.
 
     FIFO makes one time-ordered pass; PS sweeps to a fixed point, at
     most ``max_sweeps`` times (see the module docstring).
@@ -162,8 +160,9 @@ def _fifo_pass(
 ) -> Tuple[np.ndarray, int, int]:
     """FIFO departures of every hop row, window by window in time order.
 
-    Takes :func:`_sweeps`' arguments, so either can solve FIFO; one
-    pass needs no sweep ceiling and no per-block convergence, so
+    The one FIFO solver of both path engines: the event engine calls it
+    too.  Takes :func:`_sweeps`' arguments, so either can solve FIFO;
+    one pass needs no sweep ceiling and no per-block convergence, so
     ``discipline``, ``max_sweeps`` and ``rep_blocks`` go unused.
     """
     hop_arc = fp.flat

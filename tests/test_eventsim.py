@@ -17,7 +17,7 @@ from repro.sim.eventsim import (
     simulate_paths_event_driven,
     simulate_paths_event_driven_batch,
 )
-from repro.sim.lindley import fifo_departure_times_loop
+from repro.sim.lindley import fifo_departure_times
 from repro.traffic.workload import TrafficSample
 
 
@@ -151,7 +151,7 @@ def _heap_fifo(num_arcs, births, paths, service=1.0):
 
 
 class TestCoreModes:
-    """The windowed FIFO core and a strict-order heap agree bit for bit."""
+    """The FIFO pass and a strict-order heap agree bit for bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_heap_and_window_cores_agree_exactly(self, seed):
@@ -176,8 +176,9 @@ def _oracle_fifo(births, paths, service):
 
     Each arc serves its joins in (time, pid) order; a packet joins hop
     k + 1 when it departs hop k.  Starting from every hop joined at
-    birth, rerun the literal Lindley recursion on every arc until the
-    network's sample path stops changing.  Rows are packet-major.
+    birth, resolve every arc with the closed-form Lindley recursion
+    until the network's sample path stops changing.  Rows are
+    packet-major.
     """
     hops = np.array([len(p) for p in paths], np.int64)
     ends = np.cumsum(hops)
@@ -191,7 +192,7 @@ def _oracle_fifo(births, paths, service):
         for a in np.unique(arc):
             rows = np.flatnonzero(arc == a)
             rows = rows[np.lexsort((pid[rows], t_in[rows]))]
-            t_out[rows] = fifo_departure_times_loop(t_in[rows], service)
+            t_out[rows] = fifo_departure_times(t_in[rows], service)
         nxt = births[pid]
         nxt[later] = t_out[np.flatnonzero(later) - 1]
         if np.array_equal(nxt, t_in):
@@ -227,7 +228,7 @@ _FIFO_SYSTEMS = st.builds(
 
 
 class TestFifoOracle:
-    """The FIFO core reproduces per-arc Lindley recursions bit for bit."""
+    """The FIFO pass reproduces per-arc Lindley recursions bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(system=_FIFO_SYSTEMS)
@@ -287,6 +288,10 @@ class TestFlatPaths:
         fp = flatten_paths(paths)
         assert fp.num_packets == 3
         assert [list(fp[i]) for i in range(3)] == paths
+        assert [list(p) for p in fp] == paths
+        assert list(fp[-1]) == paths[-1]
+        with pytest.raises(IndexError):
+            fp[3]
         assert list(fp.hops()) == [2, 0, 1]
         assert flatten_paths(fp) is fp
 

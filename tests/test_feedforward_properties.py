@@ -1,9 +1,12 @@
 """Property-based tests on simulator invariants (hypothesis)."""
 
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.feedforward as ff
 from repro.sim.feedforward import (
     _PS_LOCKSTEP_ARCS,
     _arc_time_pid_order,
@@ -137,7 +140,29 @@ def test_property_ps_serve_level_is_per_arc_ps_bit_for_bit(inst):
 # serve_level's returned order is the service permutation that
 # simulate_markovian uses as routing-decision positions, and the packed
 # sort behind it must reproduce np.lexsort((pids, times, arcs)) exactly.
-# Times sit on a quarter-unit grid, so exact ties are common.
+# Times sit on a quarter-unit grid, so exact ties are common.  These
+# instances are small enough to take lexsort itself, so each property
+# also runs with the packed key forced.
+
+
+@contextmanager
+def packed_sort():
+    """Take the packed-key sort at any non-zero row count."""
+    cutoff = ff._LEXSORT_ROWS
+    ff._LEXSORT_ROWS = 1
+    try:
+        yield
+    finally:
+        ff._LEXSORT_ROWS = cutoff
+
+
+def assert_service_order(arcs, times, pids, expected, discipline="fifo"):
+    """serve_level's order is *expected*, with or without the packed key."""
+    _, order = serve_level(arcs, times, pids, discipline)
+    np.testing.assert_array_equal(order, expected)
+    with packed_sort():
+        _, order = serve_level(arcs, times, pids, discipline)
+    np.testing.assert_array_equal(order, expected)
 
 
 @st.composite
@@ -174,8 +199,9 @@ def service_order_instance(draw, negative=False, wide=False):
 )
 def test_property_serve_level_order_is_lexsort(inst, discipline):
     arcs, times, pids = inst
-    _, order = serve_level(arcs, times, pids, discipline)
-    np.testing.assert_array_equal(order, np.lexsort((pids, times, arcs)))
+    assert_service_order(
+        arcs, times, pids, np.lexsort((pids, times, arcs)), discipline
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,8 +213,7 @@ def test_property_serve_level_order_is_lexsort(inst, discipline):
 )
 def test_property_serve_level_order_lexsort_fallbacks(inst):
     arcs, times, pids = inst
-    _, order = serve_level(arcs, times, pids)
-    np.testing.assert_array_equal(order, np.lexsort((pids, times, arcs)))
+    assert_service_order(arcs, times, pids, np.lexsort((pids, times, arcs)))
 
 
 @st.composite
@@ -219,8 +244,9 @@ def test_property_hop_row_tiebreak_matches_packet_lexsort(sweep):
     """The fixed-point solver breaks ties by hop row, not by the
     repeating packet id; the service order is the same."""
     arcs, times, rows, hop_pids = sweep
-    _, order = serve_level(arcs, times, rows)
-    np.testing.assert_array_equal(order, np.lexsort((hop_pids, times, arcs)))
+    assert_service_order(
+        arcs, times, rows, np.lexsort((hop_pids, times, arcs))
+    )
 
 
 def test_service_order_of_empty_input():

@@ -27,8 +27,8 @@ from repro.sim.run_spec import run_spec
 _COMMON = dict(replications=1, base_seed=123, seed_policy="sequential")
 
 #: every (scheme, network, discipline) cell the dispatch supports, plus
-#: the forced-event greedy cells (engine choice must not change numbers
-#: beyond round-off; for the hypercube it is exactly identical).
+#: the forced-event greedy cells (engine choice must not move a FIFO
+#: number by a single bit).
 GOLDEN_SPECS = [
     ScenarioSpec(name="g-greedy-hc-fifo", d=4, rho=0.7, horizon=200.0, **_COMMON),
     ScenarioSpec(name="g-greedy-hc-ps", discipline="ps", d=4, rho=0.7,

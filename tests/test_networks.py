@@ -33,12 +33,24 @@ from repro.networks import (
 from repro.networks import registry as network_registry
 from repro.runner import ScenarioSpec, get_scenario, measure
 from repro.sim.run_spec import run_spec
+from repro.traffic.workload import TrafficSample
 
 ALL_BUILTINS = {"hypercube", "butterfly", "ring", "torus"}
 
 #: a small valid greedy operating point per network (d chosen per
 #: network so every topology stays tiny)
 CONFORMANCE_D = {"hypercube": 3, "butterfly": 3, "ring": 3, "torus": 2}
+
+
+#: each built-in topology's per-packet greedy path builder
+PER_PACKET_PATHS = {
+    "hypercube": lambda topo, spec, x, z: topo.canonical_path_arcs(x, z),
+    "butterfly": lambda topo, spec, x, z: topo.path_arcs(x, z),
+    "ring": lambda topo, spec, x, z: topo.greedy_path_arcs(
+        x, z, spec.option("direction", "absolute")
+    ),
+    "torus": lambda topo, spec, x, z: topo.greedy_path_arcs(x, z),
+}
 
 
 def small_spec(network: str, **overrides) -> ScenarioSpec:
@@ -235,6 +247,21 @@ class TestTopologyConformance:
             # a path never holds the same server twice (unit-capacity
             # arcs are crossed once)
             assert len(set(path)) == len(path)
+        # every (origin, destination) pair -- half-way ties on the ring
+        # and torus included -- matches the topology's per-packet builder
+        n = plugin.num_sources(spec)
+        origins, destinations = np.divmod(np.arange(n * n), n)
+        pairs = TrafficSample(np.zeros(n * n), origins, destinations, 1.0)
+        variants = [spec]
+        if spec.network == "ring":
+            variants.append(spec.replace(extra={"direction": "clockwise"}))
+        build = PER_PACKET_PATHS[spec.network]
+        for variant in variants:
+            got = plugin.greedy_paths(topo, variant, pairs)
+            assert [list(path) for path in got] == [
+                build(topo, variant, int(x), int(z))
+                for x, z in zip(origins, destinations)
+            ]
 
     def test_bound_report_contains_bracket(self, plugin_and_topology):
         plugin, spec, _ = plugin_and_topology
@@ -328,24 +355,53 @@ class TestAliasNormalisation:
         assert "butterfly" in out and "Prop 17" in out
 
 
+#: engine-pair cells: the network, ``small_spec`` overrides and the
+#: replication seed.  The last two are cells where two FIFO solvers
+#: that rounded differently delivered a packet 2.8e-14 and 5.7e-14
+#: apart.
+_PAIR_CELLS = {
+    "ring": ("ring", dict(d=4), 11),
+    "torus": ("torus", dict(d=2), 11),
+    "torus-hotspot": (
+        "torus", dict(d=2, traffic="hotspot", rho=0.9, horizon=80.0), 1
+    ),
+    "hypercube-transpose": (
+        "hypercube", dict(d=4, traffic="transpose", rho=0.9, horizon=80.0), 0
+    ),
+}
+
+
+def assert_same_fifo_paths(evt, vec):
+    """Two FIFO runs of one cell deliver every packet at the same
+    epoch, bit for bit."""
+    assert np.array_equal(
+        evt.record.delivery.view(np.int64), vec.record.delivery.view(np.int64)
+    )
+    assert evt.mean_delay == vec.mean_delay
+
+
 class TestFixedPointEngine:
     """The fixed-point solver is the ring/torus native engine; it must
     agree with the event calendar (and, on levelled networks, with the
-    feed-forward engine) sample path for sample path."""
+    feed-forward engine) sample path for sample path: bit for bit under
+    FIFO, where both run one solver, to round-off under PS."""
 
-    @pytest.mark.parametrize("network", ["ring", "torus"])
+    @pytest.mark.parametrize("cell", sorted(_PAIR_CELLS))
     @pytest.mark.parametrize("discipline", ["fifo", "ps"])
-    def test_engines_agree_to_roundoff(self, network, discipline):
-        spec = small_spec(
-            network,
-            d=4 if network == "ring" else 2,
+    def test_engines_agree_to_roundoff(self, cell, discipline):
+        network, overrides, seed = _PAIR_CELLS[cell]
+        params = dict(
             rho=0.7 if discipline == "fifo" else 0.6,
             discipline=discipline,
             horizon=150.0,
         )
-        vec = run_spec(spec, 11, keep_record=True)
-        evt = run_spec(spec.replace(engine="event"), 11, keep_record=True)
+        spec = small_spec(network, **{**params, **overrides})
+        vec = run_spec(spec, seed, keep_record=True)
+        evt = run_spec(spec.replace(engine="event"), seed, keep_record=True)
         assert vec.num_packets == evt.num_packets
+        if discipline == "fifo":
+            assert_same_fifo_paths(evt, vec)
+            return
         np.testing.assert_allclose(
             evt.record.delivery, vec.record.delivery, rtol=0, atol=1e-9
         )
@@ -358,9 +414,7 @@ class TestFixedPointEngine:
         )
         vec = run_spec(spec, 5, keep_record=True)
         evt = run_spec(spec.replace(engine="event"), 5, keep_record=True)
-        np.testing.assert_allclose(
-            evt.record.delivery, vec.record.delivery, rtol=0, atol=1e-9
-        )
+        assert_same_fifo_paths(evt, vec)
 
     def test_matches_feedforward_on_levelled_network(self, small_cube_workload):
         from repro.sim.eventsim import hypercube_packet_paths
@@ -478,7 +532,8 @@ _CYCLIC_BATCHES = st.builds(
 class TestFifoPassOracle:
     """The FIFO pass serves each hop row once; the sweep loop run on
     FIFO iterates to the same unique consistent path.  They agree bit
-    for bit, on stacked batches and on one replication alone."""
+    for bit, on stacked batches and on one replication alone, and
+    through the event engine, whose FIFO is the same pass."""
 
     @settings(max_examples=50, deadline=None)
     @given(system=_CYCLIC_BATCHES)
@@ -486,6 +541,10 @@ class TestFifoPassOracle:
     @example(system=_cyclic_batch(0, 12, 3, 200, 4.0, False, 1.7))  # dense
     @example(system=_cyclic_batch(2, 40, 2, 150, 400.0, False, 3.0))  # sparse
     def test_pass_matches_sweeps_bit_for_bit(self, system):
+        from repro.sim.eventsim import (
+            simulate_paths_event_driven,
+            simulate_paths_event_driven_batch,
+        )
         from repro.sim.fixedpoint import (
             simulate_paths_fixed_point,
             simulate_paths_fixed_point_batch,
@@ -499,13 +558,23 @@ class TestFifoPassOracle:
             want = simulate_paths_fixed_point_batch(
                 num_arcs, births, paths, service=service
             )
-        for g, w in zip(got, want):
+        events = simulate_paths_event_driven_batch(
+            num_arcs, births, paths, service=service
+        )
+        for g, e, w in zip(got, events, want):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
+            assert np.array_equal(e.view(np.int64), w.view(np.int64))
         solo = simulate_paths_fixed_point(
             num_arcs, births[-1], paths[-1], service=service
         )
         assert np.array_equal(
             solo.delivery.view(np.int64), got[-1].view(np.int64)
+        )
+        event_solo = simulate_paths_event_driven(
+            num_arcs, births[-1], paths[-1], service=service
+        )
+        assert np.array_equal(
+            event_solo.delivery.view(np.int64), want[-1].view(np.int64)
         )
         rows = sum(len(p) for p in paths[-1])
         assert (solo.sweeps, solo.sweep_rows) == ((1, rows) if rows else (0, 0))
@@ -594,9 +663,7 @@ class TestCustomNetworkEndToEnd:
         assert spec.network == "star"
         vec = run_spec(spec, 0, keep_record=True)
         evt = run_spec(spec.replace(engine="event"), 0, keep_record=True)
-        np.testing.assert_allclose(
-            evt.record.delivery, vec.record.delivery, rtol=0, atol=1e-9
-        )
+        assert_same_fifo_paths(evt, vec)
         m = measure(spec)
         assert m.network == "star"
         assert m.num_packets > 0
@@ -642,9 +709,7 @@ class TestCustomNetworkEndToEnd:
             assert resolve_engine(spec).name == "feedforward"
             vec = run_spec(spec, 0, keep_record=True)
             evt = run_spec(spec.replace(engine="event"), 0, keep_record=True)
-            np.testing.assert_allclose(
-                evt.record.delivery, vec.record.delivery, rtol=0, atol=1e-9
-            )
+            assert_same_fifo_paths(evt, vec)
 
             def route(cell_spec, batch):
                 store = ResultsStore(tmp_path / f"{cell_spec.name}-{batch}")

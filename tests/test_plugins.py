@@ -232,16 +232,33 @@ class TestButterflyEventEngine:
         assert get_scenario("butterfly-greedy-event").engine == "event"
         assert get_scenario("butterfly-greedy-event-ps").discipline == "ps"
 
-    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
-    def test_engines_agree_to_roundoff(self, discipline):
+    # fifo-bitrev: a cell where two FIFO solvers that rounded
+    # differently delivered a packet 5.7e-14 apart
+    @pytest.mark.parametrize(
+        "discipline, traffic, rho, horizon, seed",
+        [
+            ("fifo", "uniform", 0.7, 150.0, 11),
+            ("ps", "uniform", 0.7, 150.0, 11),
+            ("fifo", "bitrev", 0.9, 80.0, 1),
+        ],
+        ids=["fifo", "ps", "fifo-bitrev"],
+    )
+    def test_engines_agree_to_roundoff(self, discipline, traffic, rho, horizon, seed):
         base = ScenarioSpec(
             name="bf-xval", network="butterfly", discipline=discipline,
-            d=3, rho=0.7, horizon=150.0, replications=1, base_seed=11,
-            seed_policy="sequential",
+            traffic=traffic, d=3, rho=rho, horizon=horizon, replications=1,
+            base_seed=11, seed_policy="sequential",
         )
-        vec = run_spec(base, 11, keep_record=True)
-        evt = run_spec(base.replace(engine="event"), 11, keep_record=True)
+        vec = run_spec(base, seed, keep_record=True)
+        evt = run_spec(base.replace(engine="event"), seed, keep_record=True)
         assert vec.num_packets == evt.num_packets
+        if discipline == "fifo":  # one solver: bit for bit
+            assert np.array_equal(
+                evt.record.delivery.view(np.int64),
+                vec.record.delivery.view(np.int64),
+            )
+            assert evt.mean_delay == vec.mean_delay
+            return
         np.testing.assert_allclose(
             evt.record.delivery, vec.record.delivery, rtol=0, atol=1e-9
         )
@@ -266,7 +283,7 @@ class TestButterflyEventEngine:
         assert len(paths) == sample.num_packets
         for i, path in enumerate(paths):
             assert len(path) == bf.d  # one arc per level, always
-            assert path == bf.path_arcs(
+            assert list(path) == bf.path_arcs(
                 int(sample.origins[i]), int(sample.destinations[i])
             )
 
