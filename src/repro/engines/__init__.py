@@ -5,7 +5,7 @@ The third axis of the plugin trilogy (:mod:`repro.plugins` opened the
 scheme axis, :mod:`repro.networks` the network axis): every solver
 that can turn a traffic sample into delivery epochs is an
 :class:`~repro.engines.api.EnginePlugin` declaring its identity
-(name + aliases), its structural kind (levelled sweep / event calendar
+(name + aliases), its structural kind (levelled sweep / event engine
 / fixed-point iteration), the disciplines and networks it drives,
 whether it supports **replication batching**, and its typed
 engine-scoped options.  The scheme adapters, the spec validation, the

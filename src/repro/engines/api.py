@@ -5,7 +5,7 @@ completes the plugin trilogy on the **engine** axis.  An
 :class:`EnginePlugin` is the single place a sample-path solver touches
 the scenario subsystem.  It declares its identity (``name`` +
 ``aliases``) and its *capabilities* — the structural ``kind`` of
-solver it is (``levelled`` level sweep, ``event`` calendar,
+solver it is (``levelled`` level sweep, ``event`` engine,
 ``fixed-point`` iteration), the queueing disciplines it implements,
 the networks it can drive, whether it supports **replication
 batching**, and its typed engine-scoped ``extra`` options — and
@@ -16,7 +16,7 @@ implements the hooks the rest of the stack used to hard-code behind
   sample under greedy routing (the path every engine-driven scheme's
   replication runner takes);
 * :meth:`~EnginePlugin.run_paths` — the lower-level contract shared by
-  the event calendar and the fixed-point solver: packets following
+  the event engine and the fixed-point solver: packets following
   explicit precomputed arc paths;
 * :meth:`~EnginePlugin.simulate_batch` — the replication-batched fast
   path: R replications' workloads stacked into **one** vectorised
@@ -66,9 +66,10 @@ class EngineCapabilities:
     ``kind`` names the structural family: ``"levelled"`` solvers sweep
     a levelled network level by level with no event calendar (Property
     B of the paper — the central computational trick), ``"event"``
-    solvers replay a chronological calendar, ``"fixed-point"`` solvers
-    iterate the vectorised batch machinery to the unique consistent
-    sample path of a non-levelled network.
+    solvers replay explicit arc paths as the reference the others are
+    cross-validated against (the built-in one runs the fixed-point
+    solvers), ``"fixed-point"`` solvers iterate the vectorised batch
+    machinery to a consistent sample path of a non-levelled network.
 
     ``networks`` lists canonical network-plugin names, or the wildcard
     ``"*"`` for an engine implemented purely against per-packet arc
@@ -168,7 +169,7 @@ class EnginePlugin:
         """Delivery epochs of packets following explicit arc paths.
 
         The shared low-level contract of the path-based engines (event
-        calendar, fixed-point solver); a packet with an empty path is
+        engine, fixed-point solver); a packet with an empty path is
         delivered at birth.  Levelled sweeps have no generic path form
         and leave this unimplemented.
         """

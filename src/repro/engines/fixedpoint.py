@@ -4,11 +4,11 @@ Wraps :func:`repro.sim.fixedpoint.simulate_paths_fixed_point`, which
 solves *non-levelled* networks (ring, torus, any third-party topology
 shipping only ``greedy_paths``) with the feed-forward engine's
 vectorised kernels and no event calendar: FIFO in one time-ordered
-pass that serves every hop row once, PS by sweeping to the unique
-consistent sample path.  On a levelled network it reproduces the
-feed-forward engine's sample path bit for bit — forcing
-``engine="fixedpoint"`` on the hypercube is a legitimate
-cross-validation axis (tested).
+pass that serves every hop row once, PS by sweeping to a consistent
+sample path.  The event engine runs this engine's code under its own
+name.  On a levelled network it reproduces the feed-forward engine's
+sample path bit for bit — forcing ``engine="fixedpoint"`` on the
+hypercube is a legitimate cross-validation axis (tested).
 
 The engine owns one typed option, ``max_sweeps`` — the PS sweep
 ceiling past which a far-above-saturation system raises

@@ -20,7 +20,7 @@ rest of the stack used to hard-code per network:
   arrival process and destination law are a fourth plugin axis rather
   than per-network code;
 * :meth:`~NetworkPlugin.greedy_paths` — per-packet arc paths, which
-  the event calendar and the fixed-point solver run on;
+  the event engine and the fixed-point solver run on;
 * :meth:`~NetworkPlugin.greedy_levels` — the per-level arc map of a
   levelled network, which hands it to the level-by-level feed-forward
   engine (one-shot, replication-batched and chunked routes alike);

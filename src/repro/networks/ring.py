@@ -21,7 +21,7 @@ because ties break clockwise, so ``rho = lam * E[cw hops]`` with
 **Engines.**  Greedy ring paths wrap around the arc id space, so the
 network is *not* levelled: the native vectorised engine is the
 fixed-point solver (:mod:`repro.sim.fixedpoint`), cross-validated
-against the event calendar exactly like the butterfly.
+against the event engine exactly like the butterfly.
 """
 
 from __future__ import annotations

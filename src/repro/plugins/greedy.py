@@ -8,7 +8,7 @@ supplies the topology, the workload and the per-packet arc paths, and
 the resolved :class:`~repro.engines.api.EnginePlugin`
 (:func:`repro.engines.registry.resolve_engine` — the level sweep for
 levelled networks, the fixed-point solver for ring/torus, the event
-calendar for cross-validation) turns a sample into delivery epochs.
+engine for cross-validation) turns a sample into delivery epochs.
 
 RNG contract (golden-pinned): the workload sample is drawn from the
 replication stream *before* the engine runs, so forcing the engine

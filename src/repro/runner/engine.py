@@ -7,7 +7,7 @@ fan-out along two routes:
 * **Batched** — when the spec's scheme exposes a batch runner
   (:meth:`~repro.plugins.api.SchemePlugin.batch_runner`, backed by an
   engine plugin declaring ``batching`` or by the scheme's own stacked
-  calendar), R replications stack into **one** vectorised computation:
+  solve), R replications stack into **one** vectorised computation:
   no per-replication Python overhead.  At ``jobs <= 1`` the whole
   batch runs in process; at ``jobs > 1`` the seeds split into one
   contiguous range per worker, and each worker draws its range's

@@ -155,7 +155,7 @@ class RandomOrderPlugin(SchemePlugin):
         return run
 
     def batch_runner(self, spec: "ScenarioSpec"):
-        """Stack R replications into one event calendar.
+        """Stack R replications into one event-engine solve.
 
         Workloads draw through ``build_workload_batch`` (each from its
         own seed's stream), the per-packet shuffles follow from the

@@ -259,7 +259,7 @@ class TwoPhasePlugin(SchemePlugin):
         return run
 
     def batch_runner(self, spec: "ScenarioSpec"):
-        """Stack R replications into one event calendar.
+        """Stack R replications into one event-engine solve.
 
         Same seed-for-seed contract as :meth:`prepare`: each stream
         draws its workload (via ``build_workload_batch``), then its

@@ -1,16 +1,21 @@
-"""Discrete-event and vectorised simulators for levelled queueing networks.
+"""Vectorised simulators for levelled and non-levelled queueing networks.
 
-Two engines produce *identical sample paths* for deterministic FIFO
-levelled networks (cross-validated in the test suite):
+Three modules produce sample paths; wherever two of them run, they are
+*identical*, FIFO and PS alike (cross-validated bit for bit in the test
+suite):
 
 * :mod:`repro.sim.feedforward` — the HPC path: because the equivalent
   networks Q/R are feed-forward (Property B), each level can be solved
   in one shot with a vectorised Lindley recursion
-  (:func:`repro.sim.lindley.fifo_departure_times`); no event heap at
-  all.
-* :mod:`repro.sim.eventsim` — a classical event-driven engine that also
-  supports the **Processor-Sharing** discipline, which is what the
-  paper's proof technique (Lemmas 7–10, Prop 11) compares against.
+  (:func:`repro.sim.lindley.fifo_departure_times`) or Processor-Sharing
+  kernel; no event heap at all.
+* :mod:`repro.sim.fixedpoint` — the same kernels on explicit arc paths
+  of non-levelled networks and schemes: FIFO in one time-ordered pass,
+  **Processor Sharing** — what the paper's proof technique (Lemmas
+  7–10, Prop 11) compares against — by sweeping to a fixed point.
+* :mod:`repro.sim.eventsim` — explicit arc paths (packed layout,
+  construction for the built-in networks) and the event engine's entry
+  points, which run the fixed-point solvers.
 
 :mod:`repro.sim.servers` holds the exact single-server building blocks,
 :mod:`repro.sim.measurement` the statistics collectors,

@@ -1,8 +1,8 @@
-"""Event-driven network simulator (FIFO and PS disciplines).
+"""Explicit arc paths: their packed layout, their construction for the
+built-in networks, and the event engine's entry points.
 
-This is the classical engine: chronological event order, per-arc server
-state, packets following explicit precomputed arc paths.  It is
-deliberately independent of the levelled structure, so it can simulate
+Packets follow precomputed arc paths, independent of any levelled
+structure, so these entry points can simulate
 
 * the canonical greedy scheme (cross-validating the fast feed-forward
   engine sample-path-for-sample-path),
@@ -13,45 +13,42 @@ The state is flat NumPy storage — no per-packet Python objects:
 
 * paths live in a :class:`FlatPaths` packed layout
   (``flat[start[i]:start[i+1]]`` is packet *i*'s path);
-* the arc log fills preallocated arrays (exactly one row per hop), so
-  ``record_arc_log=True`` costs bounded extra memory, not growing
-  Python lists.
+* the arc log is built from the solver's per-row departures (exactly
+  one row per hop), so ``record_arc_log=True`` costs bounded extra
+  memory, not growing Python lists.
 
-Tie-breaking matches :mod:`repro.sim.feedforward` exactly: at equal
-times, service completions come before queue-joins, and queue-joins
-in packet-id order, so every arc serves its joins in (time, packet
-id) order.
+Both disciplines run the fixed-point engine's solvers, through its one
+dispatch (:func:`repro.sim.fixedpoint._solve`):
 
-The two disciplines run different solvers over the same flat state:
-
-* **FIFO** runs the fixed-point engine's time-ordered pass
-  (:func:`repro.sim.fixedpoint._fifo_pass`): every join earlier than
+* **FIFO** makes the time-ordered pass: every join earlier than
   ``T + service`` (``T`` the earliest pending join) is known when the
   window ``[T, T + service)`` opens — a join is a birth or a departure,
   and a departure comes at least one service after its own join — so
-  each window is served once, as a handful of vectorised array
-  operations, by the feed-forward engine's Lindley closed form.  Both
-  path engines thus solve FIFO with one function, and FIFO sample
-  paths equal the feed-forward engine's bit for bit;
-* **PS** keeps strict event order on a heap, packing each event into a
-  single Python int — ``(time-bits, join?, id, version)`` bit fields,
-  IEEE-754 order-preserving time image — because a PS departure moves
-  with every later arrival at its arc.
+  each window is served once by the feed-forward engine's Lindley
+  closed form;
+* **PS** sweeps to a fixed point on the feed-forward engine's PS
+  kernel, because a PS departure moves with every later arrival at its
+  arc.
+
+So the event and fixed-point engines agree bit for bit under both
+disciplines, and with the feed-forward engine wherever it runs.
+Tie-breaking is that kernel's: every arc admits its joins in (time,
+hop row) order — (time, packet id) order, rows being packet-major —
+and a join at the epoch of a departure after that departure (up to one
+ulp under PS on a path that takes one arc twice in a row; see
+:mod:`repro.sim.fixedpoint`).
 
 :func:`simulate_paths_event_driven_batch` stacks R independent
-replications into **one** calendar by offsetting replication *r*'s arc
-ids by ``r * num_arcs``: the sub-systems are disjoint, their events
-interleave safely, and each replication's deliveries are bit-identical
-to its own sequential run — while the merged calendar is R times
-denser, so each FIFO window's fixed cost is shared by R times the
-joins.
+replications into **one** solve by offsetting replication *r*'s arc
+ids by ``r * num_arcs`` (:func:`stack_replications`): the sub-systems
+are disjoint, so each replication's deliveries are bit-identical to
+its own sequential run, while each FIFO window's fixed cost is shared
+by R times the joins.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import struct
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -59,7 +56,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.feedforward import ArcLog, ButterflyLevels
-from repro.sim.servers import PsServerBank
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
@@ -77,32 +73,6 @@ __all__ = [
     "butterfly_packet_paths",
     "torus_packet_paths",
 ]
-
-# packed event keys (PS core): a single Python int per event,
-#   ((time_key << 1 | is_join) << 72) | (id << 40..32 bits) | version
-# so integer order == (time, completions-before-joins, id, version).
-# ``id`` is the packet id for joins (joins tie-break in pid order) and
-# the arc id for departure checks; ``version`` is the stale-check
-# counter.
-_JOIN_BIT = 1 << 72
-_ID_MASK = (1 << 40) - 1
-_VER_MASK = (1 << 32) - 1
-
-_PACK_D = struct.Struct(">d").pack
-
-
-def _time_key(t: float) -> int:
-    """Order-preserving uint64 image of a finite float.
-
-    Non-negative floats map to ``bits | 2^63`` (IEEE-754 bit patterns
-    are already ordered there); negatives flip to ``2^64 - 1 - bits``
-    so more-negative sorts smaller.
-    """
-    b = int.from_bytes(_PACK_D(t), "big")
-    if b < 0x8000000000000000:
-        return b | 0x8000000000000000
-    return 0xFFFFFFFFFFFFFFFF - b
-
 
 @dataclass(frozen=True)
 class FlatPaths:
@@ -163,22 +133,6 @@ class EventSimResult:
         return DelayRecord(sample.times, self.delivery, sample.horizon)
 
 
-class _LogArrays:
-    """Preallocated arc-log columns: exactly one row per hop."""
-
-    __slots__ = ("pid", "arc", "t_in", "t_out", "fill")
-
-    def __init__(self, total_hops: int) -> None:
-        self.pid = np.empty(total_hops, np.int64)
-        self.arc = np.empty(total_hops, np.int64)
-        self.t_in = np.empty(total_hops)
-        self.t_out = np.empty(total_hops)
-        self.fill = 0
-
-    def freeze(self) -> ArcLog:
-        return ArcLog(self.pid, self.arc, self.t_in, self.t_out)
-
-
 def simulate_paths_event_driven(
     num_arcs: int,
     birth_times: np.ndarray,
@@ -207,51 +161,24 @@ def simulate_paths_event_driven(
         Also return one :class:`~repro.sim.feedforward.ArcLog` row per
         hop (row order is unspecified).
 
-    FIFO runs the fixed-point engine's time-ordered pass and PS a
-    strict-order heap calendar (see the module docstring).
+    Solved by the fixed-point engine's solvers (see the module
+    docstring).
     """
-    if discipline not in ("fifo", "ps"):
-        raise ConfigurationError(f"unknown discipline {discipline!r}")
-    if not service > 0:
-        raise ConfigurationError(f"service must be > 0, got {service}")
-    births = np.asarray(birth_times, dtype=float)
-    n = births.shape[0]
-    if len(paths) != n:
-        raise ConfigurationError("paths and birth_times must be parallel")
-    fp = flatten_paths(paths)
-    flat, start = fp.flat, fp.start
-    total = int(flat.shape[0])
-    if total:
-        lo = int(flat.min())
-        hi = int(flat.max())
-        if lo < 0 or hi >= num_arcs:
-            bad = lo if lo < 0 else hi
-            raise SimulationError(f"arc id {bad} out of range")
-    hops = np.diff(start)
-    delivery = births.copy()  # zero-hop packets are delivered at birth
-    if discipline == "ps":
-        log = _LogArrays(total) if record_arc_log else None
-        _ps_heap_core(num_arcs, births, flat, start, hops, service, delivery, log)
-        if log is not None and log.fill != total:  # pragma: no cover
-            raise SimulationError("some packets did not complete their paths")
-        return EventSimResult(
-            delivery, hops, log.freeze() if log is not None else None
-        )
     from repro.sim import fixedpoint  # imports this module at load
 
-    dep, _, _ = fixedpoint._fifo_pass(
-        num_arcs, births, fp, discipline, service, None, None
+    fp, delivery, dep, _, _ = fixedpoint._solve(
+        num_arcs, birth_times, paths, discipline, service
     )
-    routed = hops > 0
-    delivery[routed] = dep[start[1:][routed] - 1]
+    hops = fp.hops()
     arc_log = None
     if record_arc_log:
         # rows are packet-major: a hop joins when the one before departs
-        t_in = np.empty(total)
+        routed = hops > 0
+        t_in = np.empty(dep.shape[0])
         t_in[1:] = dep[:-1]
-        t_in[start[:-1][routed]] = births[routed]
-        pid = np.repeat(np.arange(n, dtype=np.int64), hops)
-        arc_log = ArcLog(pid, flat.copy(), t_in, dep)
+        t_in[fp.start[:-1][routed]] = np.asarray(birth_times, float)[routed]
+        pid = np.repeat(np.arange(hops.shape[0], dtype=np.int64), hops)
+        arc_log = ArcLog(pid, fp.flat.copy(), t_in, dep)
     return EventSimResult(delivery, hops, arc_log)
 
 
@@ -263,36 +190,26 @@ def simulate_paths_event_driven_batch(
     discipline: str = "fifo",
     service: float = 1.0,
 ) -> List[np.ndarray]:
-    """Delivery epochs of R independent replications as ONE calendar.
+    """Delivery epochs of R independent replications as one solve.
 
-    Replication *r*'s arc ids are offset by ``r * num_arcs``, making
-    the R sub-systems disjoint: their events interleave safely in a
-    single merged run whose calendar is R times denser (which is where
-    the FIFO pass's per-window cost amortises).  Entry *r* of the
-    result is **bit-identical** to
+    The fixed-point engine's batch
+    (:func:`repro.sim.fixedpoint.simulate_paths_fixed_point_batch`):
+    replication *r*'s arc ids are offset by ``r * num_arcs``
+    (:func:`stack_replications`), making the R sub-systems disjoint, so
+    one FIFO pass serves them all (R times the rows share each window's
+    fixed cost) and PS sweeps each replication's block until that block
+    alone stops moving.  Entry *r* of the result is **bit-identical**
+    to
 
     ``simulate_paths_event_driven(num_arcs, birth_times[r], paths[r], ...)``
 
-    because every computed epoch is a per-arc chain of the same float
-    operations — the merged calendar changes only the event interleave
-    across (independent) replications, never the arithmetic within one.
+    because no replication's rows ever share an arc with another's.
     """
-    reps = len(birth_times)
-    if len(paths) != reps:
-        raise ConfigurationError("paths and birth_times must be parallel")
-    if reps == 0:
-        return []
-    births, stacked, bounds = stack_replications(num_arcs, birth_times, paths)
-    result = simulate_paths_event_driven(
-        num_arcs * reps,
-        births,
-        stacked,
-        discipline=discipline,
-        service=service,
+    from repro.sim.fixedpoint import simulate_paths_fixed_point_batch
+
+    return simulate_paths_fixed_point_batch(
+        num_arcs, birth_times, paths, discipline=discipline, service=service
     )
-    return [
-        result.delivery[lo:hi].copy() for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
 
 
 def stack_replications(
@@ -330,91 +247,6 @@ def stack_replications(
         hop_off += int(f.start[-1])
     starts.append(np.array([hop_off], np.int64))
     return np.concatenate(births), FlatPaths(flat, np.concatenate(starts)), bounds
-
-
-# ---------------------------------------------------------------------------
-# the PS core (packed int-key events, no per-event allocation)
-# ---------------------------------------------------------------------------
-
-
-def _ps_heap_core(
-    num_arcs: int,
-    births: np.ndarray,
-    path_flat: np.ndarray,
-    path_start: np.ndarray,
-    hops: np.ndarray,
-    service: float,
-    delivery: np.ndarray,
-    log: Optional[_LogArrays],
-) -> None:
-    """PS over flat state: versioned departure checks, packed keys.
-
-    An arrival reschedules its arc's next departure, bumping the arc's
-    version; a popped check whose version is stale is skipped.  Server
-    arithmetic is :class:`repro.sim.servers.PsServerBank` — op-for-op
-    the :class:`~repro.sim.servers.PSServer` update rules, so sample
-    paths are bit-identical to the historical per-object engine.
-    """
-    n = births.shape[0]
-    flat_l = path_flat.tolist()
-    start_l = path_start.tolist()
-    hops_l = hops.tolist()
-    join_t = births.tolist()
-    hop_i = [0] * n
-    bank = PsServerBank(num_arcs, n)
-    ver = [0] * num_arcs
-    record = log is not None
-    heap = [
-        (_time_key(join_t[p]) << 73) | _JOIN_BIT | (p << 32)
-        for p in range(n)
-        if hops_l[p]
-    ]
-    heapq.heapify(heap)
-    pop = heapq.heappop
-    push = heapq.heappush
-    tkey = _time_key
-    fill = 0
-    while heap:
-        key = pop(heap)
-        if key & _JOIN_BIT:
-            p = (key >> 32) & _ID_MASK
-            t = join_t[p]
-            a = flat_l[start_l[p] + hop_i[p]]
-            bank.arrive(a, t, p, service)
-            v = ver[a] + 1
-            ver[a] = v
-            td = bank.next_departure(a)
-            push(
-                heap,
-                (tkey(td) << 73) | (a << 32) | (v & _VER_MASK),
-            )
-        else:
-            a = (key >> 32) & _ID_MASK
-            if (key & _VER_MASK) != (ver[a] & _VER_MASK):
-                continue  # stale: an arrival rescheduled this departure
-            t, p = bank.pop(a)
-            if record:
-                log.pid[fill] = p
-                log.arc[fill] = a
-                log.t_in[fill] = join_t[p]
-                log.t_out[fill] = t
-                fill += 1
-            hop_i[p] += 1
-            if hop_i[p] == hops_l[p]:
-                delivery[p] = t
-            else:
-                join_t[p] = t
-                push(heap, (tkey(t) << 73) | _JOIN_BIT | (p << 32))
-            v = ver[a] + 1
-            ver[a] = v
-            td = bank.next_departure(a)
-            if td is not None:
-                push(
-                    heap,
-                    (tkey(td) << 73) | (a << 32) | (v & _VER_MASK),
-                )
-    if record:
-        log.fill = fill
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +352,7 @@ def butterfly_packet_paths(bf: Butterfly, sample: TrafficSample) -> FlatPaths:
     exactly one arc per level, vertical wherever the row addresses
     differ — which is the level map's arc at each level
     (:class:`~repro.sim.feedforward.ButterflyLevels`), so the paths pack
-    as one (packets × d) array.  This is what lets the event calendar
+    as one (packets × d) array.  This is what lets the path engines
     cross-validate :func:`repro.sim.feedforward.simulate_butterfly_greedy`.
     """
     levels = ButterflyLevels(bf)

@@ -1,4 +1,5 @@
-"""Vectorised simulation of non-levelled networks.
+"""Vectorised simulation of explicit arc paths: the solvers of both
+path engines (``fixedpoint`` and ``event``).
 
 The feed-forward engine (:mod:`repro.sim.feedforward`) solves a
 levelled network in one sweep because a packet leaving level ``l``
@@ -7,7 +8,9 @@ paths have no such global order — a path can wrap around the arc id
 space — so no level order makes every server's arrival stream complete
 before it is solved.  This module solves *hop rows* instead (one row
 per packet and hop, packet-major), with the feed-forward engine's
-kernels, in one of two ways:
+kernels, in one of two ways, picked by one dispatch (:func:`_solve`)
+that :func:`simulate_paths_fixed_point` and
+:func:`repro.sim.eventsim.simulate_paths_event_driven` both call:
 
 * **FIFO: one time-ordered pass.**  A FIFO departure comes one service
   after its join at the earliest, so when a window ``[T, T + w)``
@@ -42,12 +45,27 @@ kernels, in one of two ways:
   unconverged path.
 
 Both end at a *consistent sample path*: every server's departures are
-exactly its discipline applied to its actual arrivals.  Such a path is
-**unique** — service times are bounded below by a positive constant,
-so the first event where two consistent paths could differ is
-determined by strictly earlier events, on which they agree — so the
-pass returns the sweeps' answer bit for bit, and on a levelled network
-both reproduce the feed-forward engine (tested).
+exactly its discipline applied to its actual arrivals.  Under FIFO
+such a path is **unique** — service times are bounded below by a
+positive constant, so the first event where two consistent paths
+could differ is determined by strictly earlier events, on which they
+agree, and a FIFO departure is fixed at admission — so the pass
+returns the sweeps' answer bit for bit, and on a levelled network both
+reproduce the feed-forward engine (tested).
+
+Under PS in floating point the path is not unique where a path takes
+the same arc on two consecutive hops: a packet leaves arc ``a`` at
+``d`` and rejoins ``a`` at ``d``, and the sweeps can settle one ulp
+below strict event order, admitting the rejoin ahead of the departure
+it follows; :func:`~repro.sim.servers.ps_departure_times` accepts both
+answers.  Two scans of 300 random cyclic systems (3/12/40 arcs, up to
+200 packets, services 0.5/1/1.7/3) found the sweeps and a strict-order
+event calendar apart on 56 of 298 and 63 of 297 systems with a hop (by
+up to 5.2e-12), every answer consistent arc by arc, and on none once
+consecutive repeats were redrawn.  No built-in network has such a path
+(no arc is a loop), and no admissible PS engine pair over the built-in
+networks and traffics differs (0 of 480 pairs; 0 of 468 in a rerun).
+Such paths are accepted, not refused.
 """
 
 from __future__ import annotations
@@ -103,15 +121,13 @@ def simulate_paths_fixed_point(
     """Simulate packets following explicit arc paths, vectorised.
 
     Same contract as
-    :func:`repro.sim.eventsim.simulate_paths_event_driven` (and
-    cross-validated against it): *paths* is a per-packet sequence of
+    :func:`repro.sim.eventsim.simulate_paths_event_driven`, which runs
+    this module's solvers too: *paths* is a per-packet sequence of
     arc ids in ``range(num_arcs)``, or a
     :class:`~repro.sim.eventsim.FlatPaths`; a packet with an empty path
     is delivered at birth.  Sample paths match the feed-forward engine
     bit for bit wherever both run (both solve each server with the
-    closed form of :func:`~repro.sim.feedforward.serve_level`).  The
-    event engine solves FIFO with this module's pass, so it agrees bit
-    for bit under FIFO; under PS it agrees to floating-point round-off.
+    closed form of :func:`~repro.sim.feedforward.serve_level`).
 
     FIFO makes one time-ordered pass; PS sweeps to a fixed point, at
     most ``max_sweeps`` times (see the module docstring).
@@ -126,6 +142,31 @@ def simulate_paths_fixed_point(
     than ``sweeps * total_rows`` while the sample path stays
     bit-identical.
     """
+    fp, delivery, _, sweeps, sweep_rows = _solve(
+        num_arcs, birth_times, paths, discipline, service, max_sweeps, rep_blocks
+    )
+    return FixedPointResult(delivery, fp.hops(), sweeps, sweep_rows)
+
+
+def _solve(
+    num_arcs: int,
+    birth_times: np.ndarray,
+    paths: Union[FlatPaths, Sequence[Sequence[int]]],
+    discipline: str,
+    service: float,
+    max_sweeps: Optional[int] = None,
+    rep_blocks: Optional[np.ndarray] = None,
+) -> Tuple[FlatPaths, np.ndarray, np.ndarray, int, int]:
+    """Check a path system and solve it: the one dispatch from
+    discipline to solver behind both path engines.
+
+    Returns ``(paths, delivery, departures, sweeps, sweep_rows)``: the
+    packed paths, one delivery epoch per packet, one departure per hop
+    row (packet-major) and the solver's counts.  ``_fifo_pass`` is
+    looked up when called, so swapping the module attribute for
+    :func:`_sweeps` (as the pass's oracle test and the engine bench do)
+    re-routes FIFO in both engines.
+    """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
     if not service > 0:
@@ -134,19 +175,19 @@ def simulate_paths_fixed_point(
     if len(paths) != births.shape[0]:
         raise ConfigurationError("paths and birth_times must be parallel")
     fp = flatten_paths(paths)
-    hops = fp.hops()
     delivery = births.copy()  # zero-hop packets are delivered at birth
     if fp.flat.shape[0] == 0:
-        return FixedPointResult(delivery, hops, 0, 0)
-    if fp.flat.min() < 0 or fp.flat.max() >= num_arcs:
-        raise SimulationError("arc id out of range")
+        return fp, delivery, np.empty(0), 0, 0
+    lo, hi = int(fp.flat.min()), int(fp.flat.max())
+    if lo < 0 or hi >= num_arcs:
+        raise SimulationError(f"arc id {lo if lo < 0 else hi} out of range")
     solve = _fifo_pass if discipline == "fifo" else _sweeps
     departures, sweeps, sweep_rows = solve(
         num_arcs, births, fp, discipline, service, max_sweeps, rep_blocks
     )
-    routed = hops > 0
+    routed = fp.hops() > 0
     delivery[routed] = departures[fp.start[1:][routed] - 1]
-    return FixedPointResult(delivery, hops, sweeps, sweep_rows)
+    return fp, delivery, departures, sweeps, sweep_rows
 
 
 def _fifo_pass(
@@ -160,8 +201,7 @@ def _fifo_pass(
 ) -> Tuple[np.ndarray, int, int]:
     """FIFO departures of every hop row, window by window in time order.
 
-    The one FIFO solver of both path engines: the event engine calls it
-    too.  Takes :func:`_sweeps`' arguments, so either can solve FIFO;
+    Takes :func:`_sweeps`' arguments, so either can solve FIFO;
     one pass needs no sweep ceiling and no per-block convergence, so
     ``discipline``, ``max_sweeps`` and ``rep_blocks`` go unused.
     """
@@ -240,9 +280,14 @@ def _sweeps(
 
     if max_sweeps is None:
         # Every sweep finalises at least the earliest not-yet-consistent
-        # event, so total + 2 sweeps always suffice; real workloads
-        # converge in O(max path length + queue chain length).
-        max_sweeps = total + 2
+        # event — or, under PS, every second sweep does when that event
+        # is a departure whose packet rejoins the same arc: a rejoin
+        # estimated too early shares the server and pushes the
+        # departure late, and the next sweep admits it after.  So
+        # 2 * total + 2 sweeps suffice (one-arc systems need up to
+        # 1.45 * (total + 2)); real workloads converge in O(max path
+        # length + queue chain length).
+        max_sweeps = 2 * total + 2
     chained_rows = np.flatnonzero(chained)
     departures = np.empty(total)
     # Only arcs whose arrival estimates changed need re-solving: the

@@ -15,13 +15,13 @@ Ties: an arrival that coincides with a departure epoch is processed
 *after* the departure (the departing customer's residual work hits zero
 exactly then, and an instantaneous overlap renders zero service).
 
-Who runs what: the sweep engines (feed-forward, fixed-point and the
-chunked sweep) solve PS with one kernel in :mod:`repro.sim.feedforward`
-that does :class:`PSServer`'s float operations for every arc of a
-level at once.  :class:`PSServer` and :func:`ps_departure_times` are
-its reference (tests compare it bit for bit) and the Lemma 7 oracle.
-:class:`PsServerBank` serves the event engine, whose PS departures
-cascade across arcs within one window.
+Who runs what: every engine (feed-forward, the chunked sweep, and the
+fixed-point solver behind both path engines, event and fixed-point)
+solves PS with one kernel in :mod:`repro.sim.feedforward` that does
+:class:`PSServer`'s float operations for every arc of a level at once.
+:class:`PSServer` and :func:`ps_departure_times` are its reference
+(tests compare it bit for bit, and check the path engines' PS arc
+logs against it arc by arc) and the Lemma 7 oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FifoServer", "PSServer", "PsServerBank", "ps_departure_times"]
+__all__ = ["FifoServer", "PSServer", "ps_departure_times"]
 
 
 class FifoServer:
@@ -132,76 +132,6 @@ class PSServer:
         # accumulated float drift for the remaining customers.
         self._S = threshold
         return t, cid
-
-
-class PsServerBank:
-    """A bank of PS servers in array-of-struct layout (one per arc).
-
-    Same update rules as :class:`PSServer`, column-ised: per-arc
-    fair-share integral ``S``, clock ``now`` and active count ``n``,
-    plus an intrusive FIFO linked list of waiting customers (one
-    ``next`` slot and one departure threshold per customer — a
-    customer sits in at most one server).  The heap of ``(threshold,
-    seq)`` pairs collapses to that queue because equal work makes
-    thresholds non-decreasing in arrival order, with ties broken by
-    insertion exactly as the heap's ``seq`` does.  No per-event
-    allocation; every operation is the same float arithmetic as the
-    per-object server (including the drift-killing snap of ``S`` to
-    the departing threshold), so sample paths are bit-identical.
-    """
-
-    __slots__ = ("S", "now", "n", "head", "tail", "nxt", "thr")
-
-    def __init__(self, num_servers: int, num_customers: int) -> None:
-        self.S = [0.0] * num_servers
-        self.now = [0.0] * num_servers
-        self.n = [0] * num_servers
-        self.head = [-1] * num_servers
-        self.tail = [-1] * num_servers
-        self.nxt = [-1] * num_customers
-        self.thr = [0.0] * num_customers
-
-    def advance(self, a: int, t: float) -> None:
-        """Advance server *a*'s clock to *t*, accruing fair share."""
-        now = self.now[a]
-        if t < now - 1e-12:
-            raise ValueError(f"time moves backwards: {t} < {now}")
-        k = self.n[a]
-        if k:
-            self.S[a] += (t - now) / k
-        if t > now:
-            self.now[a] = t
-
-    def arrive(self, a: int, t: float, customer: int, work: float) -> None:
-        """Admit *customer* with the given *work* at server *a*."""
-        self.advance(a, t)
-        self.thr[customer] = self.S[a] + work
-        if self.n[a]:
-            self.nxt[self.tail[a]] = customer
-        else:
-            self.head[a] = customer
-        self.tail[a] = customer
-        self.n[a] += 1
-
-    def next_departure(self, a: int) -> Optional[float]:
-        """Epoch of server *a*'s next departure, or ``None`` if idle."""
-        k = self.n[a]
-        if not k:
-            return None
-        return self.now[a] + (self.thr[self.head[a]] - self.S[a]) * k
-
-    def pop(self, a: int) -> Tuple[float, int]:
-        """Advance to and remove server *a*'s next departing customer."""
-        t = self.next_departure(a)
-        if t is None:
-            raise RuntimeError("no active customers to depart")
-        self.advance(a, t)
-        c = self.head[a]
-        self.head[a] = self.nxt[c]
-        self.n[a] -= 1
-        # snap S to the threshold, as PSServer.pop_departure does
-        self.S[a] = self.thr[c]
-        return t, c
 
 
 def ps_departure_times(

@@ -24,7 +24,7 @@ occupies one contiguous id slice of length ``m**d``.  Like the ring
 (and unlike the levelled hypercube equivalent), in-dimension movement
 can revisit the same arc class many times, so the torus is simulated
 by the fixed-point engine (:mod:`repro.sim.fixedpoint`) or the event
-calendar, never the level-by-level feed-forward engine.
+engine, never the level-by-level feed-forward engine.
 """
 
 from __future__ import annotations

@@ -304,8 +304,8 @@ class TestBatchedFastPath:
         assert batched == sequential  # exact: dataclass equality on floats
 
     def test_event_engine_batches(self):
-        """The event calendar declares batching: R replications share
-        one calendar via arc-id offsetting."""
+        """The event engine declares batching: R replications share
+        one solve via arc-id offsetting."""
         spec = greedy_spec(engine="event")
         assert get_engine("event").supports_batch(spec)
         assert spec.plugin.batch_runner(spec) is not None

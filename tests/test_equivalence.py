@@ -3,7 +3,7 @@
 The strongest correctness evidence in the suite: independent
 implementations must produce the *same sample paths*:
 
-* feed-forward (vectorised Lindley) vs the event calendar, FIFO & PS;
+* feed-forward (vectorised Lindley) vs the event engine, FIFO & PS;
 * the physical hypercube vs network Q fed with the same packets
   (§3.1's equivalence, Lemma 4 coupling).
 """
@@ -37,16 +37,15 @@ def _workload_sample(d, lam, p, horizon, seed):
     return cube, wl.generate(horizon, rng=seed)
 
 
-def _assert_level_sweeps_match_events(d, samples, discipline, atol=None):
+def _assert_level_sweeps_match_events(d, samples, discipline):
     """Every level map and route of the level sweep against the event
-    calendar run over the same packets' greedy paths.
+    engine run over the same packets' greedy paths.
 
     Maps: the hypercube in increasing and in a permuted dimension
     order, and the butterfly (a d-bit sample is also a butterfly row
     workload).  Routes: the first sample alone, all samples stacked in
     one sweep, and the first sample chunked at 1, 7 and infinitely many
-    packets.  Deliveries agree within ``atol``, or bit for bit when it
-    is ``None``.
+    packets.  Deliveries agree bit for bit.
     """
     cube, bf = Hypercube(d), Butterfly(d)
     order = list(range(1, d, 2)) + list(range(0, d, 2))
@@ -82,19 +81,14 @@ def _assert_level_sweeps_match_events(d, samples, discipline, atol=None):
             ]
         for route, deliveries in routes.items():
             for ref, got in zip(refs, deliveries):
-                if atol is None:
-                    assert np.array_equal(
-                        got.view(np.int64), ref.view(np.int64)
-                    ), f"{label}, {route}"
-                    continue
-                np.testing.assert_allclose(
-                    got, ref, atol=atol, err_msg=f"{label}, {route}"
-                )
+                assert np.array_equal(
+                    got.view(np.int64), ref.view(np.int64)
+                ), f"{label}, {route}"
 
 
 class TestEngineEquivalence:
-    """The level sweep against the event calendar, FIFO (bit for bit)
-    and PS, over every level map and every route (one-shot, stacked,
+    """The level sweep against the event engine, FIFO and PS, bit for
+    bit, over every level map and every route (one-shot, stacked,
     chunked)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -111,7 +105,7 @@ class TestEngineEquivalence:
             _workload_sample(3, 1.2, 0.5, 80.0, s)[1]
             for s in (seed, seed + 10, seed + 20)
         ]
-        _assert_level_sweeps_match_events(3, samples, "ps", 1e-6)
+        _assert_level_sweeps_match_events(3, samples, "ps")
 
     def test_fifo_with_slotted_ties(self):
         # heavy tie traffic: all births at integer slots
@@ -126,12 +120,12 @@ class TestEngineEquivalence:
 
 
 class TestBatchedEventMatchesFeedForward:
-    """The replication-batched calendar against the level sweep.
+    """The replication-batched event engine against the level sweep.
 
-    Stacking R replications into one arc-offset calendar must not move
+    Stacking R replications into one arc-offset solve must not move
     any delivery epoch: each replication agrees with the independent
-    feed-forward sweep bit for bit under FIFO and to 1e-9 under PS (the
-    engine contract the batched route is validated against).
+    feed-forward sweep bit for bit (the engine contract the batched
+    route is validated against).
     """
 
     @pytest.mark.parametrize("discipline", ["fifo", "ps"])
@@ -151,12 +145,9 @@ class TestBatchedEventMatchesFeedForward:
         )
         for s, delivery in zip(samples, deliveries):
             ff = simulate_hypercube_greedy(cube, s, discipline=discipline)
-            if discipline == "fifo":
-                assert np.array_equal(
-                    ff.delivery.view(np.int64), delivery.view(np.int64)
-                )
-            else:
-                np.testing.assert_allclose(ff.delivery, delivery, atol=1e-9)
+            assert np.array_equal(
+                ff.delivery.view(np.int64), delivery.view(np.int64)
+            )
 
 
 class TestPhysicalVsNetworkQ:

@@ -18,6 +18,7 @@ from repro.sim.eventsim import (
     simulate_paths_event_driven_batch,
 )
 from repro.sim.lindley import fifo_departure_times
+from repro.sim.servers import ps_departure_times
 from repro.traffic.workload import TrafficSample
 
 
@@ -205,7 +206,7 @@ def _oracle_fifo(births, paths, service):
     return delivery, (pid, arc, t_in, t_out)
 
 
-def _fifo_system(seed, num_arcs, n, span, service, ties):
+def _cyclic_system(seed, num_arcs, n, span, service, ties):
     """Cyclic paths over few (hot) or many arcs, tied or sparse births."""
     rng = np.random.default_rng(seed)
     births = rng.uniform(0.0, span, size=n)
@@ -216,8 +217,8 @@ def _fifo_system(seed, num_arcs, n, span, service, ties):
     return num_arcs, births, paths, service
 
 
-_FIFO_SYSTEMS = st.builds(
-    _fifo_system,
+_CYCLIC_SYSTEMS = st.builds(
+    _cyclic_system,
     st.integers(0, 2**32 - 1),
     st.sampled_from([1, 3, 12, 40]),
     st.integers(0, 120),
@@ -231,10 +232,10 @@ class TestFifoOracle:
     """The FIFO pass reproduces per-arc Lindley recursions bit for bit."""
 
     @settings(max_examples=60, deadline=None)
-    @given(system=_FIFO_SYSTEMS)
-    @example(system=_fifo_system(0, 3, 120, 40.0, 1.7, True))  # hot, tied
-    @example(system=_fifo_system(1, 12, 120, 4.0, 0.5, True))  # dense
-    @example(system=_fifo_system(2, 40, 60, 2000.0, 3.0, False))  # sparse
+    @given(system=_CYCLIC_SYSTEMS)
+    @example(system=_cyclic_system(0, 3, 120, 40.0, 1.7, True))  # hot, tied
+    @example(system=_cyclic_system(1, 12, 120, 4.0, 0.5, True))  # dense
+    @example(system=_cyclic_system(2, 40, 60, 2000.0, 3.0, False))  # sparse
     def test_matches_iterated_lindley_oracle(self, system):
         num_arcs, births, paths, service = system
         res = simulate_paths_event_driven(
@@ -254,8 +255,54 @@ class TestFifoOracle:
             )
 
 
+class TestPsOracle:
+    """PS arc logs are consistent sample paths: each hop joins when the
+    one before it departs, and every arc's departures are
+    ``ps_departure_times`` of its logged arrivals, bit for bit.  The PS
+    twin of :class:`TestFifoOracle`, on the same systems, paths that
+    take one arc on consecutive hops included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=_CYCLIC_SYSTEMS)
+    @example(system=_cyclic_system(0, 3, 120, 40.0, 1.7, True))  # hot, tied
+    @example(system=_cyclic_system(1, 12, 120, 4.0, 0.5, True))  # dense
+    # one arc, so every later hop rejoins it: 25 sweeps for 16 hops
+    @example(system=_cyclic_system(0, 1, 4, 4.0, 0.5, False))
+    def test_arc_logs_match_ps_departure_times(self, system):
+        num_arcs, births, paths, service = system
+        res = simulate_paths_event_driven(
+            num_arcs, births, paths, discipline="ps", service=service,
+            record_arc_log=True,
+        )
+        log = res.arc_log
+        # a packet's joins rise hop by hop: (pid, t_in) is packet-major
+        order = np.lexsort((log.t_in, log.pid))
+        pid, arc, t_in, t_out = (
+            col[order] for col in (log.pid, log.arc, log.t_in, log.t_out)
+        )
+        fp = flatten_paths(paths)
+        routed = fp.hops() > 0
+        assert np.array_equal(arc, fp.flat)
+        joins = np.empty_like(t_in)
+        joins[1:] = t_out[:-1]
+        joins[fp.start[:-1][routed]] = births[routed]
+        assert np.array_equal(t_in.view(np.int64), joins.view(np.int64))
+        delivery = births.copy()
+        delivery[routed] = t_out[fp.start[1:][routed] - 1]
+        assert np.array_equal(
+            res.delivery.view(np.int64), delivery.view(np.int64)
+        )
+        for a in np.unique(arc):
+            rows = np.flatnonzero(arc == a)
+            rows = rows[np.lexsort((pid[rows], t_in[rows]))]
+            want = ps_departure_times(t_in[rows], service)
+            assert np.array_equal(
+                t_out[rows].view(np.int64), want.view(np.int64)
+            ), f"arc {a}"
+
+
 class TestBatchedCalendar:
-    """R replications as one arc-offset calendar: per-replication
+    """R replications as one arc-offset solve: per-replication
     results bit-identical to the sequential runs."""
 
     @pytest.mark.parametrize("discipline", ["fifo", "ps"])

@@ -113,7 +113,7 @@ class TestThreeRouteEquivalence:
         assert m_par.replication_delays == m_seq.replication_delays
 
 
-#: event-engine cells: greedy forced onto the calendar engine, and the
+#: event-engine cells: greedy forced onto the event engine, and the
 #: cyclic schemes whose own batch runners draw scheme randomness from
 #: the replication stream after the workload; all split across the
 #: pool the same way at jobs > 1
@@ -145,7 +145,7 @@ CYCLIC_CELLS = [
 
 
 class TestEventRouteEquivalence:
-    """The route contract extended to the event calendar."""
+    """The route contract extended to the event engine."""
 
     @pytest.mark.parametrize("spec", EVENT_CELLS, ids=lambda s: s.name)
     def test_event_engine_three_routes_identical(self, spec, tmp_path):
@@ -167,7 +167,7 @@ class TestEventRouteEquivalence:
 
     @pytest.mark.parametrize("spec", CYCLIC_CELLS, ids=lambda s: s.name)
     def test_cyclic_scheme_batched_routes_identical(self, spec, tmp_path):
-        """Cyclic schemes: the batched calendar, in process and split
+        """Cyclic schemes: the batched event solve, in process and split
         across the pool at jobs=2, reproduces the sequential cells
         byte for byte."""
         seq_store = ResultsStore(tmp_path / "seq")

@@ -371,9 +371,9 @@ _PAIR_CELLS = {
 }
 
 
-def assert_same_fifo_paths(evt, vec):
-    """Two FIFO runs of one cell deliver every packet at the same
-    epoch, bit for bit."""
+def assert_same_paths(evt, vec):
+    """Two runs of one cell deliver every packet at the same epoch, bit
+    for bit."""
     assert np.array_equal(
         evt.record.delivery.view(np.int64), vec.record.delivery.view(np.int64)
     )
@@ -382,9 +382,9 @@ def assert_same_fifo_paths(evt, vec):
 
 class TestFixedPointEngine:
     """The fixed-point solver is the ring/torus native engine; it must
-    agree with the event calendar (and, on levelled networks, with the
-    feed-forward engine) sample path for sample path: bit for bit under
-    FIFO, where both run one solver, to round-off under PS."""
+    agree with the event engine (and, on levelled networks, with the
+    feed-forward engine) sample path for sample path, bit for bit: the
+    two path engines run one solver per discipline."""
 
     @pytest.mark.parametrize("cell", sorted(_PAIR_CELLS))
     @pytest.mark.parametrize("discipline", ["fifo", "ps"])
@@ -399,13 +399,7 @@ class TestFixedPointEngine:
         vec = run_spec(spec, seed, keep_record=True)
         evt = run_spec(spec.replace(engine="event"), seed, keep_record=True)
         assert vec.num_packets == evt.num_packets
-        if discipline == "fifo":
-            assert_same_fifo_paths(evt, vec)
-            return
-        np.testing.assert_allclose(
-            evt.record.delivery, vec.record.delivery, rtol=0, atol=1e-9
-        )
-        assert evt.mean_delay == pytest.approx(vec.mean_delay, abs=1e-9)
+        assert_same_paths(evt, vec)
 
     def test_ring_clockwise_variant_cross_validates(self):
         spec = small_spec(
@@ -414,7 +408,7 @@ class TestFixedPointEngine:
         )
         vec = run_spec(spec, 5, keep_record=True)
         evt = run_spec(spec.replace(engine="event"), 5, keep_record=True)
-        assert_same_fifo_paths(evt, vec)
+        assert_same_paths(evt, vec)
 
     def test_matches_feedforward_on_levelled_network(self, small_cube_workload):
         from repro.sim.eventsim import hypercube_packet_paths
@@ -663,7 +657,7 @@ class TestCustomNetworkEndToEnd:
         assert spec.network == "star"
         vec = run_spec(spec, 0, keep_record=True)
         evt = run_spec(spec.replace(engine="event"), 0, keep_record=True)
-        assert_same_fifo_paths(evt, vec)
+        assert_same_paths(evt, vec)
         m = measure(spec)
         assert m.network == "star"
         assert m.num_packets > 0
@@ -672,7 +666,7 @@ class TestCustomNetworkEndToEnd:
         """Declaring only a per-level arc map (``greedy_levels``) puts a
         custom network on the feed-forward engine: its sequential,
         batched and chunked routes all run, with byte-identical cells,
-        and agree with the event calendar over its greedy paths."""
+        and agree with the event engine over its greedy paths."""
         from repro.engines.registry import resolve_engine
         from repro.runner.store import ResultsStore
 
@@ -709,7 +703,7 @@ class TestCustomNetworkEndToEnd:
             assert resolve_engine(spec).name == "feedforward"
             vec = run_spec(spec, 0, keep_record=True)
             evt = run_spec(spec.replace(engine="event"), 0, keep_record=True)
-            assert_same_fifo_paths(evt, vec)
+            assert_same_paths(evt, vec)
 
             def route(cell_spec, batch):
                 store = ResultsStore(tmp_path / f"{cell_spec.name}-{batch}")
