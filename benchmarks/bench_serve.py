@@ -162,9 +162,7 @@ def main() -> int:
     quick = "--quick" in sys.argv
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
         cache_dir = Path(tmp) / "cache"
-        server = ServerThread(
-            cache_dir=cache_dir, workers=2, backend="locked"
-        ).start()
+        server = ServerThread(cache_dir=cache_dir, workers=2).start()
         try:
             base = server.base_url
             hits = bench_hits(

@@ -19,8 +19,8 @@ Subcommands:
 * ``run``             — execute a registered scenario: parallel replications,
   pooled confidence interval, content-hash results cache;
 * ``cache``           — inspect (``info [--json]``), clear, or evict
-  (``prune --older-than/--max-bytes``) the content-hash results store,
-  under any backend (``file``/``locked``/``sqlite``);
+  (``prune --older-than/--max-bytes``) the content-hash results store
+  (``clear``/``prune`` take the root's lock, as every cell write does);
 * ``serve``           — the measurement server: an asyncio HTTP API over the
   results cache (POST specs, instant cache hits, queued jobs with SSE
   progress, cooperative cancel).
@@ -298,10 +298,9 @@ def _cmd_traffics(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.runner import make_store
     from repro.runner.store import parse_duration, parse_size
 
-    store = make_store(args.cache_dir, args.backend)
+    store = ResultsStore(args.cache_dir)
     if args.action == "clear":
         removed = store.clear()
         print(
@@ -342,7 +341,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "root": str(store.root),
-            "backend": args.backend or "file",
             "exists": store.root.is_dir(),
             "pooled": stats.pooled,
             "replications": stats.replications,
@@ -374,7 +372,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        backend=args.backend,
         wave_reps=args.wave_reps,
         job_ttl=parse_duration(args.job_ttl),
     )
@@ -384,7 +381,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving on http://{server.host}:{server.port} "
             f"(workers={server.manager.workers}, "
-            f"cache={server.store_root}, backend={server.backend})",
+            f"cache={server.store_root})",
             flush=True,
         )
         try:
@@ -639,9 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "left alone); prune = TTL/LRU eviction")
     sp.add_argument("--cache-dir", default=None,
                     help="results store root (default: $REPRO_CACHE_DIR or .repro-cache)")
-    sp.add_argument("--backend", default=None,
-                    choices=("file", "locked", "sqlite"),
-                    help="store backend (default: $REPRO_CACHE_BACKEND or file)")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable output (info and prune)")
     sp.add_argument("--older-than", default=None, metavar="AGE",
@@ -663,10 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cache-dir", default=None,
                     help="results store root, pinned at startup "
                     "(default: $REPRO_CACHE_DIR or .repro-cache)")
-    sp.add_argument("--backend", default="locked",
-                    choices=("file", "locked", "sqlite"),
-                    help="store backend; 'locked' adds cross-process "
-                    "fcntl locking to the plain file layout")
     sp.add_argument("--wave-reps", type=int, default=1,
                     help="replications per task wave: the progress/"
                     "cancellation granularity of a job (larger = more "

@@ -15,9 +15,6 @@ implements the hooks the rest of the stack used to hard-code behind
 * :meth:`~EnginePlugin.simulate` — delivery epochs of one traffic
   sample under greedy routing (the path every engine-driven scheme's
   replication runner takes);
-* :meth:`~EnginePlugin.run_paths` — the lower-level contract shared by
-  the event engine and the fixed-point solver: packets following
-  explicit precomputed arc paths;
 * :meth:`~EnginePlugin.simulate_batch` — the replication-batched fast
   path: R replications' workloads stacked into **one** vectorised
   computation (offsetting arc ids per replication keeps the
@@ -94,8 +91,8 @@ class EnginePlugin:
 
     Subclasses set :attr:`name` (and optionally :attr:`aliases`,
     :attr:`summary`), declare :attr:`capabilities`, and implement
-    :meth:`simulate` (plus :meth:`run_paths` for path-based engines and
-    :meth:`simulate_batch` when ``capabilities.batching``).
+    :meth:`simulate` (plus :meth:`batch_deliveries` when
+    ``capabilities.batching``).
     """
 
     #: registry key; also an admissible ``ScenarioSpec.engine`` value
@@ -155,24 +152,6 @@ class EnginePlugin:
         """Delivery epochs of *sample* under greedy routing on *spec*'s
         network (the hook :class:`~repro.plugins.greedy.GreedyPlugin`
         replications route through)."""
-        raise NotImplementedError  # pragma: no cover - protocol
-
-    def run_paths(
-        self,
-        num_arcs: int,
-        birth_times: "np.ndarray",
-        paths: Sequence[Sequence[int]],
-        *,
-        discipline: str = "fifo",
-        service: float = 1.0,
-    ) -> "np.ndarray":
-        """Delivery epochs of packets following explicit arc paths.
-
-        The shared low-level contract of the path-based engines (event
-        engine, fixed-point solver); a packet with an empty path is
-        delivered at birth.  Levelled sweeps have no generic path form
-        and leave this unimplemented.
-        """
         raise NotImplementedError  # pragma: no cover - protocol
 
     def simulate_batch(

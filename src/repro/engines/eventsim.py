@@ -9,8 +9,7 @@ time-ordered pass, PS by sweeping to a fixed point, so the two path
 engines agree bit for bit under both disciplines, and with the
 feed-forward engine wherever it runs.  It stays an engine of its own,
 under its own name and aliases, so ``engine="event"`` cells keep their
-content hashes; it declares no options (``max_sweeps`` stays the
-fixed-point engine's).
+content hashes; like the fixed-point engine, it declares no options.
 
 Batching: replications are independent, so R replications share one
 solve with replication *r*'s arc ids offset by ``r * num_arcs``

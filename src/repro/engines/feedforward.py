@@ -37,10 +37,9 @@ replication through the chunked kernel: packets are processed in
 birth-ordered chunks with per-arc queue state carried between chunks,
 so peak memory is bounded by the chunk size and the topology instead
 of the horizon — the d ≥ 20 regime.  FIFO carries (count,
-running-Lindley-max) per arc and is bit-identical to the one-shot path
-(tested); PS carries the in-service packets of each busy arc and
-agrees with the one-shot fair-share construction to ≤ 1e-9 at every
-chunk size (tested).
+running-Lindley-max) per arc, PS the in-service packets of each busy
+arc; both are bit-identical to the one-shot path at every chunk size
+(tested).
 """
 
 from __future__ import annotations
@@ -87,8 +86,8 @@ class FeedForwardEngine(EnginePlugin):
                 "chunks of this many packets with per-arc queue state "
                 "carried between chunks: peak memory bounded by the "
                 "chunk and the topology instead of the horizon "
-                "(FIFO is bit-identical to the one-shot sweep; PS "
-                "carries in-service packets and agrees to <=1e-9)",
+                "(bit-identical to the one-shot sweep under FIFO and "
+                "PS; PS carries the in-service packets)",
             ),
         ),
     )

@@ -10,10 +10,11 @@ name.  On a levelled network it reproduces the feed-forward engine's
 sample path bit for bit — forcing ``engine="fixedpoint"`` on the
 hypercube is a legitimate cross-validation axis (tested).
 
-The engine owns one typed option, ``max_sweeps`` — the PS sweep
-ceiling past which a far-above-saturation system raises
-:class:`~repro.errors.SimulationError` instead of returning an
-unconverged path.  FIFO makes one pass and needs no ceiling.
+The engine declares no options.  The PS sweeps stop at a ceiling
+that scales with the hop count (``2 * total + 2``), past which a
+far-above-saturation system raises :class:`~repro.errors.SimulationError`
+instead of returning an unconverged path.  FIFO makes one pass and
+needs no ceiling.
 
 **Batching**: R replications' path sets stack with arc ids offset by
 ``replication * num_arcs``, so one solve settles R disjoint
@@ -27,11 +28,10 @@ once it converges its rows drop out of the remaining sweeps entirely
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List
 
 from repro.engines.api import EngineCapabilities, EnginePlugin
 from repro.engines.registry import register_engine
-from repro.plugins.api import OptionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -53,22 +53,7 @@ class FixedPointEngine(EnginePlugin):
         disciplines=("fifo", "ps"),
         networks=("*",),
         batching=True,
-        options=(
-            OptionSpec(
-                "max_sweeps",
-                kind="int",
-                description="PS sweep ceiling before a far-above-"
-                "saturation system raises SimulationError "
-                "(default: scales with the hop count); FIFO makes "
-                "one pass",
-            ),
-        ),
     )
-
-    @staticmethod
-    def _max_sweeps(spec: "ScenarioSpec"):
-        value = spec.option("max_sweeps")
-        return None if value is None else int(value)
 
     def simulate(
         self,
@@ -84,26 +69,6 @@ class FixedPointEngine(EnginePlugin):
             sample.times,
             paths,
             discipline=spec.discipline,
-            max_sweeps=self._max_sweeps(spec),
-        ).delivery
-
-    def run_paths(
-        self,
-        num_arcs: int,
-        birth_times: "np.ndarray",
-        paths: Sequence[Sequence[int]],
-        *,
-        discipline: str = "fifo",
-        service: float = 1.0,
-    ) -> "np.ndarray":
-        from repro.sim.fixedpoint import simulate_paths_fixed_point
-
-        return simulate_paths_fixed_point(
-            num_arcs,
-            birth_times,
-            paths,
-            discipline=discipline,
-            service=service,
         ).delivery
 
     def batch_deliveries(
@@ -120,5 +85,4 @@ class FixedPointEngine(EnginePlugin):
             [s.times for s in samples],
             [net.greedy_paths(topology, spec, s) for s in samples],
             discipline=spec.discipline,
-            max_sweeps=self._max_sweeps(spec),
         )

@@ -13,7 +13,7 @@ engine for cross-validation) turns a sample into delivery epochs.
 RNG contract (golden-pinned): the workload sample is drawn from the
 replication stream *before* the engine runs, so forcing the engine
 never changes which packets exist, and every engine resolves their
-contention alike: bit for bit under FIFO, to float round-off under PS.
+contention alike, bit for bit under FIFO and PS.
 
 The scheme also exposes the replication-batched fast path: when the
 resolved engine declares batching, :meth:`GreedyPlugin.batch_runner`

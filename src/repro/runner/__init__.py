@@ -36,11 +36,6 @@ from repro.plugins.registry import (
     get_plugin,
     iter_plugins,
 )
-from repro.runner.backends import (
-    LockedResultsStore,
-    SqliteResultsStore,
-    make_store,
-)
 from repro.runner.engine import (
     MeasureProgress,
     MeasurementCancelled,
@@ -63,9 +58,6 @@ __all__ = [
     "ScenarioSpec",
     "DelayMeasurement",
     "ResultsStore",
-    "LockedResultsStore",
-    "SqliteResultsStore",
-    "make_store",
     "MeasureProgress",
     "MeasurementCancelled",
     "available_networks",

@@ -1,343 +1,21 @@
-"""Concurrent-safe results-store backends.
+"""``make_store``: the factory name the benchmark harness imports.
 
-:class:`~repro.runner.store.ResultsStore` is already safe for the
-one-writer-many-readers case (atomic temp-file + rename), but a busy
-``repro serve`` deployment has N worker processes and the server all
-mutating one cache root.  Two backends harden that case behind the
-same interface:
-
-* :class:`LockedResultsStore` — the plain file layout plus a
-  cross-process ``fcntl`` advisory lock (one ``.lock`` file at the
-  root) held exclusively around every mutating operation, so cell
-  writes never interleave with a concurrent ``clear``/``prune`` pass.
-  Byte-identical cells to the plain store — the lock changes *when*
-  writes happen, never *what* is written — so the CLI and the server
-  can share one cache root freely.
-* :class:`SqliteResultsStore` — an opt-in sqlite file (``cells.sqlite``
-  under the root) holding the same JSON payloads in two tables, with
-  sqlite's own locking providing atomicity.  Useful where advisory
-  file locks are unreliable (some network filesystems).
-
-:func:`make_store` picks a backend by name (``file`` / ``locked`` /
-``sqlite``), defaulting to ``$REPRO_CACHE_BACKEND`` or ``file``.
-Long-lived processes must pin the root once and pass it explicitly —
-see the :func:`~repro.runner.store.default_cache_dir` caveat.
+The results store has one implementation,
+:class:`~repro.runner.store.ResultsStore`, which every writer (the CLI,
+the server and its workers) builds directly.  ``perfbench/sim.py``
+still builds its in-process store through this name.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import sqlite3
-import time
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Union
 
-from repro.errors import ConfigurationError
-from repro.runner.results import (
-    DelayMeasurement,
-    measurement_from_dict,
-)
-from repro.runner.spec import ScenarioSpec
-from repro.runner.store import ResultsStore, StoreStats, default_cache_dir
-from repro.sim.run_spec import ReplicationOutput
+from repro.runner.store import ResultsStore
 
-try:  # POSIX only; on other platforms the locked backend degrades to plain
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
-
-__all__ = [
-    "LockedResultsStore",
-    "SqliteResultsStore",
-    "make_store",
-    "STORE_BACKENDS",
-    "default_cache_dir",
-]
-
-STORE_BACKENDS = ("file", "locked", "sqlite")
-_BACKEND_ENV_VAR = "REPRO_CACHE_BACKEND"
+__all__ = ["make_store"]
 
 
-class LockedResultsStore(ResultsStore):
-    """The file store under a cross-process advisory lock.
-
-    Every mutating operation (cell writes, ``clear``, ``prune``) takes
-    an exclusive ``flock`` on ``<root>/.lock``; reads stay lock-free
-    because the underlying writes are atomic renames.  The lock file
-    itself is foreign to the cell-naming scheme, so ``clear`` never
-    deletes it.
-    """
-
-    def _lock_path(self) -> Path:
-        return self.root / ".lock"
-
-    @contextmanager
-    def _locked(self) -> Iterator[None]:
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            yield
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self._lock_path(), os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-            finally:
-                os.close(fd)
-
-    def save(self, spec: ScenarioSpec, measurement: DelayMeasurement) -> Path:
-        with self._locked():
-            return super().save(spec, measurement)
-
-    def save_replication(
-        self, spec: ScenarioSpec, rep: int, out: ReplicationOutput
-    ) -> Path:
-        with self._locked():
-            return super().save_replication(spec, rep, out)
-
-    def clear(self) -> StoreStats:
-        with self._locked():
-            return super().clear()
-
-    def prune(
-        self,
-        older_than: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-        now: Optional[float] = None,
-    ) -> StoreStats:
-        with self._locked():
-            return super().prune(older_than, max_bytes, now)
-
-
-class SqliteResultsStore(ResultsStore):
-    """The same cell vocabulary in one sqlite file.
-
-    Payloads are the exact JSON text the file backend would write, so
-    switching backends never changes what a cached measurement decodes
-    to.  A connection is opened per operation (safe across ``fork``
-    and process pools) with a generous busy timeout; writes go through
-    ``INSERT OR REPLACE``, which sqlite applies atomically.
-    """
-
-    _SCHEMA = (
-        "CREATE TABLE IF NOT EXISTS pooled ("
-        " hash TEXT PRIMARY KEY, payload TEXT NOT NULL, mtime REAL NOT NULL)",
-        "CREATE TABLE IF NOT EXISTS replications ("
-        " hash TEXT NOT NULL, rep INTEGER NOT NULL,"
-        " payload TEXT NOT NULL, mtime REAL NOT NULL,"
-        " PRIMARY KEY (hash, rep))",
-    )
-
-    @property
-    def db_path(self) -> Path:
-        return self.root / "cells.sqlite"
-
-    @contextmanager
-    def _connect(self) -> Iterator[sqlite3.Connection]:
-        self.root.mkdir(parents=True, exist_ok=True)
-        con = sqlite3.connect(self.db_path, timeout=30.0)
-        try:
-            con.execute("PRAGMA busy_timeout=30000")
-            for stmt in self._SCHEMA:
-                con.execute(stmt)
-            yield con
-            con.commit()
-        finally:
-            con.close()
-
-    @staticmethod
-    def _encode(payload: Dict[str, Any]) -> str:
-        # the file backend's exact serialisation, for cross-backend parity
-        return json.dumps(payload, indent=1, sort_keys=True)
-
-    # -- pooled cells -------------------------------------------------------
-
-    def contains(self, spec: ScenarioSpec) -> bool:
-        return self.load(spec) is not None
-
-    def load(self, spec: ScenarioSpec) -> Optional[DelayMeasurement]:
-        row = self._fetch(
-            "SELECT payload FROM pooled WHERE hash = ?", (spec.content_hash(),)
-        )
-        if row is None:
-            return None
-        try:
-            return measurement_from_dict(json.loads(row[0])["result"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return None
-
-    def save(self, spec: ScenarioSpec, measurement: DelayMeasurement) -> Path:
-        from repro.runner.results import measurement_to_dict
-
-        payload = {
-            "spec": spec.to_dict(),
-            "result": measurement_to_dict(measurement),
-        }
-        with self._connect() as con:
-            con.execute(
-                "INSERT OR REPLACE INTO pooled (hash, payload, mtime)"
-                " VALUES (?, ?, ?)",
-                (spec.content_hash(), self._encode(payload), time.time()),
-            )
-        return self.db_path
-
-    # -- per-replication cells ----------------------------------------------
-
-    def load_replication(
-        self, spec: ScenarioSpec, rep: int
-    ) -> Optional[ReplicationOutput]:
-        from repro.runner.results import _decode_float
-
-        row = self._fetch(
-            "SELECT payload FROM replications WHERE hash = ? AND rep = ?",
-            (spec.replication_hash(), int(rep)),
-        )
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row[0])
-            return ReplicationOutput(
-                mean_delay=_decode_float(payload["mean_delay"]),
-                num_packets=int(payload["num_packets"]),
-                metrics=tuple(
-                    (str(k), _decode_float(v)) for k, v in payload["metrics"]
-                ),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            return None
-
-    def save_replication(
-        self, spec: ScenarioSpec, rep: int, out: ReplicationOutput
-    ) -> Path:
-        from repro.runner.results import _encode_float
-
-        payload = {
-            "spec": spec.to_dict(),
-            "replication": rep,
-            "mean_delay": _encode_float(out.mean_delay),
-            "num_packets": out.num_packets,
-            "metrics": [[k, _encode_float(v)] for k, v in out.metrics],
-        }
-        with self._connect() as con:
-            con.execute(
-                "INSERT OR REPLACE INTO replications"
-                " (hash, rep, payload, mtime) VALUES (?, ?, ?, ?)",
-                (
-                    spec.replication_hash(),
-                    int(rep),
-                    self._encode(payload),
-                    time.time(),
-                ),
-            )
-        return self.db_path
-
-    # -- maintenance --------------------------------------------------------
-
-    def _fetch(self, sql: str, params: Tuple[Any, ...]) -> Optional[Tuple]:
-        if not self.db_path.is_file():
-            return None
-        with self._connect() as con:
-            return con.execute(sql, params).fetchone()
-
-    def __len__(self) -> int:
-        return self.stats().pooled
-
-    def stats(self, verify: bool = False) -> StoreStats:
-        if not self.db_path.is_file():
-            return StoreStats(0, 0, 0)
-        with self._connect() as con:
-            rows = list(
-                con.execute("SELECT payload FROM pooled")
-            ) + list(con.execute("SELECT payload FROM replications"))
-            pooled = con.execute("SELECT COUNT(*) FROM pooled").fetchone()[0]
-            reps = con.execute(
-                "SELECT COUNT(*) FROM replications"
-            ).fetchone()[0]
-        total = sum(len(r[0].encode()) for r in rows)
-        corrupt = 0
-        if verify:
-            for (text,) in rows:
-                try:
-                    if not isinstance(json.loads(text), dict):
-                        corrupt += 1
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    corrupt += 1
-        return StoreStats(pooled, reps, total, corrupt)
-
-    def clear(self) -> StoreStats:
-        before = self.stats()
-        if not self.db_path.is_file():
-            return before
-        with self._connect() as con:
-            con.execute("DELETE FROM pooled")
-            con.execute("DELETE FROM replications")
-        return before
-
-    def prune(
-        self,
-        older_than: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-        now: Optional[float] = None,
-    ) -> StoreStats:
-        if not self.db_path.is_file():
-            return StoreStats(0, 0, 0)
-        now = time.time() if now is None else now
-        with self._connect() as con:
-            cells: List[Tuple[str, Any, float, int, str]] = []
-            for table, key_cols in (("pooled", ("hash",)),
-                                    ("replications", ("hash", "rep"))):
-                for row in con.execute(
-                    f"SELECT {', '.join(key_cols)}, mtime, payload FROM {table}"
-                ):
-                    *keys, mtime, payload = row
-                    cells.append(
-                        (table, tuple(keys), float(mtime),
-                         len(payload.encode()), payload)
-                    )
-            doomed = []
-            if older_than is not None:
-                cutoff = now - older_than
-                doomed += [c for c in cells if c[2] < cutoff]
-                cells = [c for c in cells if c[2] >= cutoff]
-            if max_bytes is not None:
-                cells.sort(key=lambda c: c[2])
-                total = sum(c[3] for c in cells)
-                while cells and total > max_bytes:
-                    cell = cells.pop(0)
-                    total -= cell[3]
-                    doomed.append(cell)
-            removed_p = removed_r = freed = 0
-            for table, keys, _, size, _ in doomed:
-                if table == "pooled":
-                    con.execute("DELETE FROM pooled WHERE hash = ?", keys)
-                    removed_p += 1
-                else:
-                    con.execute(
-                        "DELETE FROM replications WHERE hash = ? AND rep = ?",
-                        keys,
-                    )
-                    removed_r += 1
-                freed += size
-        return StoreStats(removed_p, removed_r, freed)
-
-
-def make_store(
-    root: Union[str, os.PathLike, None] = None,
-    backend: Optional[str] = None,
-) -> ResultsStore:
-    """A results store at *root* using *backend* (``file`` / ``locked``
-    / ``sqlite``; default ``$REPRO_CACHE_BACKEND`` or ``file``)."""
-    backend = backend or os.environ.get(_BACKEND_ENV_VAR) or "file"
-    if backend == "file":
-        return ResultsStore(root)
-    if backend == "locked":
-        return LockedResultsStore(root)
-    if backend == "sqlite":
-        return SqliteResultsStore(root)
-    raise ConfigurationError(
-        f"unknown store backend {backend!r}; one of {', '.join(STORE_BACKENDS)}"
-    )
+def make_store(root: Union[str, os.PathLike, None] = None) -> ResultsStore:
+    """The results store at *root*: ``ResultsStore(root)``."""
+    return ResultsStore(root)

@@ -16,8 +16,18 @@ the replication count.  Replication *k*'s seed depends only on
 replication and simulates only the new ones.
 
 The default root is ``$REPRO_CACHE_DIR`` or ``.repro-cache`` under the
-current directory; writes are atomic (temp file + rename) so parallel
-sweeps never leave a torn cell behind.
+current directory.  One store serves every writer — ``repro run``,
+``repro cache``, the ``repro serve`` server and its pool workers — so
+they can share a root:
+
+* every cell write holds an exclusive ``fcntl.flock`` on
+  ``<root>/.lock`` while it writes a temp file named after its cell
+  (``<cell>.<random>.tmp``) and renames it over the cell, so a reader
+  sees the old cell or the new one, never a torn one;
+* ``clear`` and ``prune`` hold the same lock, so they never race a
+  write, and they unlink the temp files a killed writer left behind
+  (with the lock held, no live writer has one open);
+* reads take no lock.
 
 :func:`default_cache_dir` re-reads the environment on **every**
 ``ResultsStore()`` construction — deliberate for short-lived CLI
@@ -25,21 +35,20 @@ invocations, but a long-lived process (the ``repro serve`` server, a
 worker pool) must resolve the root **once** at startup and pass it
 explicitly to every store it constructs, or a mid-run environment
 change silently splits the cache across two roots.
-
-Concurrent-safe backends (cross-process ``fcntl`` locking, sqlite)
-behind this same interface live in :mod:`repro.runner.backends`.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.runner.results import (
     DelayMeasurement,
@@ -95,6 +104,9 @@ _ENV_VAR = "REPRO_CACHE_DIR"
 #: :meth:`ResultsStore.clear`.
 _POOLED_CELL = re.compile(r"^[0-9a-f]{20}\.json$")
 _REPLICATION_CELL = re.compile(r"^[0-9a-f]{20}\.r\d{4,}\.json$")
+#: a cell write's temp file (``mkstemp`` names it after its cell); one
+#: found while the lock is held was left by a killed writer
+_ORPHAN = re.compile(r"^[0-9a-f]{20}(\.r\d{4,})?\.json\.[a-z0-9_]+\.tmp$")
 
 
 def default_cache_dir() -> Path:
@@ -131,6 +143,21 @@ class ResultsStore:
     def __init__(self, root: Union[str, os.PathLike, None] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
 
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold the root's exclusive lock (``<root>/.lock``, created
+        with the root if missing; ``clear`` never deletes it)."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.root / ".lock", os.O_CREAT | os.O_RDWR, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+            finally:
+                os.close(fd)
+
     def path_for(self, spec: ScenarioSpec) -> Path:
         return self.root / f"{spec.content_hash()}.json"
 
@@ -160,18 +187,21 @@ class ResultsStore:
         return self._write_atomic(self.path_for(spec), payload)
 
     def _write_atomic(self, path: Path, payload: Dict[str, Any]) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
+        with self._locked():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+            )
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(payload, fh, indent=1, sort_keys=True)
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
         return path
 
     # -- per-replication cells ----------------------------------------------
@@ -309,27 +339,41 @@ class ResultsStore:
 
         Deliberately surgical: only files matching the store's own
         naming scheme go (``<20-hex>.json`` at the root,
-        ``<20-hex>.rNNNN.json`` under ``replications/``).  Foreign
-        files a user parked in the directory — notes, plots, a stray
-        ``.gitignore`` — are left untouched, as is the directory
-        itself (unless ``replications/`` ends up empty, which is then
-        removed as it is store-owned).  Cells deleted concurrently by
-        another process are skipped, not errors.
+        ``<20-hex>.rNNNN.json`` under ``replications/``, and the temp
+        files of killed writes).  Foreign files a user parked in the
+        directory — notes, plots, a stray ``.gitignore`` — are left
+        untouched, as are the ``.lock`` file and the directory itself
+        (unless ``replications/`` ends up empty, which is then removed
+        as it is store-owned).  Cells deleted concurrently by another
+        process are skipped, not errors.  A root that does not exist is
+        left uncreated.
         """
-        pooled, freed_p = self._unlink_surveyed(self._survey(self._pooled_cells()))
-        replications, freed_r = self._unlink_surveyed(
-            self._survey(self._replication_cells())
-        )
-        self._rmdir_empty_replications()
+        if not self.root.is_dir():
+            return StoreStats(0, 0, 0)
+        with self._locked():
+            pooled, freed_p = self._unlink_surveyed(
+                self._survey(self._pooled_cells())
+            )
+            replications, freed_r = self._unlink_surveyed(
+                self._survey(self._replication_cells())
+            )
+            self._sweep_orphans()
         return StoreStats(pooled, replications, freed_p + freed_r)
 
-    def _rmdir_empty_replications(self) -> None:
+    def _sweep_orphans(self) -> None:
+        """Unlink the temp files of killed writes, then ``replications/``
+        if that leaves it empty.  Runs with the lock held, so no live
+        writer has a temp file open or is about to use the directory."""
         reps_dir = self.root / "replications"
+        for folder in (self.root, reps_dir):
+            if folder.is_dir():
+                for path in folder.iterdir():
+                    if _ORPHAN.match(path.name):
+                        path.unlink(missing_ok=True)
         try:
-            if reps_dir.is_dir() and not any(reps_dir.iterdir()):
-                reps_dir.rmdir()
-        except (FileNotFoundError, OSError):
-            pass  # a concurrent writer repopulated (or removed) it
+            reps_dir.rmdir()
+        except OSError:
+            pass  # missing, or it still holds cells or foreign files
 
     def prune(
         self,
@@ -343,35 +387,38 @@ class ResultsStore:
         ``now - older_than``.  ``max_bytes`` then evicts
         least-recently-written cells (LRU by mtime, pooled and
         per-replication together) until the store fits the budget.
-        Either knob may be ``None``; with both ``None`` this is a
-        no-op.  Vanished files are tolerated exactly as in
-        :meth:`clear`.
+        Either knob may be ``None``; with both ``None`` no cell goes.
+        Orphaned temp files, vanished files and a missing root are
+        handled exactly as in :meth:`clear`.
         """
+        if not self.root.is_dir():
+            return StoreStats(0, 0, 0)
         now = time.time() if now is None else now
-        pooled = self._survey(self._pooled_cells())
-        reps = self._survey(self._replication_cells())
-        doomed_p: List[Tuple[Path, float, int]] = []
-        doomed_r: List[Tuple[Path, float, int]] = []
+        with self._locked():
+            pooled = self._survey(self._pooled_cells())
+            reps = self._survey(self._replication_cells())
+            doomed_p: List[Tuple[Path, float, int]] = []
+            doomed_r: List[Tuple[Path, float, int]] = []
 
-        def _doom(cell: Tuple[Path, float, int]) -> None:
-            is_rep = _REPLICATION_CELL.match(cell[0].name) is not None
-            (doomed_r if is_rep else doomed_p).append(cell)
+            def _doom(cell: Tuple[Path, float, int]) -> None:
+                is_rep = _REPLICATION_CELL.match(cell[0].name) is not None
+                (doomed_r if is_rep else doomed_p).append(cell)
 
-        survivors = pooled + reps
-        if older_than is not None:
-            cutoff = now - older_than
-            for cell in survivors:
-                if cell[1] < cutoff:
+            survivors = pooled + reps
+            if older_than is not None:
+                cutoff = now - older_than
+                for cell in survivors:
+                    if cell[1] < cutoff:
+                        _doom(cell)
+                survivors = [c for c in survivors if c[1] >= cutoff]
+            if max_bytes is not None:
+                survivors.sort(key=lambda c: c[1])  # oldest mtime first
+                total = sum(size for _, _, size in survivors)
+                while survivors and total > max_bytes:
+                    cell = survivors.pop(0)
+                    total -= cell[2]
                     _doom(cell)
-            survivors = [c for c in survivors if c[1] >= cutoff]
-        if max_bytes is not None:
-            survivors.sort(key=lambda c: c[1])  # oldest mtime first
-            total = sum(size for _, _, size in survivors)
-            while survivors and total > max_bytes:
-                cell = survivors.pop(0)
-                total -= cell[2]
-                _doom(cell)
-        removed_p, freed_p = self._unlink_surveyed(doomed_p)
-        removed_r, freed_r = self._unlink_surveyed(doomed_r)
-        self._rmdir_empty_replications()
+            removed_p, freed_p = self._unlink_surveyed(doomed_p)
+            removed_r, freed_r = self._unlink_surveyed(doomed_r)
+            self._sweep_orphans()
         return StoreStats(removed_p, removed_r, freed_p + freed_r)

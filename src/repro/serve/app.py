@@ -34,11 +34,10 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.runner.backends import make_store
 from repro.runner.registry import get_scenario, list_scenarios
 from repro.runner.results import measurement_to_dict
 from repro.runner.spec import ScenarioSpec
-from repro.runner.store import default_cache_dir
+from repro.runner.store import ResultsStore, default_cache_dir
 from repro.serve.http import (
     HTTPError,
     Request,
@@ -89,16 +88,21 @@ class ReproServer:
         wave_reps: Optional[int] = 1,
         job_ttl: float = 3600.0,
     ) -> None:
+        # the store has one implementation; the parameter stays for
+        # callers that still name it
+        if backend != "locked":
+            raise ConfigurationError(
+                f"unknown store backend {backend!r}; the results store "
+                "has one implementation, 'locked'"
+            )
         # pin the root once, up front; workers receive it explicitly
         self.store_root = Path(cache_dir or default_cache_dir()).resolve()
-        self.backend = backend
         self.host = host
         self._requested_port = port
         self.started = time.time()
-        self.store = make_store(self.store_root, backend)
+        self.store = ResultsStore(self.store_root)
         self.manager = JobManager(
-            self.store_root, backend, workers,
-            wave_reps=wave_reps, job_ttl=job_ttl,
+            self.store_root, workers, wave_reps=wave_reps, job_ttl=job_ttl
         )
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -208,10 +212,7 @@ class ReproServer:
                 "uptime": time.time() - self.started,
                 "workers": self.manager.workers,
                 "jobs": self.manager.counts(),
-                "store": {
-                    "root": str(self.store_root),
-                    "backend": self.backend,
-                },
+                "store": {"root": str(self.store_root)},
             },
         )
 

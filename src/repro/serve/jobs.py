@@ -3,9 +3,10 @@
 A *job* is one cache-missing :class:`~repro.runner.spec.ScenarioSpec`
 queued onto a :class:`~concurrent.futures.ProcessPoolExecutor`.  The
 worker routes through :func:`repro.runner.engine.measure` — the exact
-seq/batch machinery the CLI uses — against a concurrent-safe
-store, so a job's cache cells are byte-identical to a ``repro run`` of
-the same spec.
+seq/batch machinery the CLI uses — against the same
+:class:`~repro.runner.store.ResultsStore` the CLI builds, whose writes
+hold the root's lock, so a job's cache cells are byte-identical to a
+``repro run`` of the same spec and the two can share one root.
 
 Cross-process coordination is deliberately file-based (the worker may
 be any of N pool processes, and the pool survives across jobs):
@@ -47,10 +48,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.runner.backends import make_store
 from repro.runner.engine import MeasurementCancelled, measure
 from repro.runner.results import measurement_to_dict
 from repro.runner.spec import ScenarioSpec
+from repro.runner.store import ResultsStore
 
 __all__ = ["Job", "JobManager", "execute_job"]
 
@@ -73,7 +74,6 @@ def execute_job(
     job_dir: str,
     spec_data: Dict[str, Any],
     store_root: str,
-    backend: str,
     wave_reps: Optional[int],
 ) -> Dict[str, Any]:
     """Run one job in a pool worker; returns its terminal record.
@@ -85,7 +85,7 @@ def execute_job(
     failing spec cannot poison the executor.
     """
     spec = ScenarioSpec.from_dict(spec_data)
-    store = make_store(store_root, backend)
+    store = ResultsStore(store_root)
     cancel_path = os.path.join(job_dir, "cancel")
     progress_path = os.path.join(job_dir, "progress.json")
 
@@ -192,7 +192,6 @@ class JobManager:
     def __init__(
         self,
         store_root: Path,
-        backend: str,
         workers: int,
         wave_reps: Optional[int] = 1,
         state_dir: Optional[Path] = None,
@@ -201,7 +200,6 @@ class JobManager:
         if job_ttl <= 0:
             raise ValueError(f"job_ttl must be > 0 seconds, got {job_ttl!r}")
         self.store_root = Path(store_root)
-        self.backend = backend
         self.wave_reps = wave_reps
         self.job_ttl = float(job_ttl)
         self.workers = max(1, int(workers))
@@ -255,7 +253,6 @@ class JobManager:
             str(job_dir),
             spec.to_dict(),
             str(self.store_root),
-            self.backend,
             self.wave_reps,
         )
         try:

@@ -354,7 +354,6 @@ def simulate_paths_fixed_point_batch(
     *,
     discipline: str = "fifo",
     service: float = 1.0,
-    max_sweeps: Optional[int] = None,
 ) -> List[np.ndarray]:
     """One fixed-point solve for R independent replications.
 
@@ -381,7 +380,6 @@ def simulate_paths_fixed_point_batch(
         stacked,
         discipline=discipline,
         service=service,
-        max_sweeps=max_sweeps,
         rep_blocks=stacked.start[bounds],
     )
     return np.split(result.delivery, bounds[1:-1])

@@ -243,25 +243,15 @@ class TestAdmissibility:
             ScenarioSpec(name="x", scheme="random_order", rho=0.5,
                          engine="fixedpoint")
 
-    def test_max_sweeps_option_scoped_to_fixedpoint(self):
-        spec = greedy_spec("ring", engine="fixedpoint",
-                           extra={"max_sweeps": 500})
-        assert spec.option("max_sweeps") == 500
-        # the feedforward engine declares no such option
-        with pytest.raises(ConfigurationError, match="max_sweeps"):
-            greedy_spec(extra={"max_sweeps": 500})
+    def test_chunk_packets_option_scoped_to_feedforward(self):
+        spec = greedy_spec(extra={"chunk_packets": 500})
+        assert spec.option("chunk_packets") == 500
+        # the fixed-point engine declares no such option
+        with pytest.raises(ConfigurationError, match="chunk_packets"):
+            greedy_spec(engine="fixedpoint", extra={"chunk_packets": 500})
         # and the schema is typed
         with pytest.raises(ConfigurationError, match="int"):
-            greedy_spec("ring", engine="fixedpoint",
-                        extra={"max_sweeps": "lots"})
-
-    def test_tiny_max_sweeps_raises_simulation_error(self):
-        from repro.errors import SimulationError
-
-        spec = greedy_spec("ring", engine="fixedpoint", discipline="ps",
-                           extra={"max_sweeps": 1})
-        with pytest.raises(SimulationError, match="converge"):
-            run_spec(spec, spec.base_seed)
+            greedy_spec(extra={"chunk_packets": "lots"})
 
     def test_dim_order_needs_the_levelled_sweep(self):
         order = (3, 1, 0, 2)

@@ -26,10 +26,11 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.plugins import register_scheme, unregister_scheme
 from repro.plugins.greedy import GreedyPlugin
 from repro.runner import ResultsStore, ScenarioSpec, measure
-from repro.serve import ServerThread
+from repro.serve import ReproServer, ServerThread
 from repro.serve.http import Request
 
 SPEC = {"name": "serve-t", "d": 3, "rho": 0.5, "horizon": 60.0,
@@ -95,7 +96,11 @@ class TestPlumbing:
         assert status == 200
         assert body["status"] == "ok"
         assert body["workers"] == 2
-        assert body["store"]["backend"] == "locked"
+        assert body["store"] == {"root": str(server.server.store_root)}
+
+    def test_unknown_backend_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="unknown store backend"):
+            ReproServer(cache_dir=tmp_path, backend="sqlite")
 
     def test_scenario_catalog(self, server):
         status, body = _request("GET", f"{server.base_url}/v1/scenarios")

@@ -1,37 +1,37 @@
-"""Store backends: concurrency safety, TTL/LRU pruning, corrupt-cell
-accounting, and the TOCTOU tolerance of the maintenance passes.
+"""The results store: its root lock, crash safety, concurrency safety,
+TTL/LRU pruning, corrupt-cell accounting, and the TOCTOU tolerance of
+the maintenance passes.
 
 The contracts under test:
 
 * ``stats``/``clear``/``prune`` never crash when another process
   deletes a cell mid-iteration (the ``FileNotFoundError`` TOCTOU);
+* every cell write holds the root's lock (``<root>/.lock``), which
+  ``clear`` spares, and ``clear``/``prune`` leave a missing root
+  uncreated;
+* a writer killed mid-cell leaves no torn cell, only a temp file named
+  after its cell, which ``clear`` removes;
 * two processes measuring the same spec simultaneously leave exactly
   one valid pooled cell and one valid cell per replication — no torn
-  or duplicated writes — under both the locked-file and sqlite
-  backends;
-* the locked backend writes byte-identical cells to the plain store;
+  or duplicated writes;
 * ``prune`` evicts by TTL then LRU-by-mtime, reporting what it
   removed in the same shape as ``stats``.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import multiprocessing
 import os
+import signal
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.runner import (
-    LockedResultsStore,
-    ResultsStore,
-    ScenarioSpec,
-    SqliteResultsStore,
-    make_store,
-    measure,
-)
-from repro.runner.store import parse_duration, parse_size
+import repro.runner.store as store_module
+from repro.runner import ResultsStore, ScenarioSpec, measure
+from repro.runner.backends import make_store
+from repro.runner.store import StoreStats, parse_duration, parse_size
 
 SPEC = dict(name="backend-t", d=3, rho=0.5, horizon=60.0, replications=3)
 
@@ -198,103 +198,104 @@ class TestPrune:
 
 
 class TestLockedBackend:
-    def test_cells_byte_identical_to_plain_store(self, tmp_path):
-        spec = ScenarioSpec(**SPEC)
-        plain_root, locked_root = tmp_path / "plain", tmp_path / "locked"
-        measure(spec, store=ResultsStore(plain_root))
-        measure(spec, store=LockedResultsStore(locked_root))
-        plain = sorted(p for p in plain_root.rglob("*.json"))
-        locked = sorted(p for p in locked_root.rglob("*.json"))
-        assert [p.name for p in plain] == [p.name for p in locked]
-        assert all(
-            a.read_bytes() == b.read_bytes() for a, b in zip(plain, locked)
-        )
+    """The root's lock, which every writer of the one store takes."""
+
+    def test_every_write_holds_the_root_lock(self, tmp_path, monkeypatch):
+        real_dump = json.dump
+        writes = []
+
+        def probing_dump(payload, fh, **kwargs):
+            fd = os.open(tmp_path / ".lock", os.O_RDWR)
+            try:
+                with pytest.raises(BlockingIOError):
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            finally:
+                os.close(fd)
+            writes.append(payload)
+            real_dump(payload, fh, **kwargs)
+
+        monkeypatch.setattr(store_module.json, "dump", probing_dump)
+        measure(ScenarioSpec(**SPEC), store=ResultsStore(tmp_path))
+        assert len(writes) == 1 + SPEC["replications"]
 
     def test_clear_spares_the_lock_file(self, tmp_path):
-        store = LockedResultsStore(tmp_path)
+        store = ResultsStore(tmp_path)
         measure(ScenarioSpec(**SPEC), store=store)
         assert (tmp_path / ".lock").exists()
+        foreign = tmp_path / "notes.tmp"
+        foreign.write_text("not the store's")
         store.clear()
         assert (tmp_path / ".lock").exists()
+        assert foreign.read_text() == "not the store's"
         assert store.stats().pooled == 0
 
+    def test_maintenance_leaves_a_missing_root_alone(self, tmp_path):
+        store = ResultsStore(tmp_path / "never-created")
+        assert store.clear() == StoreStats(0, 0, 0)
+        assert store.prune(older_than=1.0, max_bytes=0) == StoreStats(0, 0, 0)
+        assert not store.root.exists()
 
-class TestSqliteBackend:
-    def test_round_trip_matches_file_backend(self, tmp_path):
+
+def _die_mid_cell(root: str) -> None:
+    """Measure into *root*, dying by SIGKILL after the first cell write
+    has put 40 bytes into its temp file."""
+
+    def torn_dump(payload, fh, **kwargs):
+        fh.write(json.dumps(payload, **kwargs)[:40])
+        fh.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    store_module.json.dump = torn_dump
+    measure(ScenarioSpec(**SPEC), store=ResultsStore(root))
+
+
+class TestCrashSafety:
+    def test_writer_killed_mid_cell(self, tmp_path):
+        root = tmp_path / "shared"
+        proc = multiprocessing.Process(target=_die_mid_cell, args=(str(root),))
+        proc.start()
+        proc.join(timeout=120)
+        assert proc.exitcode == -signal.SIGKILL
+        store = ResultsStore(root)
         spec = ScenarioSpec(**SPEC)
-        file_m = measure(spec, store=ResultsStore(tmp_path / "f"))
-        store = SqliteResultsStore(tmp_path / "s")
-        sqlite_m = measure(spec, store=store)
-        assert sqlite_m == file_m
-        assert store.load(spec) == file_m
-        assert store.contains(spec)
-        for k in range(spec.replications):
-            assert store.load_replication(spec, k) is not None
-
-    def test_replication_cells_resume_growth(self, tmp_path):
-        store = SqliteResultsStore(tmp_path)
-        spec = ScenarioSpec(**SPEC)
-        measure(spec, store=store)
-        grown = spec.replace(replications=spec.replications + 2)
-        measure(grown, store=store)
-        stats = store.stats()
-        assert stats.pooled == 2  # one cell per replication count
-        assert stats.replications == grown.replications
-
-    def test_stats_clear_prune(self, tmp_path):
-        store = SqliteResultsStore(tmp_path)
-        spec = ScenarioSpec(**SPEC)
-        measure(spec, store=store)
-        stats = store.stats(verify=True)
-        assert stats.pooled == 1
-        assert stats.replications == spec.replications
-        assert stats.total_bytes > 0 and stats.corrupt == 0
-        removed = store.prune(max_bytes=0)
-        assert removed.pooled == 1
-        assert removed.replications == spec.replications
-        assert store.stats().pooled == 0
-        measure(spec, store=store)
-        cleared = store.clear()
-        assert cleared.pooled == 1
-        assert store.load(spec) is None
-
-    def test_empty_store_paths(self, tmp_path):
-        store = SqliteResultsStore(tmp_path / "never")
-        assert store.load(ScenarioSpec(**SPEC)) is None
-        assert store.stats().pooled == 0
-        assert store.prune(older_than=1.0).pooled == 0
-        assert len(store) == 0
+        (orphan,) = root.rglob("*.tmp")
+        assert orphan.parent.name == "replications"
+        assert orphan.name.startswith(spec.replication_hash() + ".r")
+        assert all(
+            store.load_replication(spec, k) is None
+            for k in range(spec.replications)
+        )
+        assert store.stats(verify=True).corrupt == 0
+        # the dead writer's lock went with it: measuring again recomputes
+        fresh = measure(spec, store=ResultsStore(tmp_path / "fresh"))
+        assert measure(spec, store=store) == fresh
+        store.clear()
+        assert not any(root.rglob("*.tmp"))
+        assert not (root / "replications").exists()
 
 
 class TestMakeStore:
+    """``make_store`` stays for the benchmark harness, which builds its
+    in-process store through it; every root selects the one store."""
+
     def test_backend_selection(self, tmp_path):
-        assert type(make_store(tmp_path)) is ResultsStore
-        assert type(make_store(tmp_path, "locked")) is LockedResultsStore
-        assert type(make_store(tmp_path, "sqlite")) is SqliteResultsStore
-
-    def test_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "locked")
-        assert type(make_store(tmp_path)) is LockedResultsStore
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown store backend"):
-            make_store(tmp_path, "redis")
+        store = make_store(tmp_path)
+        assert type(store) is ResultsStore
+        assert store.root == tmp_path
 
 
-def _measure_into(root: str, backend: str) -> None:
-    store = make_store(root, backend)
-    measure(ScenarioSpec(**SPEC), store=store, wave_reps=1)
+def _measure_into(root: str) -> None:
+    measure(ScenarioSpec(**SPEC), store=ResultsStore(root), wave_reps=1)
 
 
-@pytest.mark.parametrize("backend", ["locked", "sqlite"])
 class TestConcurrentAccess:
-    def test_two_processes_one_valid_cell(self, tmp_path, backend):
+    def test_two_processes_one_valid_cell(self, tmp_path):
         """Two processes measuring the same spec simultaneously must
         leave exactly one valid pooled cell and one valid cell per
         replication — no torn or duplicated writes."""
         root = str(tmp_path / "shared")
         procs = [
-            multiprocessing.Process(target=_measure_into, args=(root, backend))
+            multiprocessing.Process(target=_measure_into, args=(root,))
             for _ in range(2)
         ]
         for p in procs:
@@ -302,7 +303,7 @@ class TestConcurrentAccess:
         for p in procs:
             p.join(timeout=120)
         assert all(p.exitcode == 0 for p in procs)
-        store = make_store(root, backend)
+        store = ResultsStore(root)
         spec = ScenarioSpec(**SPEC)
         stats = store.stats(verify=True)
         assert stats.pooled == 1
