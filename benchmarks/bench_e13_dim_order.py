@@ -6,7 +6,7 @@ scheme would route correctly under any order.  Regenerated table:
 
 * increasing vs decreasing vs a fixed shuffled order — identical delay
   law (node-relabelling symmetry), measured to agree within noise;
-* per-packet *random* order (non-levelled, event-driven simulation) —
+* per-packet *random* order (non-levelled, fixed-point path simulation) —
   delay measured against the same bounds; the paper's analysis does not
   cover it, but the measurement shows the increasing-order rule costs
   nothing.

@@ -2,8 +2,9 @@
 
 Three independent implementations must agree:
 
-* the vectorised feed-forward engine vs the event-driven engine —
-  identical FIFO and PS sample paths (max |delta| at float round-off);
+* the vectorised feed-forward engine vs the fixed-point path solver
+  over the same packets' explicit arc paths — identical FIFO and PS
+  sample paths (max |delta| at float round-off);
 * the physical hypercube vs network Q with Lemma-4 Markovian routing —
   equal delay statistics;
 * runtime comparison of the two engines (the reason the fast path
@@ -16,8 +17,9 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.core.qnetwork import HypercubeQSpec
-from repro.sim.eventsim import hypercube_packet_paths, simulate_paths_event_driven
+from repro.sim.eventsim import hypercube_paths
 from repro.sim.feedforward import simulate_hypercube_greedy, simulate_markovian
+from repro.sim.fixedpoint import simulate_paths_fixed_point
 from repro.topology.hypercube import Hypercube
 from repro.traffic.destinations import BernoulliFlipLaw
 from repro.traffic.workload import HypercubeWorkload
@@ -38,9 +40,10 @@ def run_fast(cube, sample):
     return simulate_hypercube_greedy(cube, sample)
 
 
-def run_event(cube, sample):
-    return simulate_paths_event_driven(
-        cube.num_arcs, sample.times, hypercube_packet_paths(cube, sample)
+def run_paths(cube, sample, discipline="fifo"):
+    paths = hypercube_paths(cube.d, sample.origins, sample.destinations)
+    return simulate_paths_fixed_point(
+        cube.num_arcs, sample.times, paths, discipline=discipline
     )
 
 
@@ -50,18 +53,13 @@ def run_experiment():
     ff = run_fast(cube, sample)
     t_fast = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ev = run_event(cube, sample)
-    t_event = time.perf_counter() - t0
-    fifo_dev = float(np.abs(ff.delivery - ev.delivery).max())
+    fp = run_paths(cube, sample)
+    t_paths = time.perf_counter() - t0
+    fifo_dev = float(np.abs(ff.delivery - fp.delivery).max())
 
     ff_ps = simulate_hypercube_greedy(cube, sample, discipline="ps")
-    ev_ps = simulate_paths_event_driven(
-        cube.num_arcs,
-        sample.times,
-        hypercube_packet_paths(cube, sample),
-        discipline="ps",
-    )
-    ps_dev = float(np.abs(ff_ps.delivery - ev_ps.delivery).max())
+    fp_ps = run_paths(cube, sample, "ps")
+    ps_dev = float(np.abs(ff_ps.delivery - fp_ps.delivery).max())
 
     # physical vs network-Q statistics
     moving = (sample.origins ^ sample.destinations) != 0
@@ -76,9 +74,9 @@ def run_experiment():
         ("max |PS path deviation|", ps_dev, "0 (float round-off)"),
         ("physical cube mean delay (movers)", t_phys, "matches network Q"),
         ("network Q mean delay", t_q, "matches physical"),
-        ("fast engine runtime (s)", t_fast, ""),
-        ("event engine runtime (s)", t_event, ""),
-        ("speedup", t_event / t_fast, ""),
+        ("level sweep runtime (s)", t_fast, ""),
+        ("fixed-point path solver runtime (s)", t_paths, ""),
+        ("speedup", t_paths / t_fast, ""),
     ]
     return rows, sample.num_packets
 

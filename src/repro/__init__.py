@@ -8,8 +8,9 @@ The package implements the paper end to end:
 * the **dynamic traffic model** (per-node Poisson sources, Bernoulli
   bit-flip destinations — eq. (1));
 * exact **simulators** — a vectorised feed-forward engine exploiting
-  the levelled structure, and an event-driven engine that also runs
-  Processor Sharing (the paper's proof device);
+  the levelled structure, and a fixed-point engine over explicit arc
+  paths for everything else; both also run Processor Sharing (the
+  paper's proof device);
 * the **equivalent queueing networks** Q and R with Markovian routing
   (Lemma 4), and their product-form PS counterparts;
 * every **closed-form bound** (Props 2, 3, 12, 13, 14, 17, §3.4) plus

@@ -16,8 +16,8 @@ per arc) with:
 The butterfly analogue **R** (§4.3) has every packet traversing one arc
 per level, choosing vertical with probability ``p`` at each level.
 
-Both specs plug into :func:`repro.sim.feedforward.simulate_markovian`
-and the event-driven engine.  :class:`ExplicitLevelledSpec` supports
+Both specs plug into :func:`repro.sim.feedforward.simulate_markovian`.
+:class:`ExplicitLevelledSpec` supports
 arbitrary levelled networks given as tables — e.g. the three-server
 network of Fig. 2 used by Lemma 9.
 """

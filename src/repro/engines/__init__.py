@@ -5,8 +5,8 @@ The third axis of the plugin trilogy (:mod:`repro.plugins` opened the
 scheme axis, :mod:`repro.networks` the network axis): every solver
 that can turn a traffic sample into delivery epochs is an
 :class:`~repro.engines.api.EnginePlugin` declaring its identity
-(name + aliases), its structural kind (levelled sweep / event engine
-/ fixed-point iteration), the disciplines and networks it drives,
+(name + aliases), its structural kind (levelled sweep or fixed-point
+path solver), the disciplines and networks it drives,
 whether it supports **replication batching**, and its typed
 engine-scoped options.  The scheme adapters, the spec validation, the
 parallel runner and the CLI contain no engine-specific code at all —
@@ -23,9 +23,13 @@ Quickstart — a new engine in one class::
         name = "myengine"
         aliases = ("me",)
         summary = "one line for `repro engines`"
-        capabilities = EngineCapabilities(kind="event")
+        capabilities = EngineCapabilities(kind="fixed-point")
 
         def simulate(self, spec, topology, sample): ...
+
+``simulate`` turns one sample into delivery epochs; an engine that
+declares ``batching=True`` implements ``batch_deliveries`` instead, and
+the base class serves ``simulate`` as a batch of one.
 """
 
 from repro.engines.api import EngineCapabilities, EnginePlugin, batch_output

@@ -5,12 +5,11 @@ completes the plugin trilogy on the **engine** axis.  An
 :class:`EnginePlugin` is the single place a sample-path solver touches
 the scenario subsystem.  It declares its identity (``name`` +
 ``aliases``) and its *capabilities* — the structural ``kind`` of
-solver it is (``levelled`` level sweep, ``event`` engine,
-``fixed-point`` iteration), the queueing disciplines it implements,
-the networks it can drive, whether it supports **replication
-batching**, and its typed engine-scoped ``extra`` options — and
-implements the hooks the rest of the stack used to hard-code behind
-``if engine == "event"`` branches:
+solver it is (``levelled`` level sweep or ``fixed-point`` path
+solver), the queueing disciplines it implements, the networks it can
+drive, whether it supports **replication batching**, and its typed
+engine-scoped ``extra`` options — and implements the hooks the rest
+of the stack used to hard-code behind ``if engine == ...`` branches:
 
 * :meth:`~EnginePlugin.simulate` — delivery epochs of one traffic
   sample under greedy routing (the path every engine-driven scheme's
@@ -53,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["EngineCapabilities", "EnginePlugin", "ENGINE_KINDS", "batch_output"]
 
 #: the structural families an engine may declare as its ``kind``
-ENGINE_KINDS = ("levelled", "event", "fixed-point")
+ENGINE_KINDS = ("levelled", "fixed-point")
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,13 @@ class EngineCapabilities:
 
     ``kind`` names the structural family: ``"levelled"`` solvers sweep
     a levelled network level by level with no event calendar (Property
-    B of the paper — the central computational trick), ``"event"``
-    solvers replay explicit arc paths as the reference the others are
-    cross-validated against (the built-in one runs the fixed-point
-    solvers), ``"fixed-point"`` solvers iterate the vectorised batch
-    machinery to a consistent sample path of a non-levelled network.
+    B of the paper — the central computational trick),
+    ``"fixed-point"`` solvers run the vectorised batch machinery over
+    explicit arc paths to a consistent sample path of any network.
 
     ``networks`` lists canonical network-plugin names, or the wildcard
     ``"*"`` for an engine implemented purely against per-packet arc
-    paths (event, fixed-point), which therefore drives every network —
+    paths (fixed-point), which therefore drives every network —
     third-party ones included.
 
     ``batching`` declares the replication-batched fast path:
@@ -91,8 +88,8 @@ class EnginePlugin:
 
     Subclasses set :attr:`name` (and optionally :attr:`aliases`,
     :attr:`summary`), declare :attr:`capabilities`, and implement
-    :meth:`simulate` (plus :meth:`batch_deliveries` when
-    ``capabilities.batching``).
+    :meth:`batch_deliveries` (or override :meth:`simulate`, when the
+    engine does not batch).
     """
 
     #: registry key; also an admissible ``ScenarioSpec.engine`` value
@@ -151,8 +148,8 @@ class EnginePlugin:
     ) -> "np.ndarray":
         """Delivery epochs of *sample* under greedy routing on *spec*'s
         network (the hook :class:`~repro.plugins.greedy.GreedyPlugin`
-        replications route through)."""
-        raise NotImplementedError  # pragma: no cover - protocol
+        replications route through): a batch of one."""
+        return self.batch_deliveries(spec, topology, [sample])[0]
 
     def simulate_batch(
         self, spec: "ScenarioSpec", seeds: Sequence["SeedLike"]

@@ -104,14 +104,6 @@ class FeedForwardEngine(EnginePlugin):
             )
         return None
 
-    def simulate(
-        self,
-        spec: "ScenarioSpec",
-        topology: "Topology",
-        sample: "TrafficSample",
-    ) -> "np.ndarray":
-        return self.batch_deliveries(spec, topology, [sample])[0]
-
     @staticmethod
     def _sub_batch_reps(samples: List["TrafficSample"]) -> int:
         """How many replications to stack per sub-batch.

@@ -1,14 +1,20 @@
-"""Engine plugin for the vectorised fixed-point solver.
+"""Engine plugin for the vectorised fixed-point solver: the one path
+engine.
 
 Wraps :func:`repro.sim.fixedpoint.simulate_paths_fixed_point`, which
-solves *non-levelled* networks (ring, torus, any third-party topology
-shipping only ``greedy_paths``) with the feed-forward engine's
-vectorised kernels and no event calendar: FIFO in one time-ordered
-pass that serves every hop row once, PS by sweeping to a consistent
-sample path.  The event engine runs this engine's code under its own
-name.  On a levelled network it reproduces the feed-forward engine's
-sample path bit for bit — forcing ``engine="fixedpoint"`` on the
-hypercube is a legitimate cross-validation axis (tested).
+solves greedy routing over explicit arc paths — the
+:meth:`~repro.networks.api.NetworkPlugin.greedy_paths` hook — with the
+feed-forward engine's vectorised kernels and no event calendar: FIFO
+in one time-ordered pass that serves every hop row once, PS by
+sweeping to a consistent sample path.  It drives every network, and
+is the native engine of those without a per-level arc map (ring,
+torus, third-party topologies shipping only ``greedy_paths``).  On a
+levelled network it reproduces the feed-forward engine's sample path
+bit for bit, so forcing ``engine="fixedpoint"`` on the hypercube or
+the butterfly cross-validates the level sweep (tested).  ``event``,
+``eventsim`` and ``calendar`` are aliases, kept from the event engine
+this engine absorbed: a spec spelled with one normalises to
+``"fixedpoint"`` before hashing.
 
 The engine declares no options.  The PS sweeps stop at a ceiling
 that scales with the hop count (``2 * total + 2``), past which a
@@ -23,7 +29,8 @@ PS a replication's sub-system iterates independently of the others
 (its chained rows and dirty arcs never cross the offset boundary), and
 once it converges its rows drop out of the remaining sweeps entirely
 (rep-blocked convergence, made observable by
-``FixedPointResult.sweep_rows``).
+``FixedPointResult.sweep_rows``).  A single replication is a batch of
+one.
 """
 
 from __future__ import annotations
@@ -46,30 +53,14 @@ __all__ = ["FixedPointEngine"]
 @register_engine
 class FixedPointEngine(EnginePlugin):
     name = "fixedpoint"
-    aliases = ("fixed-point", "fp")
-    summary = "vectorised fixed-point solver for non-levelled networks"
+    aliases = ("fixed-point", "fp", "event", "eventsim", "calendar")
+    summary = "vectorised fixed-point solver on explicit arc paths (every network)"
     capabilities = EngineCapabilities(
         kind="fixed-point",
         disciplines=("fifo", "ps"),
         networks=("*",),
         batching=True,
     )
-
-    def simulate(
-        self,
-        spec: "ScenarioSpec",
-        topology: "Topology",
-        sample: "TrafficSample",
-    ) -> "np.ndarray":
-        paths = spec.network_plugin.greedy_paths(topology, spec, sample)
-        from repro.sim.fixedpoint import simulate_paths_fixed_point
-
-        return simulate_paths_fixed_point(
-            topology.num_arcs,
-            sample.times,
-            paths,
-            discipline=spec.discipline,
-        ).delivery
 
     def batch_deliveries(
         self,

@@ -74,7 +74,6 @@ ENGINES: Registry[EnginePlugin] = Registry(
     EnginePlugin,
     (
         "repro.engines.feedforward",
-        "repro.engines.eventsim",
         "repro.engines.fixedpoint",
     ),
     ENTRY_POINT_GROUP,

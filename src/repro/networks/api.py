@@ -20,7 +20,7 @@ rest of the stack used to hard-code per network:
   arrival process and destination law are a fourth plugin axis rather
   than per-network code;
 * :meth:`~NetworkPlugin.greedy_paths` — per-packet arc paths, which
-  the event engine and the fixed-point solver run on;
+  the fixed-point path engine runs on;
 * :meth:`~NetworkPlugin.greedy_levels` — the per-level arc map of a
   levelled network, which hands it to the level-by-level feed-forward
   engine (one-shot, replication-batched and chunked routes alike);
@@ -172,7 +172,7 @@ class NetworkPlugin:
         spec: "ScenarioSpec",
         sample: "TrafficSample",
     ) -> Union["FlatPaths", Sequence[Sequence[int]]]:
-        """Per-packet greedy arc paths (the path engines' hook): one
+        """Per-packet greedy arc paths (the path engine's hook): one
         arc-id sequence per packet, or a
         :class:`~repro.sim.eventsim.FlatPaths` holding the same paths
         packed flat, which spares the engines their flattening pass

@@ -79,17 +79,9 @@ class HypercubeNetwork(NetworkPlugin):
     def greedy_paths(
         self, topology: "Hypercube", spec: "ScenarioSpec", sample: "TrafficSample"
     ) -> "FlatPaths":
-        from repro.sim.eventsim import (
-            FlatPaths,
-            hypercube_arcs_flat,
-            hypercube_dims_flat,
-        )
+        from repro.sim.eventsim import hypercube_paths
 
-        dims, start = hypercube_dims_flat(
-            topology.d, sample.origins, sample.destinations
-        )
-        arcs = hypercube_arcs_flat(topology.num_nodes, sample.origins, dims, start)
-        return FlatPaths(arcs, start)
+        return hypercube_paths(topology.d, sample.origins, sample.destinations)
 
     def greedy_levels(
         self, topology: "Hypercube", spec: "ScenarioSpec"

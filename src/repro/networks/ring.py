@@ -20,8 +20,8 @@ because ties break clockwise, so ``rho = lam * E[cw hops]`` with
 
 **Engines.**  Greedy ring paths wrap around the arc id space, so the
 network is *not* levelled: the native vectorised engine is the
-fixed-point solver (:mod:`repro.sim.fixedpoint`), cross-validated
-against the event engine exactly like the butterfly.
+fixed-point solver (:mod:`repro.sim.fixedpoint`), the one path
+engine, which also cross-validates the butterfly's level sweep.
 """
 
 from __future__ import annotations

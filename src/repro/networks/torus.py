@@ -17,7 +17,7 @@ arithmetic as :mod:`repro.networks.ring` with ``n = side`` — giving
 
 **Engines.**  Multi-hop in-dimension movement revisits arc classes, so
 like the ring the torus is not levelled; the native vectorised engine
-is the fixed-point solver, cross-validated against the event engine.
+is the fixed-point path solver.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ code at all: the spec's :class:`~repro.networks.api.NetworkPlugin`
 supplies the topology, the workload and the per-packet arc paths, and
 the resolved :class:`~repro.engines.api.EnginePlugin`
 (:func:`repro.engines.registry.resolve_engine` — the level sweep for
-levelled networks, the fixed-point solver for ring/torus, the event
-engine for cross-validation) turns a sample into delivery epochs.
+levelled networks, the fixed-point path solver for ring/torus and, when
+forced, for cross-validation anywhere) turns a sample into delivery
+epochs.
 
 RNG contract (golden-pinned): the workload sample is drawn from the
 replication stream *before* the engine runs, so forcing the engine
@@ -50,7 +51,7 @@ class GreedyPlugin(SchemePlugin):
         # forced onto any engine that supports the network —
         # third-party plugins included
         networks=("*",),
-        engines=("vectorized", "feedforward", "fixedpoint", "event"),
+        engines=("vectorized", "feedforward", "fixedpoint"),
         # implemented purely against the workload sample, so any
         # registered traffic law — third-party included — can drive it
         traffics=("*",),

@@ -2,7 +2,9 @@
 
 Packets wait for the next slot boundary before each hop; the vectorized
 feed-forward engine handles the slotted workload directly (the dyadic
-time grid keeps the shift arithmetic exact).  The scheme owns a single
+time grid keeps the shift arithmetic exact).  Each replication draws
+its slotted sample and hands it to the resolved engine plugin, so the
+engine's options (``chunk_packets``) apply.  The scheme owns a single
 option — the slot length ``tau`` — and admits FIFO only, matching the
 synchronous model of the paper.
 """
@@ -64,6 +66,8 @@ class SlottedPlugin(SchemePlugin):
             return (-math.inf, math.inf)
 
     def prepare(self, spec: "ScenarioSpec") -> Runner:
+        from repro.engines.registry import resolve_engine
+        from repro.sim.measurement import DelayRecord
         from repro.sim.slotted import SlottedGreedyHypercube
 
         scheme = SlottedGreedyHypercube(
@@ -72,9 +76,13 @@ class SlottedPlugin(SchemePlugin):
             p=spec.p,
             tau=float(spec.option("tau", 0.5)),
         )
+        engine = resolve_engine(spec)
 
         def run(gen):
-            result = scheme.run(spec.horizon, gen)
-            return steady_output(spec, result.delay_record())
+            sample = scheme.workload().generate(spec.horizon, gen)
+            delivery = engine.simulate(spec, scheme.cube, sample)
+            return steady_output(
+                spec, DelayRecord(sample.times, delivery, sample.horizon)
+            )
 
         return run

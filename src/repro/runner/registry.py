@@ -4,7 +4,7 @@ Every workload the repository measures is a named, frozen
 :class:`~repro.runner.spec.ScenarioSpec`.  The built-in catalog below
 covers every scheme, every network *and every traffic law* in the
 library — greedy routing on all four topologies (hypercube, butterfly,
-ring, torus; FIFO and PS, native and event engines), the permutation
+ring, torus; FIFO and PS, native and forced engines), the permutation
 family (bit reversal, transpose, bit complement), hot-spot and bursty
 workloads, the slotted variant, two-phase Valiant mixing, the §2.3
 pipelined-batch baseline, hot-potato deflection, per-packet random
@@ -100,10 +100,10 @@ _BUILTINS = [
     ),
     ScenarioSpec(
         name="hypercube-greedy-event",
-        engine="event",
+        engine="fixedpoint",
         d=4,
         rho=0.7,
-        description="greedy routing on the event-driven engine (cross-validation)",
+        description="greedy forced onto the fixed-point engine (cross-validates the level sweep)",
     ),
     ScenarioSpec(
         name="hypercube-greedy-antipodal",
@@ -177,7 +177,7 @@ _BUILTINS = [
         d=5,
         rho=0.8,
         horizon=700.0,
-        description="E13 ablation: per-packet random dimension order (event engine)",
+        description="E13 ablation: per-packet random dimension order (fixed-point engine)",
     ),
     ScenarioSpec(
         name="hypercube-twophase",
@@ -250,19 +250,19 @@ _BUILTINS = [
     ScenarioSpec(
         name="butterfly-greedy-event",
         network="butterfly",
-        engine="event",
+        engine="fixedpoint",
         d=3,
         rho=0.7,
-        description="greedy butterfly on the event engine (cross-validates §4)",
+        description="greedy butterfly forced onto the fixed-point engine (cross-validates §4)",
     ),
     ScenarioSpec(
         name="butterfly-greedy-event-ps",
         network="butterfly",
-        engine="event",
+        engine="fixedpoint",
         discipline="ps",
         d=3,
         rho=0.6,
-        description="butterfly with PS servers on the event engine (§4.3 R-tilde)",
+        description="butterfly PS servers, forced onto the fixed-point engine (§4.3 R-tilde)",
     ),
     ScenarioSpec(
         name="butterfly-greedy-transpose",
@@ -312,12 +312,11 @@ _BUILTINS = [
     ScenarioSpec(
         name="ring-greedy-event",
         network="ring",
-        engine="event",
+        engine="fixedpoint",
         d=4,
         rho=0.7,
         horizon=200.0,
-        description="ring greedy on the event engine (cross-validates the "
-        "fixed-point engine)",
+        description="ring greedy forced onto the fixed-point engine, its native one",
     ),
     ScenarioSpec(
         name="torus-greedy",
@@ -339,12 +338,11 @@ _BUILTINS = [
     ScenarioSpec(
         name="torus-greedy-event",
         network="torus",
-        engine="event",
+        engine="fixedpoint",
         d=2,
         rho=0.7,
         horizon=200.0,
-        description="torus greedy on the event engine (cross-validates the "
-        "fixed-point engine)",
+        description="torus greedy forced onto the fixed-point engine, its native one",
     ),
     ScenarioSpec(
         name="ring-greedy-hotspot",

@@ -30,7 +30,7 @@ list here; registering a new plugin on any axis extends the accepted
 vocabulary automatically.  Network, traffic and engine names are
 normalised to their canonical spellings (aliases like ``"cube"``
 resolve to ``"hypercube"``, ``"bernoulli"`` to ``"uniform"``,
-``"eventsim"`` to ``"event"``) **before** content-hashing, so an alias
+``"event"`` to ``"fixedpoint"``) **before** content-hashing, so an alias
 and its canonical name always share one cache cell — as does the
 retired ``extra={"law": ...}`` spelling, which folds into the traffic
 field during normalisation.

@@ -11,7 +11,7 @@ provides:
 * :func:`simulate_random_order` — an *independent uniformly random*
   order per packet (not levelled: two packets can cross the same pair
   of dimensions in opposite orders, creating cyclic server
-  dependencies), simulated on the event-driven engine.
+  dependencies), simulated on the fixed-point path engine.
 
 Comparing the two quantifies how much of greedy routing's performance
 the levelled structure actually buys — the paper's design choice made
@@ -23,14 +23,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.rng import SeedLike, as_generator
-from repro.sim.eventsim import (
-    EventSimResult,
-    FlatPaths,
-    hypercube_arcs_flat,
-    hypercube_dims_flat,
-    simulate_paths_event_driven,
-)
+from repro.sim.eventsim import FlatPaths, hypercube_arcs_flat, hypercube_dims_flat
 from repro.sim.feedforward import FeedForwardResult, simulate_hypercube_greedy
+from repro.sim.fixedpoint import (
+    FixedPointResult,
+    simulate_paths_fixed_point,
+    simulate_paths_fixed_point_batch,
+)
 from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
 
@@ -85,16 +84,17 @@ def simulate_random_order(
     rng: SeedLike = None,
     *,
     record_arc_log: bool = False,
-) -> EventSimResult:
+) -> FixedPointResult:
     """Greedy routing with an independent random order per packet.
 
     Each packet shuffles its own set of differing dimensions uniformly;
-    the resulting server graph is cyclic, so the event-driven engine is
-    used.  Delivery times come back aligned with the sample's packets.
+    the resulting server graph is cyclic, so the fixed-point path
+    engine is used.  Delivery times come back aligned with the sample's
+    packets.
     """
     gen = as_generator(rng)
     paths = _random_order_paths(cube, sample, gen)
-    return simulate_paths_event_driven(
+    return simulate_paths_fixed_point(
         cube.num_arcs,
         sample.times,
         paths,
@@ -117,8 +117,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @register_scheme
 class RandomOrderPlugin(SchemePlugin):
-    """Per-packet random dimension order: inherently event-driven (the
-    server graph is cyclic), FIFO only, Bernoulli traffic.
+    """Per-packet random dimension order: on the fixed-point path engine
+    (the server graph is cyclic), FIFO only.
 
     RNG contract (golden-pinned): the replication stream first draws
     the workload sample, then one shuffle per packet in packet order.
@@ -128,14 +128,14 @@ class RandomOrderPlugin(SchemePlugin):
     summary = "greedy with per-packet random dimension order (E13 ablation)"
     capabilities = Capabilities(
         networks=("hypercube",),
-        engines=("event",),
+        engines=("fixedpoint",),
         # routes whatever the workload sample holds (the shuffle is per
         # packet, not per law), so any registered traffic law drives it
         traffics=("*",),
     )
 
     def native_engine(self, spec: "ScenarioSpec"):
-        return "event"
+        return "fixedpoint"
 
     def prepare(self, spec: "ScenarioSpec") -> Runner:
         from repro.sim.measurement import DelayRecord
@@ -155,7 +155,7 @@ class RandomOrderPlugin(SchemePlugin):
         return run
 
     def batch_runner(self, spec: "ScenarioSpec"):
-        """Stack R replications into one event-engine solve.
+        """Stack R replications into one fixed-point solve.
 
         Workloads draw through ``build_workload_batch`` (each from its
         own seed's stream), the per-packet shuffles follow from the
@@ -164,7 +164,6 @@ class RandomOrderPlugin(SchemePlugin):
         worker runs this on its own contiguous seed range.
         """
         from repro.engines.api import batch_output
-        from repro.sim.eventsim import simulate_paths_event_driven_batch
 
         cube = Hypercube(spec.d)
 
@@ -177,7 +176,7 @@ class RandomOrderPlugin(SchemePlugin):
                 _random_order_paths(cube, sample, gen)
                 for sample, gen in zip(samples, gens)
             ]
-            deliveries = simulate_paths_event_driven_batch(
+            deliveries = simulate_paths_fixed_point_batch(
                 cube.num_arcs,
                 [sample.times for sample in samples],
                 paths,

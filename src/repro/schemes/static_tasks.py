@@ -13,8 +13,9 @@ survey contrasts:
   algorithm (random intermediates, both phases dimension order):
   O(d) completion with high probability for *every* permutation.
 
-Both reuse the event-driven engine (phase-2 reuses low dimensions, so
-the combined system is not levelled).
+Both run on the fixed-point path engine (phase 2 reuses low dimensions,
+so the combined system is not levelled), over paths from
+:func:`repro.sim.eventsim.hypercube_paths`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, as_generator
-from repro.sim.eventsim import simulate_paths_event_driven
+from repro.sim.eventsim import hypercube_paths
+from repro.sim.fixedpoint import simulate_paths_fixed_point
 from repro.topology.hypercube import Hypercube
 
 __all__ = [
@@ -67,8 +69,8 @@ def route_permutation_greedy(
     via canonical dimension-order paths."""
     perm = _validate_perm(cube, perm)
     n = cube.num_nodes
-    paths = [cube.canonical_path_arcs(x, int(perm[x])) for x in range(n)]
-    res = simulate_paths_event_driven(cube.num_arcs, np.zeros(n), paths)
+    paths = hypercube_paths(cube.d, np.arange(n), perm)
+    res = simulate_paths_fixed_point(cube.num_arcs, np.zeros(n), paths)
     return StaticRunResult(res.delivery, res.hops)
 
 
@@ -81,13 +83,8 @@ def route_permutation_valiant(
     gen = as_generator(rng)
     n = cube.num_nodes
     intermediates = gen.integers(0, n, size=n, dtype=np.int64)
-    paths = []
-    for x in range(n):
-        w, z = int(intermediates[x]), int(perm[x])
-        paths.append(
-            cube.canonical_path_arcs(x, w) + cube.canonical_path_arcs(w, z)
-        )
-    res = simulate_paths_event_driven(cube.num_arcs, np.zeros(n), paths)
+    paths = hypercube_paths(cube.d, np.arange(n), intermediates, perm)
+    res = simulate_paths_fixed_point(cube.num_arcs, np.zeros(n), paths)
     return StaticRunResult(res.delivery, res.hops)
 
 

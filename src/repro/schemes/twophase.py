@@ -17,7 +17,7 @@ stability, worse constant under benign traffic.
 
 The combined (phase-1 + phase-2) system is *not* levelled — phase-2
 packets revisit low dimensions while phase-1 packets are still using
-them — so this scheme runs on the event-driven engine.
+them — so this scheme runs on the fixed-point path engine.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.rng import SeedLike, as_generator
-from repro.sim.eventsim import (
-    EventSimResult,
-    FlatPaths,
-    hypercube_arcs_flat,
-    hypercube_dims_flat,
-    simulate_paths_event_driven,
+from repro.sim.eventsim import hypercube_paths
+from repro.sim.fixedpoint import (
+    FixedPointResult,
+    simulate_paths_fixed_point,
+    simulate_paths_fixed_point_batch,
 )
 from repro.sim.measurement import DelayRecord
 from repro.topology.hypercube import Hypercube
@@ -47,7 +46,7 @@ class TwoPhaseResult:
     """Outcome of a two-phase run."""
 
     sample: TrafficSample
-    result: EventSimResult
+    result: FixedPointResult
     intermediates: np.ndarray
 
     def delay_record(self) -> DelayRecord:
@@ -99,33 +98,6 @@ class TwoPhaseScheme:
         """Mean path length: ``d/2`` per phase with uniform mixing."""
         return float(self.d)
 
-    def _paths(
-        self, sample: TrafficSample, intermediates: np.ndarray
-    ) -> FlatPaths:
-        """Flat phase-1 + phase-2 arc paths.
-
-        Both phases build in one pass: rows ``2i``/``2i + 1`` of an
-        interleaved node table hold packet *i*'s phase-1 and phase-2
-        hops, so the flat dimension array lists each packet's phase-1
-        crossings immediately followed by its phase-2 crossings, and
-        taking every other ``start`` entry merges the two segments.
-        """
-        origins = np.asarray(sample.origins, np.int64)
-        inter = np.asarray(intermediates, np.int64)
-        dests = np.asarray(sample.destinations, np.int64)
-        n = origins.shape[0]
-        seg_from = np.empty(2 * n, np.int64)
-        seg_from[0::2] = origins
-        seg_from[1::2] = inter
-        seg_to = np.empty(2 * n, np.int64)
-        seg_to[0::2] = inter
-        seg_to[1::2] = dests
-        dims_flat, seg_start = hypercube_dims_flat(self.d, seg_from, seg_to)
-        arcs = hypercube_arcs_flat(
-            self.cube.num_nodes, seg_from, dims_flat, seg_start
-        )
-        return FlatPaths(arcs, seg_start[0::2])
-
     def route(self, sample: TrafficSample, rng: SeedLike = None) -> TwoPhaseResult:
         """Pick uniform intermediates for pre-sampled traffic and route
         both phases.
@@ -139,8 +111,10 @@ class TwoPhaseScheme:
         intermediates = gen.integers(
             0, self.cube.num_nodes, size=sample.num_packets, dtype=np.int64
         )
-        paths = self._paths(sample, intermediates)
-        result = simulate_paths_event_driven(
+        paths = hypercube_paths(
+            self.d, sample.origins, intermediates, sample.destinations
+        )
+        result = simulate_paths_fixed_point(
             self.cube.num_arcs, sample.times, paths
         )
         return TwoPhaseResult(sample, result, intermediates)
@@ -181,21 +155,20 @@ def direct_greedy_arc_loads(cube: Hypercube, law, lam: float) -> np.ndarray:
     large destination sample.
     """
     n = cube.num_nodes
-    loads = np.zeros(cube.num_arcs)
     perm = getattr(law, "perm", None)
     if perm is not None:
-        for x in range(n):
-            for arc in cube.canonical_path_arcs(x, int(perm[x])):
-                loads[arc] += lam
-        return loads
-    # stochastic law: Monte-Carlo expectation over destinations
-    reps = 200
-    origins = np.repeat(np.arange(n, dtype=np.int64), reps)
-    dests = np.asarray(law.sample_destinations(origins, 12345), dtype=np.int64)
-    for x, z in zip(origins, dests):
-        for arc in cube.canonical_path_arcs(int(x), int(z)):
-            loads[arc] += lam / reps
-    return loads
+        origins, dests, share = np.arange(n, dtype=np.int64), perm, lam
+    else:
+        # stochastic law: Monte-Carlo expectation over destinations
+        reps = 200
+        origins = np.repeat(np.arange(n, dtype=np.int64), reps)
+        dests = law.sample_destinations(origins, 12345)
+        share = lam / reps
+    arcs = hypercube_paths(cube.d, origins, dests).flat
+    # one addition per hop, in the packets' order
+    return np.bincount(
+        arcs, weights=np.full(arcs.shape, share), minlength=cube.num_arcs
+    )
 
 
 __all__.append("direct_greedy_arc_loads")
@@ -222,14 +195,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 @register_scheme
 class TwoPhasePlugin(SchemePlugin):
     """Valiant two-phase mixing: route via a uniform random intermediate,
-    both phases greedy.  Event-driven (phase 2 revisits low dimensions),
-    FIFO, with the realised mean hop count as a side metric."""
+    both phases greedy.  On the fixed-point path engine (phase 2
+    revisits low dimensions), FIFO, with the realised mean hop count as
+    a side metric."""
 
     name = "twophase"
     summary = "Valiant two-phase mixing against adversarial traffic (§5)"
     capabilities = Capabilities(
         networks=("hypercube",),
-        engines=("event",),
+        engines=("fixedpoint",),
         # mixing exists precisely to neutralise the traffic pattern, so
         # the scheme runs under every registered law — permutations,
         # hot spots, bursty arrivals, third-party plugins
@@ -238,7 +212,7 @@ class TwoPhasePlugin(SchemePlugin):
     )
 
     def native_engine(self, spec: "ScenarioSpec"):
-        return "event"
+        return "fixedpoint"
 
     def prepare(self, spec: "ScenarioSpec") -> Runner:
         # the traffic axis samples the workload; the scheme only draws
@@ -259,7 +233,7 @@ class TwoPhasePlugin(SchemePlugin):
         return run
 
     def batch_runner(self, spec: "ScenarioSpec"):
-        """Stack R replications into one event-engine solve.
+        """Stack R replications into one fixed-point solve.
 
         Same seed-for-seed contract as :meth:`prepare`: each stream
         draws its workload (via ``build_workload_batch``), then its
@@ -270,7 +244,6 @@ class TwoPhasePlugin(SchemePlugin):
         each worker runs this on its own contiguous seed range.
         """
         from repro.engines.api import batch_output
-        from repro.sim.eventsim import simulate_paths_event_driven_batch
 
         scheme = TwoPhaseScheme(d=spec.d, lam=spec.resolved_lam)
 
@@ -285,8 +258,13 @@ class TwoPhasePlugin(SchemePlugin):
                     0, scheme.cube.num_nodes,
                     size=sample.num_packets, dtype=np.int64,
                 )
-                paths.append(scheme._paths(sample, intermediates))
-            deliveries = simulate_paths_event_driven_batch(
+                paths.append(
+                    hypercube_paths(
+                        spec.d, sample.origins, intermediates,
+                        sample.destinations,
+                    )
+                )
+            deliveries = simulate_paths_fixed_point_batch(
                 scheme.cube.num_arcs,
                 [sample.times for sample in samples],
                 paths,

@@ -1,6 +1,6 @@
 """Vectorised simulators for levelled and non-levelled queueing networks.
 
-Three modules produce sample paths; wherever two of them run, they are
+Two modules produce sample paths; wherever both run, they are
 *identical*, FIFO and PS alike (cross-validated bit for bit in the test
 suite):
 
@@ -13,9 +13,9 @@ suite):
   of non-levelled networks and schemes: FIFO in one time-ordered pass,
   **Processor Sharing** — what the paper's proof technique (Lemmas
   7–10, Prop 11) compares against — by sweeping to a fixed point.
-* :mod:`repro.sim.eventsim` — explicit arc paths (packed layout,
-  construction for the built-in networks) and the event engine's entry
-  points, which run the fixed-point solvers.
+
+:mod:`repro.sim.eventsim` holds the explicit arc paths themselves: their
+packed layout and their construction for the built-in networks.
 
 :mod:`repro.sim.servers` holds the exact single-server building blocks,
 :mod:`repro.sim.measurement` the statistics collectors,

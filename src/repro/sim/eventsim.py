@@ -1,78 +1,55 @@
-"""Explicit arc paths: their packed layout, their construction for the
-built-in networks, and the event engine's entry points.
+"""Explicit arc paths: their packed layout and their construction for
+the built-in networks.
 
-Packets follow precomputed arc paths, independent of any levelled
-structure, so these entry points can simulate
+The fixed-point path engine (:mod:`repro.sim.fixedpoint`) simulates
+packets that follow precomputed arc paths, independent of any levelled
+structure: greedy routing on networks with no level order (ring,
+torus, third-party networks), and schemes such as per-packet random
+dimension order (the E13 ablation) and two-phase routing, which the
+feed-forward engine cannot express.
 
-* the canonical greedy scheme (cross-validating the fast feed-forward
-  engine sample-path-for-sample-path),
-* **non-levelled** schemes such as per-packet random dimension order
-  (the E13 ablation), which the feed-forward engine cannot express.
+Paths live in a :class:`FlatPaths` packed layout
+(``flat[start[i]:start[i+1]]`` is packet *i*'s path), built with array
+operations rather than per-packet Python loops: every hypercube path
+by :func:`hypercube_paths`, butterfly paths by
+:func:`butterfly_packet_paths`, and ring and torus paths by
+:func:`torus_packet_paths`.  :func:`stack_replications` offsets
+replication *r*'s arc ids by ``r * num_arcs``, so R replications solve
+as one system of disjoint sub-networks.
 
-The state is flat NumPy storage — no per-packet Python objects:
-
-* paths live in a :class:`FlatPaths` packed layout
-  (``flat[start[i]:start[i+1]]`` is packet *i*'s path);
-* the arc log is built from the solver's per-row departures (exactly
-  one row per hop), so ``record_arc_log=True`` costs bounded extra
-  memory, not growing Python lists.
-
-Both disciplines run the fixed-point engine's solvers, through its one
-dispatch (:func:`repro.sim.fixedpoint._solve`):
-
-* **FIFO** makes the time-ordered pass: every join earlier than
-  ``T + service`` (``T`` the earliest pending join) is known when the
-  window ``[T, T + service)`` opens — a join is a birth or a departure,
-  and a departure comes at least one service after its own join — so
-  each window is served once by the feed-forward engine's Lindley
-  closed form;
-* **PS** sweeps to a fixed point on the feed-forward engine's PS
-  kernel, because a PS departure moves with every later arrival at its
-  arc.
-
-So the event and fixed-point engines agree bit for bit under both
-disciplines, and with the feed-forward engine wherever it runs.
-Tie-breaking is that kernel's: every arc admits its joins in (time,
-hop row) order — (time, packet id) order, rows being packet-major —
-and a join at the epoch of a departure after that departure (up to one
-ulp under PS on a path that takes one arc twice in a row; see
-:mod:`repro.sim.fixedpoint`).
-
-:func:`simulate_paths_event_driven_batch` stacks R independent
-replications into **one** solve by offsetting replication *r*'s arc
-ids by ``r * num_arcs`` (:func:`stack_replications`): the sub-systems
-are disjoint, so each replication's deliveries are bit-identical to
-its own sequential run, while each FIFO window's fixed cost is shared
-by R times the joins.
+The module also keeps the older names of the two fixed-point entry
+points, for callers outside the package.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.feedforward import ArcLog, ButterflyLevels
+from repro.sim.feedforward import ButterflyLevels
 from repro.topology.butterfly import Butterfly
-from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.fixedpoint import FixedPointResult
+
 __all__ = [
-    "EventSimResult",
     "FlatPaths",
     "flatten_paths",
     "simulate_paths_event_driven",
     "simulate_paths_event_driven_batch",
     "stack_replications",
-    "hypercube_packet_paths",
+    "hypercube_paths",
     "hypercube_dims_flat",
     "hypercube_arcs_flat",
     "butterfly_packet_paths",
     "torus_packet_paths",
 ]
+
 
 @dataclass(frozen=True)
 class FlatPaths:
@@ -119,20 +96,6 @@ def flatten_paths(
     return FlatPaths(flat, start)
 
 
-@dataclass(frozen=True)
-class EventSimResult:
-    """Outcome of an event-driven run."""
-
-    delivery: np.ndarray
-    hops: np.ndarray
-    arc_log: Optional[ArcLog]
-
-    def delay_record_from(self, sample: TrafficSample):
-        from repro.sim.measurement import DelayRecord
-
-        return DelayRecord(sample.times, self.delivery, sample.horizon)
-
-
 def simulate_paths_event_driven(
     num_arcs: int,
     birth_times: np.ndarray,
@@ -141,45 +104,21 @@ def simulate_paths_event_driven(
     discipline: str = "fifo",
     service: float = 1.0,
     record_arc_log: bool = False,
-) -> EventSimResult:
-    """Simulate packets following explicit arc paths.
+) -> "FixedPointResult":
+    """The older name of
+    :func:`repro.sim.fixedpoint.simulate_paths_fixed_point`, which it
+    calls with the same arguments and whose result it returns."""
+    # imported here: repro.sim.fixedpoint imports this module at load
+    from repro.sim.fixedpoint import simulate_paths_fixed_point
 
-    Parameters
-    ----------
-    num_arcs:
-        Total number of servers (arc ids must lie in ``range(num_arcs)``).
-    birth_times:
-        Per-packet injection epochs (any order).
-    paths:
-        Per-packet sequences of arc ids (or a :class:`FlatPaths`); a
-        packet with an empty path is delivered at birth.
-    discipline:
-        ``"fifo"`` or ``"ps"`` applied at every arc.
-    service:
-        Deterministic service requirement per hop (``> 0``).
-    record_arc_log:
-        Also return one :class:`~repro.sim.feedforward.ArcLog` row per
-        hop (row order is unspecified).
-
-    Solved by the fixed-point engine's solvers (see the module
-    docstring).
-    """
-    from repro.sim import fixedpoint  # imports this module at load
-
-    fp, delivery, dep, _, _ = fixedpoint._solve(
-        num_arcs, birth_times, paths, discipline, service
+    return simulate_paths_fixed_point(
+        num_arcs,
+        birth_times,
+        paths,
+        discipline=discipline,
+        service=service,
+        record_arc_log=record_arc_log,
     )
-    hops = fp.hops()
-    arc_log = None
-    if record_arc_log:
-        # rows are packet-major: a hop joins when the one before departs
-        routed = hops > 0
-        t_in = np.empty(dep.shape[0])
-        t_in[1:] = dep[:-1]
-        t_in[fp.start[:-1][routed]] = np.asarray(birth_times, float)[routed]
-        pid = np.repeat(np.arange(hops.shape[0], dtype=np.int64), hops)
-        arc_log = ArcLog(pid, fp.flat.copy(), t_in, dep)
-    return EventSimResult(delivery, hops, arc_log)
 
 
 def simulate_paths_event_driven_batch(
@@ -190,21 +129,10 @@ def simulate_paths_event_driven_batch(
     discipline: str = "fifo",
     service: float = 1.0,
 ) -> List[np.ndarray]:
-    """Delivery epochs of R independent replications as one solve.
-
-    The fixed-point engine's batch
-    (:func:`repro.sim.fixedpoint.simulate_paths_fixed_point_batch`):
-    replication *r*'s arc ids are offset by ``r * num_arcs``
-    (:func:`stack_replications`), making the R sub-systems disjoint, so
-    one FIFO pass serves them all (R times the rows share each window's
-    fixed cost) and PS sweeps each replication's block until that block
-    alone stops moving.  Entry *r* of the result is **bit-identical**
-    to
-
-    ``simulate_paths_event_driven(num_arcs, birth_times[r], paths[r], ...)``
-
-    because no replication's rows ever share an arc with another's.
-    """
+    """The older name of
+    :func:`repro.sim.fixedpoint.simulate_paths_fixed_point_batch`, which
+    it calls with the same arguments and whose result it returns."""
+    # imported here: repro.sim.fixedpoint imports this module at load
     from repro.sim.fixedpoint import simulate_paths_fixed_point_batch
 
     return simulate_paths_fixed_point_batch(
@@ -302,46 +230,25 @@ def hypercube_arcs_flat(
     return dims_flat * num_nodes + cur
 
 
-def hypercube_packet_paths(
-    cube: Hypercube,
-    sample: TrafficSample,
-    orders: Optional[Sequence[Sequence[int]]] = None,
-) -> List[List[int]]:
-    """Arc paths for each packet of a hypercube traffic sample.
+def hypercube_paths(d: int, *stops: np.ndarray) -> FlatPaths:
+    """Greedy arc paths on the d-cube through per-packet stops, packed
+    flat.
 
-    ``orders`` optionally supplies a per-packet dimension crossing
-    order (each a permutation of that packet's differing dimensions);
-    default is the canonical increasing order, built vectorised.
+    Packet *i* goes ``stops[0][i] -> stops[1][i] -> ... -> stops[-1][i]``,
+    each leg on its canonical path (differing dimensions in increasing
+    order): two stops give the greedy paths, three the two-phase ones
+    through an intermediate node.  Row ``i * legs + k`` of one
+    interleaved leg table is packet *i*'s leg *k*, so the legs of a
+    packet lie side by side in the flat arrays, and every ``legs``-th
+    leg boundary is a packet boundary.
     """
-    n_nodes = cube.num_nodes
-    if orders is None:
-        dims_flat, start = hypercube_dims_flat(
-            cube.d, sample.origins, sample.destinations
-        )
-        arcs = hypercube_arcs_flat(
-            n_nodes, sample.origins, dims_flat, start
-        ).tolist()
-        st = start.tolist()
-        return [
-            arcs[st[i] : st[i + 1]] for i in range(sample.num_packets)
-        ]
-    paths: List[List[int]] = []
-    for i in range(sample.num_packets):
-        x = int(sample.origins[i])
-        z = int(sample.destinations[i])
-        dims = cube.dims_to_cross(x, z)
-        order = list(orders[i])
-        if sorted(order) != dims:
-            raise ConfigurationError(
-                f"packet {i}: order {order} is not a permutation of {dims}"
-            )
-        arcs = []
-        cur = x
-        for j in order:
-            arcs.append(j * n_nodes + cur)
-            cur ^= 1 << j
-        paths.append(arcs)
-    return paths
+    ends = [np.asarray(s, np.int64) for s in stops]
+    legs = len(ends) - 1
+    leg_from = np.stack(ends[:-1], 1).reshape(-1)
+    leg_to = np.stack(ends[1:], 1).reshape(-1)
+    dims_flat, leg_start = hypercube_dims_flat(d, leg_from, leg_to)
+    arcs = hypercube_arcs_flat(1 << d, leg_from, dims_flat, leg_start)
+    return FlatPaths(arcs, leg_start[::legs])
 
 
 def butterfly_packet_paths(bf: Butterfly, sample: TrafficSample) -> FlatPaths:
@@ -352,8 +259,8 @@ def butterfly_packet_paths(bf: Butterfly, sample: TrafficSample) -> FlatPaths:
     exactly one arc per level, vertical wherever the row addresses
     differ — which is the level map's arc at each level
     (:class:`~repro.sim.feedforward.ButterflyLevels`), so the paths pack
-    as one (packets × d) array.  This is what lets the path engines
-    cross-validate :func:`repro.sim.feedforward.simulate_butterfly_greedy`.
+    as one (packets × d) array.  This is what lets the fixed-point
+    engine cross-validate :func:`repro.sim.feedforward.simulate_butterfly_greedy`.
     """
     levels = ButterflyLevels(bf)
     origins = np.asarray(sample.origins, np.int64)

@@ -31,8 +31,8 @@ Two front ends:
 
 FIFO ties are broken by packet id (birth order) — the deterministic
 stand-in for the paper's "first arrived at the node" rule — and the
-event-driven engine uses the same rule, so both engines produce the
-same sample path (cross-validated in the tests).
+fixed-point path engine uses the same rule, so both engines produce
+the same sample path (cross-validated in the tests).
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Vectorised simulation of explicit arc paths: the solvers of both
-path engines (``fixedpoint`` and ``event``).
+"""Vectorised simulation of explicit arc paths: the solvers of the
+fixed-point path engine.
 
 The feed-forward engine (:mod:`repro.sim.feedforward`) solves a
 levelled network in one sweep because a packet leaving level ``l``
@@ -8,9 +8,8 @@ paths have no such global order — a path can wrap around the arc id
 space — so no level order makes every server's arrival stream complete
 before it is solved.  This module solves *hop rows* instead (one row
 per packet and hop, packet-major), with the feed-forward engine's
-kernels, in one of two ways, picked by one dispatch (:func:`_solve`)
-that :func:`simulate_paths_fixed_point` and
-:func:`repro.sim.eventsim.simulate_paths_event_driven` both call:
+kernels, in one of two ways, picked per discipline by
+:func:`simulate_paths_fixed_point`:
 
 * **FIFO: one time-ordered pass.**  A FIFO departure comes one service
   after its join at the earliest, so when a window ``[T, T + w)``
@@ -51,7 +50,10 @@ positive constant, so the first event where two consistent paths
 could differ is determined by strictly earlier events, on which they
 agree, and a FIFO departure is fixed at admission — so the pass
 returns the sweeps' answer bit for bit, and on a levelled network both
-reproduce the feed-forward engine (tested).
+reproduce the feed-forward engine (tested).  Ties break as in that
+engine's kernels: every arc admits its joins in (time, hop row) order
+— (time, packet id) order, rows being packet-major — and a join at the
+epoch of a departure after that departure.
 
 Under PS in floating point the path is not unique where a path takes
 the same arc on two consecutive hops: a packet leaves arc ``a`` at
@@ -77,7 +79,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.eventsim import FlatPaths, flatten_paths, stack_replications
-from repro.sim.feedforward import _ArcCarry, _serve_fifo_carry, serve_level
+from repro.sim.feedforward import ArcLog, _ArcCarry, _serve_fifo_carry, serve_level
 
 __all__ = [
     "FixedPointResult",
@@ -106,6 +108,8 @@ class FixedPointResult:
     #: on mixed-convergence batches; under FIFO, the row count (the
     #: pass serves each row once)
     sweep_rows: int = 0
+    #: one row per hop with ``record_arc_log``, else ``None``
+    arc_log: Optional[ArcLog] = None
 
 
 def simulate_paths_fixed_point(
@@ -117,20 +121,24 @@ def simulate_paths_fixed_point(
     service: float = 1.0,
     max_sweeps: Optional[int] = None,
     rep_blocks: Optional[np.ndarray] = None,
+    record_arc_log: bool = False,
 ) -> FixedPointResult:
     """Simulate packets following explicit arc paths, vectorised.
 
-    Same contract as
-    :func:`repro.sim.eventsim.simulate_paths_event_driven`, which runs
-    this module's solvers too: *paths* is a per-packet sequence of
-    arc ids in ``range(num_arcs)``, or a
-    :class:`~repro.sim.eventsim.FlatPaths`; a packet with an empty path
-    is delivered at birth.  Sample paths match the feed-forward engine
-    bit for bit wherever both run (both solve each server with the
-    closed form of :func:`~repro.sim.feedforward.serve_level`).
+    *paths* is a per-packet sequence of arc ids in ``range(num_arcs)``,
+    or a :class:`~repro.sim.eventsim.FlatPaths`; a packet with an empty
+    path is delivered at birth.  *birth_times* are the per-packet
+    injection epochs (any order), and every hop takes ``service``
+    (``> 0``) under ``discipline`` (``"fifo"`` or ``"ps"``).  Sample
+    paths match the feed-forward engine bit for bit wherever both run
+    (both solve each server with the closed form of
+    :func:`~repro.sim.feedforward.serve_level`).
 
-    FIFO makes one time-ordered pass; PS sweeps to a fixed point, at
-    most ``max_sweeps`` times (see the module docstring).
+    FIFO makes one time-ordered pass (``_fifo_pass``, looked up when
+    called, so swapping the module attribute for :func:`_sweeps`
+    re-routes FIFO, as the pass's oracle test and the engine bench
+    do); PS sweeps to a fixed point, at most ``max_sweeps`` times (see
+    the module docstring).
 
     ``rep_blocks`` is the replication-batching fast path of the PS
     sweeps: boundaries of contiguous *hop-row* runs whose arc-id ranges
@@ -141,31 +149,10 @@ def simulate_paths_fixed_point(
     makes observable — on a mixed-convergence batch it is strictly less
     than ``sweeps * total_rows`` while the sample path stays
     bit-identical.
-    """
-    fp, delivery, _, sweeps, sweep_rows = _solve(
-        num_arcs, birth_times, paths, discipline, service, max_sweeps, rep_blocks
-    )
-    return FixedPointResult(delivery, fp.hops(), sweeps, sweep_rows)
 
-
-def _solve(
-    num_arcs: int,
-    birth_times: np.ndarray,
-    paths: Union[FlatPaths, Sequence[Sequence[int]]],
-    discipline: str,
-    service: float,
-    max_sweeps: Optional[int] = None,
-    rep_blocks: Optional[np.ndarray] = None,
-) -> Tuple[FlatPaths, np.ndarray, np.ndarray, int, int]:
-    """Check a path system and solve it: the one dispatch from
-    discipline to solver behind both path engines.
-
-    Returns ``(paths, delivery, departures, sweeps, sweep_rows)``: the
-    packed paths, one delivery epoch per packet, one departure per hop
-    row (packet-major) and the solver's counts.  ``_fifo_pass`` is
-    looked up when called, so swapping the module attribute for
-    :func:`_sweeps` (as the pass's oracle test and the engine bench do)
-    re-routes FIFO in both engines.
+    ``record_arc_log`` also returns one
+    :class:`~repro.sim.feedforward.ArcLog` row per hop, built from the
+    solver's per-row departures (packet-major rows).
     """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
@@ -176,18 +163,27 @@ def _solve(
         raise ConfigurationError("paths and birth_times must be parallel")
     fp = flatten_paths(paths)
     delivery = births.copy()  # zero-hop packets are delivered at birth
-    if fp.flat.shape[0] == 0:
-        return fp, delivery, np.empty(0), 0, 0
-    lo, hi = int(fp.flat.min()), int(fp.flat.max())
-    if lo < 0 or hi >= num_arcs:
-        raise SimulationError(f"arc id {lo if lo < 0 else hi} out of range")
-    solve = _fifo_pass if discipline == "fifo" else _sweeps
-    departures, sweeps, sweep_rows = solve(
-        num_arcs, births, fp, discipline, service, max_sweeps, rep_blocks
-    )
-    routed = fp.hops() > 0
+    departures, sweeps, sweep_rows = np.empty(0), 0, 0
+    if fp.flat.shape[0]:
+        lo, hi = int(fp.flat.min()), int(fp.flat.max())
+        if lo < 0 or hi >= num_arcs:
+            raise SimulationError(f"arc id {lo if lo < 0 else hi} out of range")
+        solve = _fifo_pass if discipline == "fifo" else _sweeps
+        departures, sweeps, sweep_rows = solve(
+            num_arcs, births, fp, discipline, service, max_sweeps, rep_blocks
+        )
+    hops = fp.hops()
+    routed = hops > 0
     delivery[routed] = departures[fp.start[1:][routed] - 1]
-    return fp, delivery, departures, sweeps, sweep_rows
+    arc_log = None
+    if record_arc_log:
+        # rows are packet-major: a hop joins when the one before departs
+        t_in = np.empty(departures.shape[0])
+        t_in[1:] = departures[:-1]
+        t_in[fp.start[:-1][routed]] = births[routed]
+        pid = np.repeat(np.arange(hops.shape[0], dtype=np.int64), hops)
+        arc_log = ArcLog(pid, fp.flat.copy(), t_in, departures)
+    return FixedPointResult(delivery, hops, sweeps, sweep_rows, arc_log)
 
 
 def _fifo_pass(

@@ -9,8 +9,8 @@ Execution is a thin lookup: the spec's scheme resolves to a
 :class:`~repro.plugins.api.SchemePlugin` through the plugin registry
 (:mod:`repro.plugins.registry`), whose ``prepare(spec)`` hook builds
 the ``Runner(gen) -> ReplicationOutput`` closure that does the work.
-Which engine runs — the levelled feed-forward sweep, the fixed-point
-solver or the event engine — resolves through the **engine plugin
+Which engine runs — the levelled feed-forward sweep or the
+fixed-point path solver — resolves through the **engine plugin
 registry** (:func:`repro.engines.registry.resolve_engine`), driven by
 the spec's ``engine`` field and the capabilities the scheme, network
 and engine plugins declare.

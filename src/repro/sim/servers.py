@@ -16,12 +16,12 @@ Ties: an arrival that coincides with a departure epoch is processed
 exactly then, and an instantaneous overlap renders zero service).
 
 Who runs what: every engine (feed-forward, the chunked sweep, and the
-fixed-point solver behind both path engines, event and fixed-point)
-solves PS with one kernel in :mod:`repro.sim.feedforward` that does
-:class:`PSServer`'s float operations for every arc of a level at once.
-:class:`PSServer` and :func:`ps_departure_times` are its reference
-(tests compare it bit for bit, and check the path engines' PS arc
-logs against it arc by arc) and the Lemma 7 oracle.
+fixed-point path solver) solves PS with one kernel in
+:mod:`repro.sim.feedforward` that does :class:`PSServer`'s float
+operations for every arc of a level at once.  :class:`PSServer` and
+:func:`ps_departure_times` are its reference (tests compare it bit for
+bit, and check the path engine's PS arc logs against it arc by arc)
+and the Lemma 7 oracle.
 """
 
 from __future__ import annotations

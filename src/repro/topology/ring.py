@@ -24,8 +24,8 @@ so the two direction classes occupy the contiguous id slices
 :class:`~repro.topology.base.Topology` contract.  Unlike the levelled
 hypercube/butterfly equivalents, a greedy ring path may wrap around
 the id space, so the ring is simulated by the fixed-point engine
-(:mod:`repro.sim.fixedpoint`) or the event engine, never the
-level-by-level feed-forward engine.
+(:mod:`repro.sim.fixedpoint`), never the level-by-level feed-forward
+engine.
 """
 
 from __future__ import annotations

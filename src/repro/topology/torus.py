@@ -23,8 +23,8 @@ so each of the ``2d`` (dimension, direction) classes — the torus's
 occupies one contiguous id slice of length ``m**d``.  Like the ring
 (and unlike the levelled hypercube equivalent), in-dimension movement
 can revisit the same arc class many times, so the torus is simulated
-by the fixed-point engine (:mod:`repro.sim.fixedpoint`) or the event
-engine, never the level-by-level feed-forward engine.
+by the fixed-point engine (:mod:`repro.sim.fixedpoint`), never the
+level-by-level feed-forward engine.
 """
 
 from __future__ import annotations

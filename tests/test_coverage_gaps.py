@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.greedy import GreedyHypercubeScheme
 from repro.runner import ScenarioSpec, measure_many
-from repro.sim.eventsim import simulate_paths_event_driven
 from repro.sim.feedforward import ArcLog
+from repro.sim.fixedpoint import simulate_paths_fixed_point
 
 
 class TestArcLogForArc:
@@ -34,22 +34,8 @@ class TestArcLogForArc:
 
 
 class TestEventSimExtras:
-    def test_delay_record_from_sample(self, cube3):
-        from repro.traffic.destinations import BernoulliFlipLaw
-        from repro.traffic.workload import HypercubeWorkload
-
-        wl = HypercubeWorkload(cube3, 1.0, BernoulliFlipLaw(3, 0.5))
-        sample = wl.generate(60.0, rng=1)
-        from repro.sim.eventsim import hypercube_packet_paths
-
-        res = simulate_paths_event_driven(
-            cube3.num_arcs, sample.times, hypercube_packet_paths(cube3, sample)
-        )
-        rec = res.delay_record_from(sample)
-        assert rec.num_packets == sample.num_packets
-
     def test_ps_with_custom_service(self):
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             1, np.array([0.0, 0.0]), [[0], [0]], discipline="ps", service=2.0
         )
         # two customers sharing a 2-unit-work server: both depart at 4

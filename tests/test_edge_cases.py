@@ -11,13 +11,13 @@ import pytest
 from repro.core.greedy import GreedyButterflyScheme, GreedyHypercubeScheme
 from repro.core.qnetwork import ExplicitLevelledSpec, HypercubeQSpec
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.eventsim import simulate_paths_event_driven
 from repro.sim.feedforward import (
     EXIT,
     simulate_butterfly_greedy,
     simulate_hypercube_greedy,
     simulate_markovian,
 )
+from repro.sim.fixedpoint import simulate_paths_fixed_point
 from repro.traffic.workload import TrafficSample
 
 
@@ -42,7 +42,7 @@ class TestEmptyWorkloads:
         assert res.exit_times.shape == (0,)
 
     def test_event_driven_empty(self):
-        res = simulate_paths_event_driven(4, np.zeros(0), [])
+        res = simulate_paths_fixed_point(4, np.zeros(0), [])
         assert res.delivery.shape == (0,)
 
     def test_empty_arc_log(self, cube3):
@@ -110,7 +110,7 @@ class TestMalformedInputs:
 
     def test_event_driven_bad_arc_id(self):
         with pytest.raises(SimulationError):
-            simulate_paths_event_driven(2, np.array([0.0]), [[5]])
+            simulate_paths_fixed_point(2, np.array([0.0]), [[5]])
 
     def test_feedforward_wrong_sample_width(self, cube3):
         with pytest.raises(ConfigurationError):

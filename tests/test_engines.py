@@ -35,7 +35,7 @@ from repro.rng import replication_seeds
 from repro.runner import ResultsStore, ScenarioSpec, measure
 from repro.sim.run_spec import run_spec
 
-ALL_BUILTINS = {"feedforward", "event", "fixedpoint"}
+ALL_BUILTINS = {"feedforward", "fixedpoint"}
 
 
 def greedy_spec(network: str = "hypercube", **overrides) -> ScenarioSpec:
@@ -58,8 +58,8 @@ class TestRegistry:
         assert set(available_engines()) == ALL_BUILTINS
 
     def test_aliases_resolve(self):
-        assert canonical_engine_name("eventsim") == "event"
-        assert canonical_engine_name("calendar") == "event"
+        for alias in ("event", "eventsim", "calendar"):
+            assert canonical_engine_name(alias) == "fixedpoint"
         assert canonical_engine_name("ff") == "feedforward"
         assert canonical_engine_name("fixed-point") == "fixedpoint"
         assert get_engine("fp") is get_engine("fixedpoint")
@@ -75,12 +75,12 @@ class TestRegistry:
         assert names == sorted(names)
         for p in plugins:
             assert p.summary
-            assert p.capabilities.kind in ("levelled", "event", "fixed-point")
+            assert p.capabilities.kind in ("levelled", "fixed-point")
 
     def test_reserved_directives_not_registrable(self):
         class Auto(EnginePlugin):
             name = "auto"
-            capabilities = EngineCapabilities(kind="event")
+            capabilities = EngineCapabilities(kind="fixed-point")
 
         with pytest.raises(ConfigurationError, match="reserved"):
             register_engine(Auto)
@@ -88,7 +88,7 @@ class TestRegistry:
         class Vec(EnginePlugin):
             name = "myengine"
             aliases = ("vectorized",)
-            capabilities = EngineCapabilities(kind="event")
+            capabilities = EngineCapabilities(kind="fixed-point")
 
         with pytest.raises(ConfigurationError, match="reserved"):
             register_engine(Vec)
@@ -97,19 +97,23 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="EnginePlugin"):
             register_engine(object())  # type: ignore[arg-type]
 
-        class BadKind(EnginePlugin):
-            name = "badkind"
-            capabilities = EngineCapabilities(kind="magic")
+        for kind in ("magic", "event"):
 
-        with pytest.raises(ConfigurationError, match="levelled"):
-            register_engine(BadKind)
+            class BadKind(EnginePlugin):
+                name = "badkind"
+                capabilities = EngineCapabilities(kind=kind)
+
+            with pytest.raises(
+                ConfigurationError, match="one of levelled, fixed-point"
+            ):
+                register_engine(BadKind)
 
     def test_runtime_register_unregister_roundtrip(self):
         class Toy(EnginePlugin):
             name = "toyengine"
             aliases = ("toy",)
             summary = "test double"
-            capabilities = EngineCapabilities(kind="event")
+            capabilities = EngineCapabilities(kind="fixed-point")
 
         register_engine(Toy)
         try:
@@ -118,7 +122,7 @@ class TestRegistry:
             with pytest.raises(ConfigurationError, match="already registered"):
                 class Usurper(EnginePlugin):
                     name = "toyengine"
-                    capabilities = EngineCapabilities(kind="event")
+                    capabilities = EngineCapabilities(kind="fixed-point")
 
                 register_engine(Usurper)
         finally:
@@ -132,10 +136,12 @@ class TestRegistry:
 
 class TestSpecNormalisation:
     def test_alias_normalised_before_hashing(self):
-        canonical = greedy_spec(engine="event")
-        via_alias = greedy_spec(engine="eventsim")
-        assert via_alias.engine == "event"
-        assert via_alias.content_hash() == canonical.content_hash()
+        canonical = greedy_spec(engine="fixedpoint")
+        for alias in ("event", "eventsim", "calendar"):
+            via_alias = greedy_spec(engine=alias)
+            assert via_alias.engine == "fixedpoint"
+            assert via_alias.content_hash() == canonical.content_hash()
+            assert via_alias.replication_hash() == canonical.replication_hash()
 
     def test_directives_pass_through(self):
         assert greedy_spec().engine == "auto"
@@ -164,7 +170,10 @@ class TestResolution:
         )
 
     def test_forced_name_resolves_to_itself(self):
-        assert resolve_engine(greedy_spec(engine="event")).name == "event"
+        assert (
+            resolve_engine(greedy_spec(engine="feedforward")).name
+            == "feedforward"
+        )
         assert (
             resolve_engine(greedy_spec(engine="fixedpoint")).name
             == "fixedpoint"
@@ -174,13 +183,14 @@ class TestResolution:
         spec = ScenarioSpec(name="x", scheme="deflection", lam=0.5)
         assert resolve_engine(spec) is None
 
-    def test_event_schemes_declare_native_event(self):
-        spec = ScenarioSpec(name="x", scheme="random_order", rho=0.5)
-        assert resolve_engine(spec).name == "event"
+    def test_path_schemes_declare_native_fixedpoint(self):
+        for scheme in ("random_order", "twophase"):
+            spec = ScenarioSpec(name="x", scheme=scheme, rho=0.5)
+            assert resolve_engine(spec).name == "fixedpoint"
 
     def test_declared_engine_names_canonicalise(self):
-        assert declared_engine_names(("eventsim", "vectorized", "event")) == (
-            "event",
+        assert declared_engine_names(("eventsim", "vectorized", "fp")) == (
+            "fixedpoint",
             "vectorized",
         )
 
@@ -196,20 +206,20 @@ class TestResolution:
             name = "companion_greedy"
             capabilities = greedy.capabilities.__class__(
                 networks=("*",),
-                engines=("event", "companion-engine"),
+                engines=("fixedpoint", "companion-engine"),
                 disciplines=("fifo", "ps"),
                 network_options=True,
             )
 
         register_scheme(CompanionGreedy)
         try:
-            assert declared_engine_names(("event", "companion-engine")) == (
-                "event",
+            assert declared_engine_names(("fixedpoint", "companion-engine")) == (
+                "fixedpoint",
                 "companion-engine",
             )
             spec = ScenarioSpec(
                 name="x", scheme="companion_greedy", d=3, rho=0.5,
-                horizon=80.0, engine="event",
+                horizon=80.0, engine="fixedpoint",
             )
             assert run_spec(spec, 0).num_packets > 0
             with pytest.raises(ConfigurationError, match="companion-engine"):
@@ -239,9 +249,14 @@ class TestAdmissibility:
         assert fp.mean_delay == ff.mean_delay
 
     def test_undeclared_engine_rejected_with_enumeration(self):
-        with pytest.raises(ConfigurationError, match="event"):
+        with pytest.raises(ConfigurationError, match="admissible engines: fixedpoint"):
             ScenarioSpec(name="x", scheme="random_order", rho=0.5,
-                         engine="fixedpoint")
+                         engine="feedforward")
+        # its declared engine, under any spelling, is accepted
+        for engine in ("fixedpoint", "event"):
+            spec = ScenarioSpec(name="x", scheme="random_order", rho=0.5,
+                                engine=engine)
+            assert resolve_engine(spec).name == "fixedpoint"
 
     def test_chunk_packets_option_scoped_to_feedforward(self):
         spec = greedy_spec(extra={"chunk_packets": 500})
@@ -270,9 +285,7 @@ BATCHED_CELLS = [
     greedy_spec("ring", discipline="ps", rho=0.6),
     greedy_spec("torus"),
     greedy_spec(engine="fixedpoint"),
-    greedy_spec(engine="event"),
-    greedy_spec(engine="event", discipline="ps", rho=0.6),
-    greedy_spec("ring", engine="event"),
+    greedy_spec(engine="fixedpoint", discipline="ps", rho=0.6),
 ]
 
 
@@ -294,9 +307,11 @@ class TestBatchedFastPath:
         assert batched == sequential  # exact: dataclass equality on floats
 
     def test_event_engine_batches(self):
-        """The event engine declares batching: R replications share
-        one solve via arc-id offsetting."""
+        """``event`` names the fixed-point engine, which declares
+        batching: R replications share one solve via arc-id
+        offsetting."""
         spec = greedy_spec(engine="event")
+        assert get_engine("event") is get_engine("fixedpoint")
         assert get_engine("event").supports_batch(spec)
         assert spec.plugin.batch_runner(spec) is not None
 
@@ -359,7 +374,7 @@ class TestCustomEngineEndToEnd:
             name = "echo"
             aliases = ("free-flow",)
             summary = "zero-contention toy: delivery = birth + hops"
-            capabilities = EngineCapabilities(kind="event")
+            capabilities = EngineCapabilities(kind="fixed-point")
 
             def simulate(self, spec, topology, sample):
                 paths = spec.network_plugin.greedy_paths(

@@ -3,7 +3,8 @@
 The strongest correctness evidence in the suite: independent
 implementations must produce the *same sample paths*:
 
-* feed-forward (vectorised Lindley) vs the event engine, FIFO & PS;
+* feed-forward (vectorised Lindley) vs the fixed-point path solver,
+  FIFO & PS;
 * the physical hypercube vs network Q fed with the same packets
   (§3.1's equivalence, Lemma 4 coupling).
 """
@@ -13,9 +14,11 @@ import pytest
 
 from repro.core.qnetwork import HypercubeQSpec, hypercube_external_from_sample
 from repro.sim.eventsim import (
+    FlatPaths,
     butterfly_packet_paths,
-    hypercube_packet_paths,
-    simulate_paths_event_driven,
+    hypercube_arcs_flat,
+    hypercube_dims_flat,
+    hypercube_paths,
 )
 from repro.sim.feedforward import (
     ButterflyLevels,
@@ -24,6 +27,10 @@ from repro.sim.feedforward import (
     simulate_levelled,
     simulate_levelled_chunked,
     simulate_markovian,
+)
+from repro.sim.fixedpoint import (
+    simulate_paths_fixed_point,
+    simulate_paths_fixed_point_batch,
 )
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
@@ -38,8 +45,8 @@ def _workload_sample(d, lam, p, horizon, seed):
 
 
 def _assert_level_sweeps_match_events(d, samples, discipline):
-    """Every level map and route of the level sweep against the event
-    engine run over the same packets' greedy paths.
+    """Every level map and route of the level sweep against the
+    fixed-point path solver run over the same packets' greedy paths.
 
     Maps: the hypercube in increasing and in a permuted dimension
     order, and the butterfly (a d-bit sample is also a butterfly row
@@ -51,20 +58,25 @@ def _assert_level_sweeps_match_events(d, samples, discipline):
     order = list(range(1, d, 2)) + list(range(0, d, 2))
 
     def permuted_paths(s):
-        diffs = np.asarray(s.origins) ^ np.asarray(s.destinations)
-        orders = [[dim for dim in order if diff >> dim & 1] for diff in diffs]
-        return hypercube_packet_paths(cube, s, orders=orders)
+        # each packet's differing dimensions, crossed in ``order``
+        dims, start = hypercube_dims_flat(d, s.origins, s.destinations)
+        pid = np.repeat(np.arange(s.num_packets), np.diff(start))
+        rank = np.argsort(order)[dims]
+        dims = dims[np.lexsort((rank, pid))]
+        return FlatPaths(
+            hypercube_arcs_flat(cube.num_nodes, s.origins, dims, start), start
+        )
 
     maps = [
         ("hypercube", HypercubeLevels(cube),
-         lambda s: hypercube_packet_paths(cube, s)),
+         lambda s: hypercube_paths(d, s.origins, s.destinations)),
         ("hypercube, dim_order", HypercubeLevels(cube, order), permuted_paths),
         ("butterfly", ButterflyLevels(bf),
          lambda s: butterfly_packet_paths(bf, s)),
     ]
     for label, levels, paths in maps:
         refs = [
-            simulate_paths_event_driven(
+            simulate_paths_fixed_point(
                 levels.num_arcs, s.times, paths(s), discipline=discipline
             ).delivery
             for s in samples
@@ -87,9 +99,9 @@ def _assert_level_sweeps_match_events(d, samples, discipline):
 
 
 class TestEngineEquivalence:
-    """The level sweep against the event engine, FIFO and PS, bit for
-    bit, over every level map and every route (one-shot, stacked,
-    chunked)."""
+    """The level sweep against the fixed-point path solver, FIFO and
+    PS, bit for bit, over every level map and every route (one-shot,
+    stacked, chunked)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fifo_sample_paths_identical(self, seed):
@@ -120,7 +132,8 @@ class TestEngineEquivalence:
 
 
 class TestBatchedEventMatchesFeedForward:
-    """The replication-batched event engine against the level sweep.
+    """The replication-batched fixed-point path solver against the
+    level sweep.
 
     Stacking R replications into one arc-offset solve must not move
     any delivery epoch: each replication agrees with the independent
@@ -130,17 +143,15 @@ class TestBatchedEventMatchesFeedForward:
 
     @pytest.mark.parametrize("discipline", ["fifo", "ps"])
     def test_batched_calendar_matches_level_sweep(self, discipline):
-        from repro.sim.eventsim import simulate_paths_event_driven_batch
-
         cube = Hypercube(4)
         samples = [
             _workload_sample(4, 1.4, 0.5, 60.0, seed)[1]
             for seed in (21, 22, 23, 24)
         ]
-        deliveries = simulate_paths_event_driven_batch(
+        deliveries = simulate_paths_fixed_point_batch(
             cube.num_arcs,
             [s.times for s in samples],
-            [hypercube_packet_paths(cube, s) for s in samples],
+            [hypercube_paths(4, s.origins, s.destinations) for s in samples],
             discipline=discipline,
         )
         for s, delivery in zip(samples, deliveries):

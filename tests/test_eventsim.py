@@ -1,4 +1,11 @@
-"""Tests for the event-driven engine."""
+"""Tests for explicit arc paths and the solver that runs them.
+
+Paths: the packed layout and the vectorised hypercube builder.  The
+solver: :func:`repro.sim.fixedpoint.simulate_paths_fixed_point` and its
+batch, against a strict-order heap and per-arc server oracles, and the
+older ``simulate_paths_event_driven`` names, which return the same
+results.
+"""
 
 import heapq
 import tracemalloc
@@ -9,17 +16,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError, TopologyError
 from repro.sim.eventsim import (
     FlatPaths,
     flatten_paths,
-    hypercube_packet_paths,
+    hypercube_arcs_flat,
+    hypercube_paths,
     simulate_paths_event_driven,
     simulate_paths_event_driven_batch,
 )
+from repro.sim.fixedpoint import (
+    simulate_paths_fixed_point,
+    simulate_paths_fixed_point_batch,
+)
 from repro.sim.lindley import fifo_departure_times
 from repro.sim.servers import ps_departure_times
-from repro.traffic.workload import TrafficSample
+from repro.topology.hypercube import Hypercube
+from repro.topology.paths import path_arcs
 
 
 def _random_system(rng, num_arcs=12, n=160, max_hops=5, span=40.0):
@@ -33,36 +46,36 @@ def _random_system(rng, num_arcs=12, n=160, max_hops=5, span=40.0):
 class TestEventDrivenFifo:
     def test_single_server_queue(self):
         # 3 packets through one arc
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             1, np.array([0.0, 0.0, 5.0]), [[0], [0], [0]]
         )
         np.testing.assert_allclose(res.delivery, [1.0, 2.0, 6.0])
 
     def test_tandem_line(self):
         # arc 0 then arc 1: pipeline
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             2, np.array([0.0, 0.0]), [[0, 1], [0, 1]]
         )
         np.testing.assert_allclose(np.sort(res.delivery), [2.0, 3.0])
 
     def test_empty_path_delivered_at_birth(self):
-        res = simulate_paths_event_driven(1, np.array([4.2]), [[]])
+        res = simulate_paths_fixed_point(1, np.array([4.2]), [[]])
         assert res.delivery[0] == pytest.approx(4.2)
 
     def test_tie_priority_by_pid(self):
         # both arrive at t=1 at arc 0: pid 0 served first
-        res = simulate_paths_event_driven(1, np.array([1.0, 1.0]), [[0], [0]])
+        res = simulate_paths_fixed_point(1, np.array([1.0, 1.0]), [[0], [0]])
         np.testing.assert_allclose(res.delivery, [2.0, 3.0])
 
     def test_cyclic_server_graph_ok(self):
         # packet A: arc0 -> arc1 ; packet B: arc1 -> arc0 (not levelled)
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             2, np.array([0.0, 0.0]), [[0, 1], [1, 0]]
         )
         np.testing.assert_allclose(res.delivery, [2.0, 2.0])
 
     def test_arc_log(self):
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             2, np.array([0.0]), [[0, 1]], record_arc_log=True
         )
         assert res.arc_log.num_hops == 2
@@ -71,24 +84,24 @@ class TestEventDrivenFifo:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ConfigurationError):
-            simulate_paths_event_driven(1, np.array([0.0]), [[0], [0]])
+            simulate_paths_fixed_point(1, np.array([0.0]), [[0], [0]])
         with pytest.raises(ConfigurationError):
-            simulate_paths_event_driven(
+            simulate_paths_fixed_point(
                 1, np.array([0.0]), [[0]], discipline="bad"
             )
         for service in (0.0, -1.0, float("nan")):
             with pytest.raises(ConfigurationError):
-                simulate_paths_event_driven(
+                simulate_paths_fixed_point(
                     1, np.array([0.0]), [[0]], service=service
                 )
 
     def test_rejects_times_where_service_vanishes(self):
         for t in (1e17, np.inf):
             with pytest.raises(SimulationError):
-                simulate_paths_event_driven(1, np.array([t]), [[0]])
+                simulate_paths_fixed_point(1, np.array([t]), [[0]])
 
     def test_custom_service_time(self):
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             1, np.array([0.0, 0.0]), [[0], [0]], service=2.0
         )
         np.testing.assert_allclose(res.delivery, [2.0, 4.0])
@@ -96,20 +109,20 @@ class TestEventDrivenFifo:
 
 class TestEventDrivenPS:
     def test_ps_sharing_pair(self):
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             1, np.array([0.0, 0.5]), [[0], [0]], discipline="ps"
         )
         np.testing.assert_allclose(res.delivery, [1.5, 2.0])
 
     def test_ps_tandem(self):
         # lone packet: PS == FIFO
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             2, np.array([0.0]), [[0, 1]], discipline="ps"
         )
         assert res.delivery[0] == pytest.approx(2.0)
 
     def test_ps_triple_share(self):
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             1, np.zeros(3), [[0], [0], [0]], discipline="ps"
         )
         np.testing.assert_allclose(res.delivery, [3.0, 3.0, 3.0])
@@ -158,7 +171,7 @@ class TestCoreModes:
     def test_heap_and_window_cores_agree_exactly(self, seed):
         rng = np.random.default_rng(seed)
         births, paths = _random_system(rng)
-        win = simulate_paths_event_driven(
+        win = simulate_paths_fixed_point(
             12, births, paths, record_arc_log=True
         )
         delivery, heap_log = _heap_fifo(12, births, paths)
@@ -238,7 +251,7 @@ class TestFifoOracle:
     @example(system=_cyclic_system(2, 40, 60, 2000.0, 3.0, False))  # sparse
     def test_matches_iterated_lindley_oracle(self, system):
         num_arcs, births, paths, service = system
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             num_arcs, births, paths, service=service, record_arc_log=True
         )
         delivery, rows = _oracle_fifo(births, paths, service)
@@ -270,7 +283,7 @@ class TestPsOracle:
     @example(system=_cyclic_system(0, 1, 4, 4.0, 0.5, False))
     def test_arc_logs_match_ps_departure_times(self, system):
         num_arcs, births, paths, service = system
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             num_arcs, births, paths, discipline="ps", service=service,
             record_arc_log=True,
         )
@@ -309,24 +322,24 @@ class TestBatchedCalendar:
     def test_batch_bit_identical_to_sequential(self, discipline):
         rng = np.random.default_rng(7)
         reps = [_random_system(rng) for _ in range(4)]
-        batched = simulate_paths_event_driven_batch(
+        batched = simulate_paths_fixed_point_batch(
             12,
             [b for b, _ in reps],
             [p for _, p in reps],
             discipline=discipline,
         )
         for (births, paths), delivery in zip(reps, batched):
-            solo = simulate_paths_event_driven(
+            solo = simulate_paths_fixed_point(
                 12, births, paths, discipline=discipline
             )
             assert np.array_equal(solo.delivery, delivery)
 
     def test_empty_batch(self):
-        assert simulate_paths_event_driven_batch(3, [], []) == []
+        assert simulate_paths_fixed_point_batch(3, [], []) == []
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ConfigurationError):
-            simulate_paths_event_driven_batch(3, [np.zeros(1)], [])
+            simulate_paths_fixed_point_batch(3, [np.zeros(1)], [])
 
 
 class TestFlatPaths:
@@ -346,7 +359,7 @@ class TestFlatPaths:
         fp = FlatPaths(
             np.array([0, 0], np.int64), np.array([0, 1, 2], np.int64)
         )
-        res = simulate_paths_event_driven(1, np.array([0.0, 0.0]), fp)
+        res = simulate_paths_fixed_point(1, np.array([0.0, 0.0]), fp)
         np.testing.assert_allclose(res.delivery, [1.0, 2.0])
 
 
@@ -358,7 +371,7 @@ class TestArcLogPreallocation:
         rng = np.random.default_rng(3)
         births, paths = _random_system(rng)
         total = sum(len(p) for p in paths)
-        res = simulate_paths_event_driven(
+        res = simulate_paths_fixed_point(
             12, births, paths, record_arc_log=True
         )
         log = res.arc_log
@@ -380,12 +393,12 @@ class TestArcLogPreallocation:
         rng = np.random.default_rng(5)
         births, paths = _random_system(rng, num_arcs=24, n=4000, span=400.0)
         total = sum(len(p) for p in paths)
-        simulate_paths_event_driven(24, births, paths)  # warm caches
+        simulate_paths_fixed_point(24, births, paths)  # warm caches
         tracemalloc.start()
-        simulate_paths_event_driven(24, births, paths)
+        simulate_paths_fixed_point(24, births, paths)
         _, peak_plain = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        simulate_paths_event_driven(24, births, paths, record_arc_log=True)
+        simulate_paths_fixed_point(24, births, paths, record_arc_log=True)
         _, peak_logged = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         columns = 4 * 8 * total  # two int64 + two float64 rows per hop
@@ -394,22 +407,73 @@ class TestArcLogPreallocation:
 
 class TestPathConstruction:
     def test_canonical_paths(self, cube3):
-        s = TrafficSample(
-            np.array([0.0]), np.array([0]), np.array([0b101]), 10.0
-        )
-        paths = hypercube_packet_paths(cube3, s)
-        assert paths == [[cube3.arc_index(0, 0), cube3.arc_index(1, 2)]]
+        paths = hypercube_paths(3, [0], [0b101])
+        assert [list(p) for p in paths] == [
+            [cube3.arc_index(0, 0), cube3.arc_index(1, 2)]
+        ]
 
     def test_custom_orders(self, cube3):
-        s = TrafficSample(
-            np.array([0.0]), np.array([0]), np.array([0b101]), 10.0
-        )
-        paths = hypercube_packet_paths(cube3, s, orders=[[2, 0]])
-        assert paths == [[cube3.arc_index(0, 2), cube3.arc_index(4, 0)]]
+        # any per-packet crossing order: here dimension 2, then 0
+        arcs = hypercube_arcs_flat(8, [0], np.array([2, 0]), np.array([0, 2]))
+        assert list(arcs) == [cube3.arc_index(0, 2), cube3.arc_index(4, 0)]
+        assert list(arcs) == path_arcs(cube3, 0, 0b101, [2, 0])
 
     def test_rejects_bad_order(self, cube3):
-        s = TrafficSample(
-            np.array([0.0]), np.array([0]), np.array([0b101]), 10.0
+        with pytest.raises(TopologyError):
+            path_arcs(cube3, 0, 0b101, [0, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        legs=st.sampled_from([1, 2]),
+        n=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, legs=1, n=3, seed=0)
+    @example(d=1, legs=2, n=4, seed=1)
+    def test_builder_matches_per_packet_canonical_paths(self, d, legs, n, seed):
+        """Two stops give the greedy paths, three the two-phase ones:
+        each packet's legs are its canonical paths, concatenated.  Small
+        address spaces make stops repeat, so zero-hop legs and packets
+        appear."""
+        cube = Hypercube(d)
+        stops = np.random.default_rng(seed).integers(0, 1 << d, size=(legs + 1, n))
+        paths = hypercube_paths(d, *stops)
+        assert paths.num_packets == n
+        for i in range(n):
+            want = []
+            for k in range(legs):
+                want += cube.canonical_path_arcs(int(stops[k, i]), int(stops[k + 1, i]))
+            assert list(paths[i]) == want
+
+
+class TestOlderNames:
+    """``simulate_paths_event_driven`` and its batch return what the
+    fixed-point entry points return, bit for bit, arc log included."""
+
+    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
+    def test_wrappers_return_the_fixed_point_results(self, discipline):
+        rng = np.random.default_rng(11)
+        reps = [_random_system(rng) for _ in range(3)]
+        births, paths = reps[0]
+        old = simulate_paths_event_driven(
+            12, births, paths, discipline=discipline, record_arc_log=True
         )
-        with pytest.raises(ConfigurationError):
-            hypercube_packet_paths(cube3, s, orders=[[0, 1]])
+        new = simulate_paths_fixed_point(
+            12, births, paths, discipline=discipline, record_arc_log=True
+        )
+        assert np.array_equal(old.delivery.view(np.int64), new.delivery.view(np.int64))
+        assert np.array_equal(old.hops, new.hops)
+        assert (old.sweeps, old.sweep_rows) == (new.sweeps, new.sweep_rows)
+        for col in ("pid", "arc", "t_in", "t_out"):
+            a, b = getattr(old.arc_log, col), getattr(new.arc_log, col)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), col
+        old_batch = simulate_paths_event_driven_batch(
+            12, [b for b, _ in reps], [p for _, p in reps], discipline=discipline
+        )
+        new_batch = simulate_paths_fixed_point_batch(
+            12, [b for b, _ in reps], [p for _, p in reps], discipline=discipline
+        )
+        assert len(old_batch) == len(new_batch) == 3
+        for a, b in zip(old_batch, new_batch):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))

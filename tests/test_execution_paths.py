@@ -113,19 +113,19 @@ class TestThreeRouteEquivalence:
         assert m_par.replication_delays == m_seq.replication_delays
 
 
-#: event-engine cells: greedy forced onto the event engine, and the
+#: path-engine cells: greedy forced onto the fixed-point engine, and the
 #: cyclic schemes whose own batch runners draw scheme randomness from
 #: the replication stream after the workload; all split across the
 #: pool the same way at jobs > 1
 EVENT_CELLS = [
     ScenarioSpec(
         name="paths-ev-greedy", network="hypercube", scheme="greedy",
-        engine="event", d=4, rho=0.6, horizon=6.0, replications=5,
+        engine="fixedpoint", d=4, rho=0.6, horizon=6.0, replications=5,
         base_seed=21, seed_policy="sequential",
     ),
     ScenarioSpec(
         name="paths-ev-greedy-ps", network="hypercube", scheme="greedy",
-        engine="event", discipline="ps", d=4, rho=0.6, horizon=6.0,
+        engine="fixedpoint", discipline="ps", d=4, rho=0.6, horizon=6.0,
         replications=4, base_seed=22, seed_policy="spawn",
     ),
 ]
@@ -145,12 +145,12 @@ CYCLIC_CELLS = [
 
 
 class TestEventRouteEquivalence:
-    """The route contract extended to the event engine."""
+    """The route contract extended to the fixed-point path engine."""
 
     @pytest.mark.parametrize("spec", EVENT_CELLS, ids=lambda s: s.name)
     def test_event_engine_three_routes_identical(self, spec, tmp_path):
-        """Greedy on the forced event engine: sequential, in-process
-        batch and pool batch (jobs=2) cells byte-identical."""
+        """Greedy forced onto the fixed-point engine: sequential,
+        in-process batch and pool batch (jobs=2) cells byte-identical."""
         seq_store = ResultsStore(tmp_path / "seq")
         m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
         reference = _cell_bytes(seq_store, spec)
@@ -167,7 +167,7 @@ class TestEventRouteEquivalence:
 
     @pytest.mark.parametrize("spec", CYCLIC_CELLS, ids=lambda s: s.name)
     def test_cyclic_scheme_batched_routes_identical(self, spec, tmp_path):
-        """Cyclic schemes: the batched event solve, in process and split
+        """Cyclic schemes: the batched fixed-point solve, in process and split
         across the pool at jobs=2, reproduces the sequential cells
         byte for byte."""
         seq_store = ResultsStore(tmp_path / "seq")

@@ -5,8 +5,9 @@ the topology conformance contract every registered network must honor
 (dense level-major arc ids, ``arc(i)`` round trip, ``level_slice``
 partition), the load-law round trip, the greedy hop-count
 distribution, the alias-normalisation cache guarantee, the
-fixed-point/event-engine cross-validation for the non-levelled
-networks, and a grep-style guard that no ``network ==`` literal
+fixed-point engine's sample paths checked arc by arc against the
+scalar servers (and against the feed-forward engine on levelled
+networks), and a grep-style guard that no ``network ==`` literal
 survives outside ``src/repro/networks/``.
 """
 
@@ -355,10 +356,10 @@ class TestAliasNormalisation:
         assert "butterfly" in out and "Prop 17" in out
 
 
-#: engine-pair cells: the network, ``small_spec`` overrides and the
-#: replication seed.  The last two are cells where two FIFO solvers
-#: that rounded differently delivered a packet 2.8e-14 and 5.7e-14
-#: apart.
+#: cells for the fixed-point engine's checks: the network,
+#: ``small_spec`` overrides and the replication seed.  The last two are
+#: cells where two FIFO solvers that rounded differently delivered a
+#: packet 2.8e-14 and 5.7e-14 apart.
 _PAIR_CELLS = {
     "ring": ("ring", dict(d=4), 11),
     "torus": ("torus", dict(d=2), 11),
@@ -371,20 +372,51 @@ _PAIR_CELLS = {
 }
 
 
-def assert_same_paths(evt, vec):
+def assert_same_paths(fp, vec):
     """Two runs of one cell deliver every packet at the same epoch, bit
     for bit."""
     assert np.array_equal(
-        evt.record.delivery.view(np.int64), vec.record.delivery.view(np.int64)
+        fp.record.delivery.view(np.int64), vec.record.delivery.view(np.int64)
     )
-    assert evt.mean_delay == vec.mean_delay
+    assert fp.mean_delay == vec.mean_delay
+
+
+def assert_consistent_sample_path(spec, seed):
+    """The fixed-point engine's sample path of one replication of
+    *spec* is the one ``run_spec`` delivers on the spec's native engine
+    (the feed-forward engine on a levelled network), and every arc of
+    it serves its logged arrivals exactly as the scalar server of the
+    spec's discipline would, bit for bit."""
+    from repro.rng import as_generator
+    from repro.sim.fixedpoint import simulate_paths_fixed_point
+    from repro.sim.lindley import fifo_departure_times
+    from repro.sim.servers import ps_departure_times
+
+    net = spec.network_plugin
+    topology = net.build_topology(spec)
+    sample = net.build_workload(spec).generate(spec.horizon, as_generator(seed))
+    res = simulate_paths_fixed_point(
+        topology.num_arcs, sample.times, net.greedy_paths(topology, spec, sample),
+        discipline=spec.discipline, record_arc_log=True,
+    )
+    native = run_spec(spec, seed, keep_record=True)
+    assert np.array_equal(
+        res.delivery.view(np.int64), native.record.delivery.view(np.int64)
+    )
+    serve = {"fifo": fifo_departure_times, "ps": ps_departure_times}[spec.discipline]
+    log = res.arc_log
+    for a in np.unique(log.arc):
+        rows = np.flatnonzero(log.arc == a)
+        rows = rows[np.lexsort((log.pid[rows], log.t_in[rows]))]
+        want = serve(log.t_in[rows], 1.0)
+        assert np.array_equal(log.t_out[rows].view(np.int64), want.view(np.int64)), a
 
 
 class TestFixedPointEngine:
-    """The fixed-point solver is the ring/torus native engine; it must
-    agree with the event engine (and, on levelled networks, with the
-    feed-forward engine) sample path for sample path, bit for bit: the
-    two path engines run one solver per discipline."""
+    """The fixed-point solver is the one path engine and the ring/torus
+    native engine.  On every cell its sample path is consistent arc by
+    arc with the scalar FIFO or PS server, and on levelled networks it
+    is the feed-forward engine's, bit for bit."""
 
     @pytest.mark.parametrize("cell", sorted(_PAIR_CELLS))
     @pytest.mark.parametrize("discipline", ["fifo", "ps"])
@@ -396,29 +428,24 @@ class TestFixedPointEngine:
             horizon=150.0,
         )
         spec = small_spec(network, **{**params, **overrides})
-        vec = run_spec(spec, seed, keep_record=True)
-        evt = run_spec(spec.replace(engine="event"), seed, keep_record=True)
-        assert vec.num_packets == evt.num_packets
-        assert_same_paths(evt, vec)
+        assert_consistent_sample_path(spec, seed)
 
     def test_ring_clockwise_variant_cross_validates(self):
         spec = small_spec(
             "ring", d=4, rho=0.7, horizon=150.0,
             extra={"direction": "clockwise"},
         )
-        vec = run_spec(spec, 5, keep_record=True)
-        evt = run_spec(spec.replace(engine="event"), 5, keep_record=True)
-        assert_same_paths(evt, vec)
+        assert_consistent_sample_path(spec, 5)
 
     def test_matches_feedforward_on_levelled_network(self, small_cube_workload):
-        from repro.sim.eventsim import hypercube_packet_paths
+        from repro.sim.eventsim import hypercube_paths
         from repro.sim.feedforward import simulate_hypercube_greedy
         from repro.sim.fixedpoint import simulate_paths_fixed_point
         from repro.topology.hypercube import Hypercube
 
         cube = Hypercube(4)
         sample = small_cube_workload.generate(120.0, np.random.default_rng(9))
-        paths = hypercube_packet_paths(cube, sample)
+        paths = hypercube_paths(4, sample.origins, sample.destinations)
         for discipline in ("fifo", "ps"):
             ff = simulate_hypercube_greedy(cube, sample, discipline=discipline)
             fp = simulate_paths_fixed_point(
@@ -526,8 +553,7 @@ _CYCLIC_BATCHES = st.builds(
 class TestFifoPassOracle:
     """The FIFO pass serves each hop row once; the sweep loop run on
     FIFO iterates to the same unique consistent path.  They agree bit
-    for bit, on stacked batches and on one replication alone, and
-    through the event engine, whose FIFO is the same pass."""
+    for bit, on stacked batches and on one replication alone."""
 
     @settings(max_examples=50, deadline=None)
     @given(system=_CYCLIC_BATCHES)
@@ -535,10 +561,6 @@ class TestFifoPassOracle:
     @example(system=_cyclic_batch(0, 12, 3, 200, 4.0, False, 1.7))  # dense
     @example(system=_cyclic_batch(2, 40, 2, 150, 400.0, False, 3.0))  # sparse
     def test_pass_matches_sweeps_bit_for_bit(self, system):
-        from repro.sim.eventsim import (
-            simulate_paths_event_driven,
-            simulate_paths_event_driven_batch,
-        )
         from repro.sim.fixedpoint import (
             simulate_paths_fixed_point,
             simulate_paths_fixed_point_batch,
@@ -552,23 +574,13 @@ class TestFifoPassOracle:
             want = simulate_paths_fixed_point_batch(
                 num_arcs, births, paths, service=service
             )
-        events = simulate_paths_event_driven_batch(
-            num_arcs, births, paths, service=service
-        )
-        for g, e, w in zip(got, events, want):
+        for g, w in zip(got, want):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
-            assert np.array_equal(e.view(np.int64), w.view(np.int64))
         solo = simulate_paths_fixed_point(
             num_arcs, births[-1], paths[-1], service=service
         )
         assert np.array_equal(
             solo.delivery.view(np.int64), got[-1].view(np.int64)
-        )
-        event_solo = simulate_paths_event_driven(
-            num_arcs, births[-1], paths[-1], service=service
-        )
-        assert np.array_equal(
-            event_solo.delivery.view(np.int64), want[-1].view(np.int64)
         )
         rows = sum(len(p) for p in paths[-1])
         assert (solo.sweeps, solo.sweep_rows) == ((1, rows) if rows else (0, 0))
@@ -580,8 +592,8 @@ class TestScenarioCatalog:
         assert get_scenario("ring-greedy-ps").discipline == "ps"
         assert get_scenario("torus-greedy").network == "torus"
         assert get_scenario("torus-greedy-ps").discipline == "ps"
-        assert get_scenario("ring-greedy-event").engine == "event"
-        assert get_scenario("torus-greedy-event").engine == "event"
+        assert get_scenario("ring-greedy-event").engine == "fixedpoint"
+        assert get_scenario("torus-greedy-event").engine == "fixedpoint"
 
     def test_ring_scenario_within_bracket(self):
         m = measure(get_scenario("ring-greedy").replace(
@@ -655,9 +667,7 @@ class TestCustomNetworkEndToEnd:
             rho=0.4, horizon=100.0, replications=2,
         )
         assert spec.network == "star"
-        vec = run_spec(spec, 0, keep_record=True)
-        evt = run_spec(spec.replace(engine="event"), 0, keep_record=True)
-        assert_same_paths(evt, vec)
+        assert_consistent_sample_path(spec, 0)
         m = measure(spec)
         assert m.network == "star"
         assert m.num_packets > 0
@@ -666,7 +676,7 @@ class TestCustomNetworkEndToEnd:
         """Declaring only a per-level arc map (``greedy_levels``) puts a
         custom network on the feed-forward engine: its sequential,
         batched and chunked routes all run, with byte-identical cells,
-        and agree with the event engine over its greedy paths."""
+        and agree with the fixed-point engine over its greedy paths."""
         from repro.engines.registry import resolve_engine
         from repro.runner.store import ResultsStore
 
@@ -702,8 +712,8 @@ class TestCustomNetworkEndToEnd:
             )
             assert resolve_engine(spec).name == "feedforward"
             vec = run_spec(spec, 0, keep_record=True)
-            evt = run_spec(spec.replace(engine="event"), 0, keep_record=True)
-            assert_same_paths(evt, vec)
+            fp = run_spec(spec.replace(engine="fixedpoint"), 0, keep_record=True)
+            assert_same_paths(fp, vec)
 
             def route(cell_spec, batch):
                 store = ResultsStore(tmp_path / f"{cell_spec.name}-{batch}")

@@ -180,7 +180,7 @@ class TestCapabilityValidation:
         with pytest.raises(ConfigurationError, match="vectorized"):
             ScenarioSpec(name="x", scheme="slotted", rho=0.5,
                          engine="event")
-        with pytest.raises(ConfigurationError, match="event"):
+        with pytest.raises(ConfigurationError, match="fixedpoint"):
             ScenarioSpec(name="x", scheme="random_order", rho=0.5,
                          engine="vectorized")
         with pytest.raises(ConfigurationError, match="auto"):
@@ -225,11 +225,12 @@ class TestCapabilityValidation:
 
 
 class TestButterflyEventEngine:
-    """The concrete capability the redesign unlocks: the event engine
-    cross-validates greedy routing on the butterfly."""
+    """The concrete capability the redesign unlocks: the fixed-point
+    path engine cross-validates greedy routing on the butterfly (the
+    catalog's ``-event`` cells force it)."""
 
     def test_event_scenarios_registered(self):
-        assert get_scenario("butterfly-greedy-event").engine == "event"
+        assert get_scenario("butterfly-greedy-event").engine == "fixedpoint"
         assert get_scenario("butterfly-greedy-event-ps").discipline == "ps"
 
     # fifo-bitrev: a cell where two FIFO solvers that rounded
@@ -250,14 +251,14 @@ class TestButterflyEventEngine:
             base_seed=11, seed_policy="sequential",
         )
         vec = run_spec(base, seed, keep_record=True)
-        evt = run_spec(base.replace(engine="event"), seed, keep_record=True)
-        assert vec.num_packets == evt.num_packets
-        # one solver per discipline: bit for bit
+        fp = run_spec(base.replace(engine="fixedpoint"), seed, keep_record=True)
+        assert vec.num_packets == fp.num_packets
+        # the level sweep and the path solver: bit for bit
         assert np.array_equal(
-            evt.record.delivery.view(np.int64),
+            fp.record.delivery.view(np.int64),
             vec.record.delivery.view(np.int64),
         )
-        assert evt.mean_delay == vec.mean_delay
+        assert fp.mean_delay == vec.mean_delay
 
     def test_event_butterfly_within_paper_bracket(self):
         m = measure(get_scenario("butterfly-greedy-event").replace(

@@ -30,7 +30,7 @@ AXES = {
     ),
     "network": (NETWORKS, NetworkPlugin, {}, "repro.network_plugins", "hypercube"),
     "engine": (
-        ENGINES, EnginePlugin, {"capabilities": EngineCapabilities(kind="event")},
+        ENGINES, EnginePlugin, {"capabilities": EngineCapabilities(kind="fixed-point")},
         "repro.engine_plugins", "feedforward",
     ),
     "traffic": (TRAFFICS, TrafficPlugin, {}, "repro.traffic_plugins", "uniform"),

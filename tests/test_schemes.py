@@ -109,3 +109,30 @@ class TestSlottedScheme:
             SlottedGreedyHypercube(d=3, lam=0.0, p=0.5)
         with pytest.raises(ConfigurationError):
             SlottedGreedyHypercube(d=3, lam=1.0, p=0.5, tau=0.3)
+
+    def test_plugin_solves_on_its_engine(self, monkeypatch):
+        """The scenario plugin solves each slotted sample with its
+        resolved engine, so the feed-forward engine's ``chunk_packets``
+        option streams every replication through the chunked kernel,
+        with the unchunked replication delays."""
+        import repro.sim.feedforward as feedforward
+        from repro.runner import get_scenario, measure
+
+        chunked = feedforward.simulate_levelled_chunked
+        chunks = []
+
+        def counted(levels, sample, chunk, *args, **kwargs):
+            chunks.append(chunk)
+            return chunked(levels, sample, chunk, *args, **kwargs)
+
+        monkeypatch.setattr(feedforward, "simulate_levelled_chunked", counted)
+        spec = get_scenario("hypercube-slotted").replace(
+            d=4, horizon=120.0, replications=2
+        )
+        plain = measure(spec, jobs=1)
+        assert chunks == []
+        got = measure(
+            spec.replace(extra={"tau": 0.5, "chunk_packets": 7}), jobs=1
+        )
+        assert chunks == [7, 7]
+        assert got.replication_delays == plain.replication_delays

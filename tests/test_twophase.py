@@ -59,6 +59,27 @@ class TestDirectArcLoads:
         b = direct_greedy_arc_loads(cube, law, lam=2.0)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("law", ["bitrev", "uniform"])
+    def test_matches_per_packet_path_sums(self, law):
+        """The flow over the built paths equals adding each packet's
+        share arc by arc along its canonical path, in packet order,
+        bit for bit (the per-packet loop is the reference)."""
+        d, lam = 5, 0.7
+        cube = Hypercube(d)
+        if law == "bitrev":
+            law = PermutationTraffic(d, bit_reversal_permutation(d))
+            origins, dests, share = range(cube.num_nodes), law.perm, lam
+        else:
+            law = BernoulliFlipLaw(d, 0.5)
+            origins = np.repeat(np.arange(cube.num_nodes), 200)
+            dests, share = law.sample_destinations(origins, 12345), lam / 200
+        want = np.zeros(cube.num_arcs)
+        for x, z in zip(origins, dests):
+            for arc in cube.canonical_path_arcs(int(x), int(z)):
+                want[arc] += share
+        got = direct_greedy_arc_loads(cube, law, lam)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestTwoPhaseScheme:
     def test_stability_limit_independent_of_law(self):
