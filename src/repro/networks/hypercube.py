@@ -107,10 +107,14 @@ class HypercubeNetwork(NetworkPlugin):
 
     def greedy_hop_pmf(self, spec: "ScenarioSpec") -> "np.ndarray":
         """Binomial(d, p) — Lemma 1's independent bit flips."""
-        import numpy as np
-        from scipy.stats import binom
+        import math
 
-        return binom.pmf(np.arange(spec.d + 1), spec.d, spec.p)
+        import numpy as np
+
+        d, p = spec.d, spec.p
+        return np.array(
+            [math.comb(d, k) * p**k * (1 - p) ** (d - k) for k in range(d + 1)]
+        )
 
     def bound_report(self, spec: "ScenarioSpec") -> List[Tuple[str, Any]]:
         from repro.core import bounds as B

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "mean_confidence_interval",
@@ -52,11 +51,18 @@ def mean_confidence_interval(
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot build a confidence interval from zero samples")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     m = float(x.mean())
     if n == 1:
         return ConfidenceInterval(m, math.inf, confidence, 1)
     se = float(x.std(ddof=1)) / math.sqrt(n)
-    tcrit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    # ``stdtrit`` is what ``scipy.stats.t.ppf`` evaluates, bit for bit.
+    # Imported here, scipy loads only in a process that pools an interval,
+    # and then only ``scipy.special``, under a third of ``scipy.stats``'s cost.
+    from scipy.special import stdtrit
+
+    tcrit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))
     return ConfidenceInterval(m, tcrit * se, confidence, n)
 
 

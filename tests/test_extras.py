@@ -161,13 +161,23 @@ class TestPublicAPI:
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
+    @staticmethod
+    def _run_fresh(code):
+        """Run *code* in a fresh interpreter importing this checkout's repro."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_import_needs_no_networkx(self):
         # networkx is a dev extra (the adapter tests use it), not a
         # runtime dependency: importing the package and resolving a
         # scenario's plugins must not load it
-        import repro
-
-        code = (
+        self._run_fresh(
             "import sys\n"
             "import repro, repro.runner, repro.topology\n"
             "from repro.engines import resolve_engine\n"
@@ -176,9 +186,23 @@ class TestPublicAPI:
             "resolve_engine(spec)\n"
             "assert 'networkx' not in sys.modules, 'importing repro loaded networkx'\n"
         )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+
+    def test_import_loads_no_scipy(self):
+        # scipy serves one function, the t quantile of a pooled
+        # interval: a process loads scipy.special at its first pooled
+        # measurement and never scipy.stats
+        self._run_fresh(
+            "import sys\n"
+            "import repro, repro.runner\n"
+            "from repro.engines import resolve_engine\n"
+            "repro.runner.list_scenarios()\n"
+            "spec = repro.runner.get_scenario('smoke')\n"
+            "spec.plugin, spec.network_plugin, spec.traffic_plugin\n"
+            "resolve_engine(spec)\n"
+            "spec.network_plugin.build_topology(spec)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "repro.runner.measure(spec)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.stats' not in sys.modules\n"
         )
-        assert proc.returncode == 0, proc.stderr

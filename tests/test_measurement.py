@@ -137,6 +137,27 @@ class TestStats:
         with pytest.raises(ValueError):
             mean_confidence_interval(np.array([]))
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_confidence_outside_unit_interval_raises(self, confidence):
+        x = np.arange(40.0)
+        with pytest.raises(ValueError, match="confidence"):
+            mean_confidence_interval(x, confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            batch_means_ci(x, num_batches=4, confidence=confidence)
+
+    def test_t_quantile_matches_scipy_stats_bit_for_bit(self):
+        # stdtrit is what scipy.stats.t.ppf evaluates, so every pooled
+        # interval carries the bits t.ppf gives
+        from scipy import stats
+
+        x = np.random.default_rng(5).normal(4.0, 1.5, size=501)
+        for n in range(2, 502):
+            se = float(x[:n].std(ddof=1)) / math.sqrt(n)
+            for c in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                expected = float(stats.t.ppf(0.5 + c / 2, df=n - 1)) * se
+                got = mean_confidence_interval(x[:n], c).halfwidth
+                assert got.hex() == expected.hex(), (n, c)
+
     def test_batch_means_wider_than_iid_for_correlated(self):
         # AR(1)-style positively correlated series
         gen = np.random.default_rng(3)

@@ -324,6 +324,17 @@ class TestRingExactDistributions:
             small_spec("torus", extra={"side": 2})
 
 
+@pytest.mark.parametrize("d", [1, 5, 13, 24])
+@pytest.mark.parametrize("p", [0.0, 0.1, 1 / 3, 0.5, 0.9, 1.0])
+def test_hypercube_hop_pmf_is_scipy_binomial(d, p):
+    from scipy.stats import binom
+
+    spec = small_spec("hypercube", d=d, p=p)
+    pmf = get_network("hypercube").greedy_hop_pmf(spec)
+    expected = binom.pmf(np.arange(d + 1), d, p)
+    assert pmf == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 class TestAliasNormalisation:
     """Satellite: aliases normalise before content-hashing, so an alias
     and its canonical name hit the same cache cell."""
