@@ -25,8 +25,9 @@ wall-clock and memory profile of the replication fan-out for one
   ``host_cpu_cores >= 4``.
 * ``chunked_s`` + ``memory`` — the bounded-memory chunked-horizon mode
   (``chunk_packets``): wall-clock on the pinned cell, plus tracemalloc
-  peaks of the one-shot vs chunked kernel on a long-horizon cell where
-  the horizon (not the topology) dominates the one-shot footprint.
+  peaks of the level sweep unchunked vs chunked on a long-horizon cell
+  where the horizon (not the topology) dominates the one-shot
+  footprint.
   ``chunked_speedup_vs_seed = seed_fanout_s / chunked_s`` is its
   gated figure: normalised by the frozen seed code like
   ``speedup_vs_seed``, so a faster one-shot sweep cannot fail it
@@ -185,9 +186,9 @@ def _best_of(fn, repeats=REPEATS):
 
 
 def _memory_peaks(params):
-    """tracemalloc peaks of the one-shot vs chunked kernel on one
+    """tracemalloc peaks of the level sweep unchunked vs chunked on one
     long-horizon replication (the workload itself is excluded — both
-    kernels read the same pre-generated sample)."""
+    runs read the same pre-generated sample)."""
     spec = ScenarioSpec(
         name="bench-engines-mem", base_seed=0, seed_policy="spawn",
         replications=1, **params
@@ -204,8 +205,8 @@ def _memory_peaks(params):
     _, peak_one = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     tracemalloc.start()
-    chunked = _ff.simulate_levelled_chunked(
-        levels, sample, MEM_CHUNK, spec.discipline
+    (chunked,), _ = _ff.simulate_levelled(
+        levels, [sample], spec.discipline, chunk_packets=MEM_CHUNK
     )
     _, peak_chunk = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -235,8 +236,8 @@ def _chunked_ps_agreement(params, chunk):
     )
     levels = net.greedy_levels(topology, spec)
     (one_shot,), _ = _ff.simulate_levelled(levels, [sample], spec.discipline)
-    chunked = _ff.simulate_levelled_chunked(
-        levels, sample, chunk, spec.discipline
+    (chunked,), _ = _ff.simulate_levelled(
+        levels, [sample], spec.discipline, chunk_packets=chunk
     )
     err = (
         float(np.max(np.abs(one_shot - chunked)))
@@ -408,6 +409,42 @@ def emit_json(results):
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return path
+
+
+def test_seed_baseline_reaches_the_level_sweep():
+    """The seed columns time the seed's ``serve_level`` only if the
+    batched level sweep looks the module attribute up at call time:
+    on a levelled cell, under FIFO and PS, the swapped function must
+    serve every hop row, with the same measurement."""
+    rows = []
+
+    def counted(arcs, times, pids, discipline="fifo", service=1.0):
+        rows.append(arcs.shape[0])
+        return _seed_serve_level(arcs, times, pids, discipline, service)
+
+    for discipline in ("fifo", "ps"):
+        spec = ScenarioSpec(
+            name="bench-engines-seed-swap", base_seed=0, seed_policy="spawn",
+            discipline=discipline, d=5, rho=0.7, horizon=6.0, replications=4,
+        )
+        seeds = replication_seeds(spec.base_seed, spec.replications,
+                                  spec.seed_policy)
+        samples = spec.network_plugin.build_workload_batch(
+            spec, spec.horizon, [as_generator(s) for s in seeds]
+        )
+        hops = sum(
+            int(np.bitwise_count(s.origins ^ s.destinations).sum())
+            for s in samples
+        )
+        rows.clear()
+        modern = _ff.serve_level
+        _ff.serve_level = counted
+        try:
+            swapped = measure(spec, jobs=1, batch=True)
+        finally:
+            _ff.serve_level = modern
+        assert sum(rows) == hops > 0, discipline
+        assert swapped == measure(spec, jobs=1, batch=True), discipline
 
 
 def test_engines_benchmark():

@@ -42,6 +42,10 @@ Examples::
     python -m repro cache info --json
     python -m repro cache prune --older-than 30d --max-bytes 100mb
     python -m repro serve --port 8765 --workers 4
+
+Exit status: 0 on success; 1 when ``run`` pools a mean delay outside
+its theory bracket; 2 for a usage or configuration error (an unknown
+name, a bad option), which prints one ``repro: error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import sys
 
 from repro.analysis.plotting import ascii_plot
 from repro.analysis.tables import format_table
+from repro.errors import ConfigurationError
 from repro.runner import (
     ResultsStore,
     ScenarioSpec,
@@ -484,7 +489,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for item in args.options:
             key, sep, raw = item.partition("=")
             if not sep or not key:
-                raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
+                raise ConfigurationError(
+                    f"--set expects KEY=VALUE, got {item!r}"
+                )
             try:
                 extra[key] = _json.loads(raw)
             except _json.JSONDecodeError:
@@ -710,7 +717,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as err:
+        # a typo, not a measured result (1) or an internal fault (a
+        # traceback): one line and argparse's usage status
+        print(f"repro: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

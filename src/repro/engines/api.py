@@ -24,8 +24,8 @@ of the stack used to hard-code behind ``if engine == ...`` branches:
   contiguous range of the centrally derived seeds (each worker draws
   its own range's workloads).  How an engine *internally* organises a
   batch is its own affair: the feed-forward engine stacks replications
-  in cache-resident sub-batches and streams chunk-composable kernels
-  under its ``chunk_packets`` option.
+  in cache-resident sub-batches, and under its ``chunk_packets`` option
+  streams them one by one through the same sweep.
 
 Like the scheme and network APIs, this module is dependency-light (no
 numpy import at runtime, no simulator imports) so plugin modules can

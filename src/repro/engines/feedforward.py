@@ -9,13 +9,11 @@ server, all servers of a level in one vectorised shot
 
 The engine drives any network that hands it a per-level arc map
 (:meth:`~repro.networks.api.NetworkPlugin.greedy_levels` — which
-levels a packet crosses and which arc it holds at each), through two
-generic kernels: :func:`~repro.sim.feedforward.simulate_levelled` (the
-one-shot sweep) and :func:`~repro.sim.feedforward.simulate_levelled_chunked`
-(the bounded-memory one).  Networks without a map run on the
-fixed-point engine instead.  Every route goes through
-:meth:`FeedForwardEngine.batch_deliveries`; a single replication is a
-batch of one.
+levels a packet crosses and which arc it holds at each), through one
+generic kernel, :func:`~repro.sim.feedforward.simulate_levelled`.
+Networks without a map run on the fixed-point engine instead.  Every
+route goes through :meth:`FeedForwardEngine.batch_deliveries`; a
+single replication is a batch of one.
 
 **Batching** is where the level sweep pays twice: R replications'
 workload arrays stack into one set of parallel arrays (arc ids offset
@@ -32,14 +30,14 @@ replication's sub-path is bit-identical to its sequential run
 (golden-pinned) whatever the sub-batch size, because every per-arc
 arrival sequence is unchanged.
 
-**Chunked-horizon mode** (the ``chunk_packets`` option) streams each
-replication through the chunked kernel: packets are processed in
-birth-ordered chunks with per-arc queue state carried between chunks,
+**Chunked-horizon mode** (the ``chunk_packets`` option) streams the
+replications one by one through the same kernel, in birth-ordered
+windows of packets with per-arc queue state carried between windows,
 so peak memory is bounded by the chunk size and the topology instead
 of the horizon — the d ≥ 20 regime.  FIFO carries (count,
 running-Lindley-max) per arc, PS the in-service packets of each busy
-arc; both are bit-identical to the one-shot path at every chunk size
-(tested).
+arc; both are bit-identical to the one-window sweep at every chunk
+size (tested).
 """
 
 from __future__ import annotations
@@ -82,12 +80,12 @@ class FeedForwardEngine(EnginePlugin):
             OptionSpec(
                 "chunk_packets",
                 kind="int",
-                description="stream each replication in birth-ordered "
-                "chunks of this many packets with per-arc queue state "
-                "carried between chunks: peak memory bounded by the "
-                "chunk and the topology instead of the horizon "
-                "(bit-identical to the one-shot sweep under FIFO and "
-                "PS; PS carries the in-service packets)",
+                description="sweep each replication alone, in "
+                "birth-ordered windows of this many packets with per-arc "
+                "queue state carried between windows: peak memory "
+                "bounded by the chunk and the topology instead of the "
+                "horizon (bit-identical to the unchunked sweep under "
+                "FIFO and PS; PS carries the in-service packets)",
             ),
         ),
     )
@@ -125,27 +123,18 @@ class FeedForwardEngine(EnginePlugin):
         topology: "Topology",
         samples: List["TrafficSample"],
     ) -> List["np.ndarray"]:
-        from repro.sim.feedforward import (
-            simulate_levelled,
-            simulate_levelled_chunked,
-        )
+        from repro.sim.feedforward import simulate_levelled
 
         levels = spec.network_plugin.greedy_levels(topology, spec)
         chunk = spec.option("chunk_packets")
-        if chunk is not None:
-            # bounded memory beats batched throughput by definition
-            # here: stream the replications one by one
-            return [
-                simulate_levelled_chunked(
-                    levels, s, int(chunk), spec.discipline
-                )
-                for s in samples
-            ]
-        reps = self._sub_batch_reps(samples)
+        # bounded memory beats batched throughput by definition: under
+        # chunk_packets the replications stream one by one
+        reps = self._sub_batch_reps(samples) if chunk is None else 1
         deliveries: List["np.ndarray"] = []
         for lo in range(0, len(samples), reps):
             batch, _ = simulate_levelled(
-                levels, samples[lo : lo + reps], spec.discipline
+                levels, samples[lo : lo + reps], spec.discipline,
+                chunk_packets=chunk,
             )
             deliveries.extend(batch)
         return deliveries

@@ -9,19 +9,18 @@ level-``l`` server is known, and each server is solved in one shot —
 FIFO by the closed-form Lindley recursion
 (:func:`repro.sim.lindley.fifo_departure_times`), PS by the exact
 fair-share construction of :class:`repro.sim.servers.PSServer`, run
-for every arc of a level at once by one kernel (:func:`_serve_ps`)
-that also carries the chunked sweep.
+for every arc of a level at once by one kernel (:func:`_serve_ps`).
 
 Two front ends:
 
 * *packet mode* — route actual packets of a
   :class:`~repro.traffic.workload.TrafficSample` along their canonical
   paths (the physical system of the paper).  One sweep serves both
-  networks: a *level map* (:class:`HypercubeLevels`,
+  networks and every route: a *level map* (:class:`HypercubeLevels`,
   :class:`ButterflyLevels`) says which levels a packet crosses and
-  which arc it holds there, and :func:`simulate_levelled` (R stacked
-  replications, one shot) or :func:`simulate_levelled_chunked` (one
-  replication, bounded memory) does the rest;
+  which arc it holds there, and :func:`simulate_levelled` solves R
+  stacked replications in one pass, or one replication in
+  birth-ordered windows of bounded memory (``chunk_packets``);
   :func:`simulate_hypercube_greedy` / :func:`simulate_butterfly_greedy`
   wrap it for one sample;
 * :func:`simulate_markovian` — *network mode*: simulate a levelled
@@ -57,7 +56,6 @@ __all__ = [
     "HypercubeLevels",
     "ButterflyLevels",
     "simulate_levelled",
-    "simulate_levelled_chunked",
     "simulate_hypercube_greedy",
     "simulate_butterfly_greedy",
     "simulate_markovian",
@@ -585,202 +583,58 @@ class ButterflyLevels:
 
 
 # ---------------------------------------------------------------------------
-# packet mode: the one-shot level sweep
+# packet mode: the level sweep
 # ---------------------------------------------------------------------------
 #
-# R independent replications of the same spec are R disjoint copies of
-# the network: offsetting every arc id by ``replication * num_arcs``
-# makes the stacked system one big levelled network whose per-arc
-# arrival sequences are exactly the per-replication ones.  The level
-# loop then runs once for the whole batch — one sort and one segmented
-# Lindley/PS solve per level instead of R — while each replication's
-# delivery sub-array stays bit-identical to its standalone run (pinned
-# by tests/test_golden_dispatch.py).
-
-
-def _every_packet_crosses(cross: np.ndarray) -> int:
-    """Level-space mask of the levels that *every* packet crosses."""
-    return int(np.bitwise_and.reduce(cross)) if cross.shape[0] else 0
-
-
-def _stack_samples(
-    samples: Sequence[TrafficSample], num_arcs: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Concatenate samples into parallel (times, origins, destinations)
-    arrays plus each packet's arc-id offset.  A single sample is used
-    as is, with no copies and no offset."""
-    if len(samples) == 1:
-        s = samples[0]
-        return (
-            np.asarray(s.times, dtype=float),
-            np.asarray(s.origins, dtype=np.int64),
-            np.asarray(s.destinations, dtype=np.int64),
-            None,
-        )
-    counts = np.array([s.num_packets for s in samples], dtype=np.int64)
-    times = np.concatenate([np.asarray(s.times, dtype=float) for s in samples])
-    origins = np.concatenate(
-        [np.asarray(s.origins, dtype=np.int64) for s in samples]
-    )
-    dests = np.concatenate(
-        [np.asarray(s.destinations, dtype=np.int64) for s in samples]
-    )
-    offset = np.repeat(np.arange(len(samples), dtype=np.int64), counts)
-    offset *= np.int64(num_arcs)
-    return times, origins, dests, offset
-
-
-def simulate_levelled(
-    levels,
-    samples: Sequence[TrafficSample],
-    discipline: str = "fifo",
-    record_arc_log: bool = False,
-) -> Tuple[List[np.ndarray], Optional[ArcLog]]:
-    """Delivery epochs of R ≥ 1 independent samples, one level sweep.
-
-    *levels* is a level map (:class:`HypercubeLevels`,
-    :class:`ButterflyLevels`, or any object with the same four
-    members).  Returns ``(deliveries, arc_log)``: entry *r* of
-    ``deliveries`` is sample *r*'s delivery epochs, bit-identical
-    whatever else shares the sweep, because replication *r* owns the
-    arc ids ``[r * num_arcs, (r + 1) * num_arcs)`` and so never shares
-    a server.  With ``record_arc_log`` the log holds every hop in
-    those stacked arc ids and stacked packet ids (the plain ids when
-    R = 1); otherwise it is ``None``.
-
-    The sweep keeps one evolving value per packet, its current epoch:
-    at each level it gathers the rows that cross it, serves them with
-    :func:`serve_level` and scatters their departures back.  A level
-    that every packet crosses (each butterfly level) is served on the
-    whole arrays, with no gather.  A packet that crosses no level is
-    delivered at birth.
-    """
-    times, origins, dests, offset = _stack_samples(samples, levels.num_arcs)
-    diff = origins ^ dests
-    cross = levels.crossings(diff)
-    every = _every_packet_crosses(cross)
-    cur = times.copy()
-    logs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for level in range(levels.num_levels):
-        if every >> level & 1:
-            sel = slice(None)
-            rows = np.arange(cur.shape[0], dtype=np.int64)
-        else:
-            rows = sel = np.flatnonzero((cross >> np.int64(level)) & 1)
-            if rows.size == 0:
-                continue
-        arc_ids = levels.arcs(level, origins[sel], diff[sel])
-        if offset is not None:
-            arc_ids = arc_ids + offset[sel]
-        t_in = cur[sel]
-        dep, _ = serve_level(arc_ids, t_in, rows, discipline)
-        if record_arc_log:
-            # t_in may be a view of cur, which the scatter overwrites
-            logs.append((rows, arc_ids, t_in.copy(), dep))
-        cur[sel] = dep
-    arc_log = _merge_logs(logs) if record_arc_log else None
-    if offset is None:
-        return [cur], arc_log
-    bounds = np.cumsum([s.num_packets for s in samples])[:-1]
-    return np.split(cur, bounds), arc_log
-
-
-def _greedy_result(
-    levels, sample: TrafficSample, discipline: str, record_arc_log: bool
-) -> FeedForwardResult:
-    (delivery,), arc_log = simulate_levelled(
-        levels, [sample], discipline, record_arc_log
-    )
-    diff = np.asarray(sample.origins, dtype=np.int64) ^ np.asarray(
-        sample.destinations, dtype=np.int64
-    )
-    hops = np.bitwise_count(levels.crossings(diff)).astype(np.int64)
-    return FeedForwardResult(delivery, hops, arc_log, sample)
-
-
-def simulate_hypercube_greedy(
-    cube: Hypercube,
-    sample: TrafficSample,
-    *,
-    dim_order: Optional[Sequence[int]] = None,
-    discipline: str = "fifo",
-    record_arc_log: bool = False,
-) -> FeedForwardResult:
-    """Route a traffic sample through the d-cube under greedy routing.
-
-    ``dim_order`` is the *global* dimension crossing order shared by all
-    packets (default: increasing — the paper's canonical scheme; any
-    fixed permutation keeps the network levelled, enabling the E13
-    ablation).  ``discipline="ps"`` replaces every arc's FIFO server
-    with Processor Sharing (the network Q̃ of §3.3, but fed by physical
-    packet paths).
-    """
-    return _greedy_result(
-        HypercubeLevels(cube, dim_order), sample, discipline, record_arc_log
-    )
-
-
-def simulate_butterfly_greedy(
-    bf: Butterfly,
-    sample: TrafficSample,
-    *,
-    discipline: str = "fifo",
-    record_arc_log: bool = False,
-) -> FeedForwardResult:
-    """Route a traffic sample through the butterfly (unique paths, §4).
-
-    Origins/destinations of the sample are row addresses; every packet
-    crosses exactly one arc per level (d hops total).
-    """
-    return _greedy_result(ButterflyLevels(bf), sample, discipline, record_arc_log)
-
-
-# ---------------------------------------------------------------------------
-# packet mode: the chunked-horizon sweep (streaming, bounded memory)
-# ---------------------------------------------------------------------------
+# One loop serves every route.  Each packet keeps its current epoch and
+# the level-space mask of the levels it has still to cross, and the loop
+# walks birth-ordered *windows* of packets: one window of every packet,
+# or windows of ``chunk_packets``.  A window's watermark is its last
+# birth epoch (``inf`` for the last window).  In a window, level ``l``
+# takes the packets that still have to cross it and whose epoch is at
+# most the watermark (one mask test, no sort), serves them, scatters
+# their departures back and clears their bit.  Levels run in increasing
+# order and every ready row of a lower level was served there, so such
+# a packet has no level left below ``l``.  A row past the watermark
+# keeps its bit and waits for a later window.  Every later packet is
+# born at or after the watermark (births are sorted), so each arc's
+# arrival stream up to the watermark is complete by the time its level
+# is served.
 #
-# The one-shot sweep materialises every packet's every hop at once, so
-# peak memory grows linearly with the horizon.  The chunked mode
-# processes packets in birth-order chunks instead: a chunk's watermark
-# is its last birth epoch, rows whose arrival at a level exceeds the
-# watermark are parked for a later chunk, and each arc carries its
-# queue state between chunks.  Because every future packet is born at
-# or after the watermark (birth times are sorted), each arc's arrival
-# stream up to the watermark is complete by the time its level is
-# served, so the carried state continues the one-shot construction
-# exactly.  Peak memory is O(chunk + in-flight rows + num_arcs) —
-# bounded by the chunk knob and the topology, independent of the
-# horizon.
+# With one window every row is ready and no bit needs clearing.  A level
+# every packet crosses (each butterfly level) is served on the whole
+# arrays, and each level is one :func:`serve_level` call, looked up at
+# call time so a caller may swap it.  R independent replications stack
+# into that window: offsetting every arc id by ``replication *
+# num_arcs`` makes them one big levelled network whose per-arc arrival
+# sequences are exactly the per-replication ones, so each replication's
+# deliveries stay bit-identical to its standalone run (pinned by
+# tests/test_golden_dispatch.py).
 #
-# FIFO carries the Lindley prefix state (arrival count + running max)
-# per arc, dense: the whole queue ahead of every arrival is determined
-# at admission, so departures are emitted immediately — even past the
-# watermark — and because ``max`` selects one of its operands exactly,
-# the carried closed form reproduces every departure **bit for bit**
-# (validated against the one-shot path in the tests).
+# With several windows, peak memory is O(window + in-flight rows +
+# num_arcs) instead of growing with the horizon, and each arc carries
+# its queue state from window to window:
 #
-# PS departures depend on arrivals beyond the chunk, so the carry is
-# the PS kernel's own state instead (:class:`_PsLevelCarry`): dense
-# per-arc fair-share integral and clock, plus each level's customers
-# still in service with their thresholds.  Each chunk runs
-# :func:`_serve_ps` on the arcs that have new arrivals or a departure
-# due by the watermark, their carried customers entering already
-# admitted; the kernel emits a departure only once the watermark
-# passes it (no later arrival can change it: ties at a departure epoch
-# are processed after the departure), and the final chunk's infinite
-# watermark closes every busy period.  Every arc thus runs the one-shot
-# kernel's float operations in the same order, split at the
-# watermarks, so the sample path matches the one-shot sweep bit for
-# bit by construction (pinned at chunk sizes 1 to 10**6).
-#
-# To keep the per-chunk bookkeeping O(levels) instead of O(levels^2),
-# rows are routed by their level-space crossing mask: the entry level
-# and each next level are count-trailing-zeros bit algebra instead of
-# a scan over the remaining levels.
+# * FIFO carries the Lindley prefix state (arrival count and running
+#   max) per arc, dense (:class:`_ArcCarry`).  The whole queue ahead of
+#   an arrival is known at admission, so its departure is emitted at
+#   once, even past the watermark, and since ``max`` selects one of its
+#   operands exactly, every departure equals the one-window one bit for
+#   bit.
+# * PS departures depend on later arrivals, so the carry is the PS
+#   kernel's own state (:class:`_PsLevelCarry`): per-arc fair-share
+#   integral and clock, plus each level's customers still in service.
+#   Each window runs :func:`_serve_ps` on the arcs with new arrivals or
+#   a departure due by the watermark, emits only departures at or
+#   before it, and the last window's infinite watermark closes every
+#   busy period.  Every arc runs the one-window kernel's float
+#   operations in the same order, split at the watermarks.  A row the
+#   carry holds reads NaN until it departs, so no window selects it
+#   twice.
 
 
 class _ArcCarry:
-    """Dense per-arc FIFO Lindley state carried across horizon chunks.
+    """Dense per-arc FIFO Lindley state carried across windows.
 
     ``counts[a]`` is how many arrivals arc *a* has served so far and
     ``run[a]`` the running maximum of ``t_j - s*j`` over them — the
@@ -817,11 +671,11 @@ def _serve_fifo_carry(
     service: float,
     carry: _ArcCarry,
 ) -> np.ndarray:
-    """One chunk's share of a level's FIFO arrivals, with carry-over.
+    """One window's share of a level's FIFO arrivals, with carry-over.
 
     Bit-identical continuation of :func:`serve_level`'s closed form:
     each arc's rows take global positions ``carry.counts[a]...`` and
-    the running maximum seeds from the carried one.  Chunks split an
+    the running maximum seeds from the carried one.  Windows split an
     arc's arrival sequence at a boundary that respects the (time, pid)
     service order, and ``max`` selects one of its operands exactly, so
     no departure epoch moves by a single bit.  The carried maximum is
@@ -862,12 +716,12 @@ def _serve_fifo_carry(
 
 
 class _PsLevelCarry:
-    """Dense per-arc PS state carried across horizon chunks.
+    """Dense per-arc PS state carried across windows.
 
     ``S[a]`` and ``now[a]`` are arc *a*'s fair-share integral and clock
     (:func:`_serve_ps`'s state), and ``due[a]`` the epoch of its next
     departure if nothing else arrives (``inf`` when idle).  Idle arcs
-    keep their ``S`` and ``now``: both are part of the one-shot
+    keep their ``S`` and ``now``: both are part of the one-window
     arithmetic.  ``rows[level]`` holds the level's customers still in
     service as parallel ``(arcs, pids, thresholds)`` arrays, in
     admission order within each arc.  Arc ids are global, so one carry
@@ -895,7 +749,7 @@ class _PsLevelCarry:
         pids: np.ndarray,
         watermark: float,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Feed one chunk's share of a level's PS arrivals and return
+        """Feed one window's share of a level's PS arrivals and return
         every departure due by the *watermark* as ``(pids, epochs)``.
 
         Only the arcs with new arrivals or a departure due by the
@@ -950,149 +804,168 @@ class _PsLevelCarry:
         return p_s[gone], buf[:-1][gone]
 
 
-def _require_chunkable(discipline: str, chunk_packets: int) -> int:
+def simulate_levelled(
+    levels,
+    samples: Sequence[TrafficSample],
+    discipline: str = "fifo",
+    *,
+    chunk_packets: Optional[int] = None,
+    record_arc_log: bool = False,
+) -> Tuple[List[np.ndarray], Optional[ArcLog]]:
+    """Delivery epochs of R ≥ 1 independent samples, one level sweep.
+
+    *levels* is a level map (:class:`HypercubeLevels`,
+    :class:`ButterflyLevels`, or any object with the same four
+    members).  Returns ``(deliveries, arc_log)``: entry *r* of
+    ``deliveries`` is sample *r*'s delivery epochs, bit-identical
+    whatever else shares the sweep and whatever the chunk size, because
+    replication *r* owns the arc ids ``[r * num_arcs, (r + 1) *
+    num_arcs)`` and so never shares a server.  A packet that crosses no
+    level is delivered at birth.  With ``record_arc_log`` the log holds
+    every hop in those stacked arc ids and stacked packet ids (the
+    plain ids when R = 1), level by level; otherwise it is ``None``.
+
+    With ``chunk_packets`` the sweep walks the one sample in
+    birth-ordered windows of that many packets, carrying each arc's
+    queue state between them, so peak memory is bounded by the window
+    and the topology instead of the horizon.  It raises
+    ``ConfigurationError`` for a chunk size below 1, and for more than
+    one sample or an arc log under ``chunk_packets``.
+    """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
-    chunk = int(chunk_packets)
-    if chunk < 1:
-        raise ConfigurationError(
-            f"chunk_packets must be >= 1, got {chunk_packets!r}"
-        )
-    return chunk
-
-
-def _ctz(values: np.ndarray) -> np.ndarray:
-    """Count trailing zeros of strictly positive int64 values."""
-    return np.bitwise_count((values & -values) - 1).astype(np.int64)
-
-
-def _bucket_by_level(
-    level_in: List[List[Tuple[np.ndarray, np.ndarray]]],
-    levels: np.ndarray,
-    lo_level: int,
-    pids: np.ndarray,
-    times: np.ndarray,
-) -> None:
-    """Append ``(pids, times)`` rows to their per-level input buckets
-    in one stable sort + split (no per-level scan)."""
-    order = np.argsort(levels, kind="stable")
-    counts = np.bincount(levels - lo_level)
-    bounds = np.r_[0, np.cumsum(counts)]
-    p_s, t_s = pids[order], times[order]
-    for k in np.flatnonzero(counts):
-        lo, hi = bounds[k], bounds[k + 1]
-        level_in[lo_level + k].append((p_s[lo:hi], t_s[lo:hi]))
-
-
-def _advance(
-    level_in: List[List[Tuple[np.ndarray, np.ndarray]]],
-    delivery: np.ndarray,
-    level: int,
-    pids: np.ndarray,
-    times: np.ndarray,
-    cross: np.ndarray,
-    every: int,
-) -> None:
-    """Route rows that have crossed every level below *level*: deliver
-    the ones with no level left and bucket the rest by the next level
-    each crosses (``cross`` is the level-space crossing mask of every
-    packet, ``every`` the mask of levels all packets cross)."""
-    if pids.size == 0:
-        return
-    if level == len(level_in):
-        delivery[pids] = times
-        return
-    if every >> level & 1:
-        # every row crosses *level* next (every butterfly row does):
-        # no trailing-zero count, no bucketing sort
-        level_in[level].append((pids, times))
-        return
-    rem = cross[pids] >> np.int64(level)
-    done = rem == 0
-    delivery[pids[done]] = times[done]
-    cont = np.flatnonzero(~done)
-    if cont.size:
-        _bucket_by_level(
-            level_in, level + _ctz(rem[cont]), level, pids[cont], times[cont]
-        )
-
-
-def simulate_levelled_chunked(
-    levels,
-    sample: TrafficSample,
-    chunk_packets: int,
-    discipline: str = "fifo",
-) -> np.ndarray:
-    """Delivery epochs of :func:`simulate_levelled` for one sample,
-    computed in birth-ordered chunks of at most ``chunk_packets``
-    packets.
-
-    Matches the one-shot sweep bit for bit — FIFO via the dense
-    Lindley prefix carry, PS via the PS kernel's carried per-arc state
-    — with peak memory bounded by the chunk size and the topology
-    instead of the horizon.
-    """
-    chunk = _require_chunkable(discipline, chunk_packets)
-    num_levels = levels.num_levels
-    origins = np.asarray(sample.origins, dtype=np.int64)
-    dests = np.asarray(sample.destinations, dtype=np.int64)
-    times = np.asarray(sample.times, dtype=float)
-    n = origins.shape[0]
-    diff = origins ^ dests
-    cross = levels.crossings(diff)
-    delivery = times.copy()  # zero-hop packets are delivered at birth
-    if n == 0 or not cross.any():
-        return delivery
-    every = _every_packet_crosses(cross)
-    fifo = discipline == "fifo"
-    carry = _ArcCarry(levels.num_arcs) if fifo else None
-    ps_carry = None if fifo else _PsLevelCarry(levels.num_arcs, num_levels)
-    empty_i = np.empty(0, dtype=np.int64)
-    empty_f = np.empty(0)
-    #: per level: rows parked by an earlier chunk because their arrival
-    #: epoch exceeded its watermark — (pids, arrivals)
-    parked: List[List[Tuple[np.ndarray, np.ndarray]]] = [
-        [] for _ in range(num_levels)
-    ]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        watermark = np.inf if hi >= n else float(times[hi - 1])
-        level_in, parked = parked, [[] for _ in range(num_levels)]
-        # a packet enters at the first level it crosses
-        _advance(
-            level_in, delivery, 0,
-            np.arange(lo, hi, dtype=np.int64), times[lo:hi], cross, every,
-        )
-        for li in range(num_levels):
-            if level_in[li]:
-                pids_l = np.concatenate([c[0] for c in level_in[li]])
-                t_l = np.concatenate([c[1] for c in level_in[li]])
-                ready = t_l <= watermark
-                if not ready.all():
-                    wait = ~ready
-                    parked[li].append((pids_l[wait], t_l[wait]))
-                    pids_l = pids_l[ready]
-                    t_l = t_l[ready]
-            elif fifo or not ps_carry.busy(li):
-                continue
-            else:
-                pids_l, t_l = empty_i, empty_f
-            if fifo and pids_l.size == 0:
-                continue
-            arc_ids = levels.arcs(li, origins[pids_l], diff[pids_l])
-            if fifo:
-                out_pids = pids_l
-                out_dep = _serve_fifo_carry(arc_ids, t_l, pids_l, 1.0, carry)
-            else:
-                # a busy arc drains up to the watermark even when this
-                # chunk brings it no new arrivals
-                out_pids, out_dep = ps_carry.serve(
-                    li, arc_ids, t_l, pids_l, watermark
-                )
-            _advance(
-                level_in, delivery, li + 1, out_pids, out_dep, cross, every
+    n = sum(s.num_packets for s in samples)
+    step = max(n, 1)
+    if chunk_packets is not None:
+        step = int(chunk_packets)
+        if step < 1:
+            raise ConfigurationError(
+                f"chunk_packets must be >= 1, got {chunk_packets!r}"
             )
-    return delivery
+        if len(samples) != 1 or record_arc_log:
+            raise ConfigurationError(
+                "chunk_packets streams one sample per call, with no arc log"
+            )
+    one = step >= n
+
+    def column(field, dtype):
+        # one sample's arrays are used as they are, with no copy
+        parts = [np.asarray(getattr(s, field), dtype=dtype) for s in samples]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    cur = column("times", float).copy()
+    origins = column("origins", np.int64)
+    diff = origins ^ column("destinations", np.int64)
+    # the sweep clears bits in its own copy: the identity map returns diff
+    rem = levels.crossings(diff).copy()
+    every = int(np.bitwise_and.reduce(rem)) if n else 0
+    offset = None
+    if len(samples) > 1:
+        offset = np.repeat(
+            np.arange(len(samples), dtype=np.int64) * np.int64(levels.num_arcs),
+            [s.num_packets for s in samples],
+        )
+    fifo = discipline == "fifo"
+    if not one:
+        carry = (
+            _ArcCarry(levels.num_arcs)
+            if fifo
+            else _PsLevelCarry(levels.num_arcs, levels.num_levels)
+        )
+    logs: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    lo = 0  # no packet below lo has a level left to enter
+    for hi in range(step, n + step, step):
+        hi = min(hi, n)
+        watermark = np.inf if hi == n else float(cur[hi - 1])
+        for level in range(levels.num_levels):
+            bit = np.int64(1 << level)
+            if one and every & bit:
+                sel = slice(None)
+                rows = np.arange(n, dtype=np.int64)
+            else:
+                ready = (rem[lo:hi] & bit) != 0
+                if not one:
+                    ready &= cur[lo:hi] <= watermark
+                rows = sel = np.flatnonzero(ready) + lo
+            if rows.size == 0 and (one or fifo or not carry.busy(level)):
+                continue
+            arc_ids = levels.arcs(level, origins[sel], diff[sel])
+            if offset is not None:
+                arc_ids = arc_ids + offset[sel]
+            t_in = cur[sel]
+            if one:
+                dep, _ = serve_level(arc_ids, t_in, rows, discipline)
+                if record_arc_log:
+                    # t_in may be a view of cur, which the scatter overwrites
+                    logs.append((rows, arc_ids, t_in.copy(), dep))
+                cur[sel] = dep
+                continue
+            rem[rows] ^= bit
+            if fifo:
+                cur[rows] = _serve_fifo_carry(arc_ids, t_in, rows, 1.0, carry)
+            else:
+                # the carry holds its rows until they depart (NaN: no
+                # window selects them), and a busy arc drains up to the
+                # watermark even when this window brings it no arrivals
+                cur[rows] = np.nan
+                out, dep = carry.serve(level, arc_ids, t_in, rows, watermark)
+                cur[out] = dep
+        if hi < n:
+            live = np.flatnonzero(rem[lo:hi])
+            lo += int(live[0]) if live.size else hi - lo
+    arc_log = _merge_logs(logs) if record_arc_log else None
+    bounds = np.cumsum([s.num_packets for s in samples])[:-1]
+    return np.split(cur, bounds), arc_log
+
+
+def _greedy_result(
+    levels, sample: TrafficSample, discipline: str, record_arc_log: bool
+) -> FeedForwardResult:
+    (delivery,), arc_log = simulate_levelled(
+        levels, [sample], discipline, record_arc_log=record_arc_log
+    )
+    diff = np.asarray(sample.origins, dtype=np.int64) ^ np.asarray(
+        sample.destinations, dtype=np.int64
+    )
+    hops = np.bitwise_count(levels.crossings(diff)).astype(np.int64)
+    return FeedForwardResult(delivery, hops, arc_log, sample)
+
+
+def simulate_hypercube_greedy(
+    cube: Hypercube,
+    sample: TrafficSample,
+    *,
+    dim_order: Optional[Sequence[int]] = None,
+    discipline: str = "fifo",
+    record_arc_log: bool = False,
+) -> FeedForwardResult:
+    """Route a traffic sample through the d-cube under greedy routing.
+
+    ``dim_order`` is the *global* dimension crossing order shared by all
+    packets (default: increasing — the paper's canonical scheme; any
+    fixed permutation keeps the network levelled, enabling the E13
+    ablation).  ``discipline="ps"`` replaces every arc's FIFO server
+    with Processor Sharing (the network Q̃ of §3.3, but fed by physical
+    packet paths).
+    """
+    return _greedy_result(
+        HypercubeLevels(cube, dim_order), sample, discipline, record_arc_log
+    )
+
+
+def simulate_butterfly_greedy(
+    bf: Butterfly,
+    sample: TrafficSample,
+    *,
+    discipline: str = "fifo",
+    record_arc_log: bool = False,
+) -> FeedForwardResult:
+    """Route a traffic sample through the butterfly (unique paths, §4).
+
+    Origins/destinations of the sample are row addresses; every packet
+    crosses exactly one arc per level (d hops total).
+    """
+    return _greedy_result(ButterflyLevels(bf), sample, discipline, record_arc_log)
 
 
 def _merge_logs(

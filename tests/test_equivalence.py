@@ -25,7 +25,6 @@ from repro.sim.feedforward import (
     HypercubeLevels,
     simulate_hypercube_greedy,
     simulate_levelled,
-    simulate_levelled_chunked,
     simulate_markovian,
 )
 from repro.sim.fixedpoint import (
@@ -88,9 +87,9 @@ def _assert_level_sweeps_match_events(d, samples, discipline):
             )[0],
         }
         for chunk in (1, 7, 10**9):
-            routes[f"chunk={chunk}"] = [
-                simulate_levelled_chunked(levels, samples[0], chunk, discipline)
-            ]
+            routes[f"chunk={chunk}"] = simulate_levelled(
+                levels, samples[:1], discipline, chunk_packets=chunk
+            )[0]
         for route, deliveries in routes.items():
             for ref, got in zip(refs, deliveries):
                 assert np.array_equal(

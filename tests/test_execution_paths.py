@@ -193,10 +193,12 @@ def _one_shot(net, topology, spec, sample):
 
 
 def _chunked(net, topology, spec, sample, chunk):
-    from repro.sim.feedforward import simulate_levelled_chunked
+    from repro.sim.feedforward import simulate_levelled
 
     levels = net.greedy_levels(topology, spec)
-    return simulate_levelled_chunked(levels, sample, chunk, spec.discipline)
+    return simulate_levelled(
+        levels, [sample], spec.discipline, chunk_packets=chunk
+    )[0][0]
 
 
 class TestChunkedKernels:
@@ -216,11 +218,9 @@ class TestChunkedKernels:
         )
         assert m_chk.replication_delays == m_one.replication_delays
 
-    def test_chunked_rejects_nonpositive_chunk(self):
-        from repro.sim.feedforward import (
-            HypercubeLevels,
-            simulate_levelled_chunked,
-        )
+    @staticmethod
+    def _small_cell():
+        from repro.sim.feedforward import HypercubeLevels
         from repro.topology.hypercube import Hypercube
         from repro.traffic.workload import HypercubeWorkload
         from repro.traffic.destinations import UniformLaw
@@ -229,8 +229,32 @@ class TestChunkedKernels:
         sample = HypercubeWorkload(cube, 1.0, UniformLaw(4)).generate(
             2.0, np.random.default_rng(0)
         )
-        with pytest.raises(ConfigurationError, match="chunk_packets"):
-            simulate_levelled_chunked(HypercubeLevels(cube), sample, 0)
+        return HypercubeLevels(cube), sample
+
+    def test_chunked_rejects_nonpositive_chunk(self):
+        from repro.sim.feedforward import simulate_levelled
+
+        levels, sample = self._small_cell()
+        for chunk in (0, -3):
+            with pytest.raises(ConfigurationError, match="chunk_packets"):
+                simulate_levelled(levels, [sample], chunk_packets=chunk)
+
+    def test_chunked_rejects_a_stack_an_arc_log_or_a_discipline(self):
+        """The windows carry one replication's arc state and record no
+        log, so a chunked stack or log is refused, not misread; an
+        unknown discipline is refused on either route."""
+        from repro.sim.feedforward import simulate_levelled
+
+        levels, sample = self._small_cell()
+        with pytest.raises(ConfigurationError, match="one sample"):
+            simulate_levelled(levels, [sample, sample], chunk_packets=7)
+        with pytest.raises(ConfigurationError, match="arc log"):
+            simulate_levelled(
+                levels, [sample], chunk_packets=7, record_arc_log=True
+            )
+        for chunk in (None, 7):
+            with pytest.raises(ConfigurationError, match="discipline"):
+                simulate_levelled(levels, [sample], "lifo", chunk_packets=chunk)
 
     def test_chunked_rejects_unchunkable_network(self):
         """Networks without a chunk-composable kernel reject the option

@@ -3,20 +3,27 @@
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.sim.feedforward as ff
 from repro.sim.feedforward import (
     _PS_LOCKSTEP_ARCS,
+    ButterflyLevels,
+    HypercubeLevels,
     _arc_time_pid_order,
     serve_level,
     simulate_hypercube_greedy,
+    simulate_levelled,
 )
+from repro.sim.fixedpoint import simulate_paths_fixed_point
 from repro.sim.lindley import fifo_departure_times
 from repro.sim.servers import ps_departure_times
+from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
-from repro.traffic.workload import TrafficSample
+from repro.traffic.destinations import BernoulliFlipLaw
+from repro.traffic.workload import HypercubeWorkload, TrafficSample
 
 
 @st.composite
@@ -424,3 +431,137 @@ def test_temporal_separation_eps_offset_regression():
                 np.sort(joint.delivery[2:]), np.sort(base.delivery + gap)
             )
             assert joint.delivery[2] < joint.delivery[3]
+
+
+# The level sweep, on every route, against the fixed-point path solver:
+# a separate algorithm run on the same packets' paths, so it stays the
+# reference for the one sweep.  Births sit on a quarter grid, about four
+# per unit of time (exact ties are common), origins crowd onto the first
+# 2**k nodes so queues form and PS customers stay in service across
+# windows, and about one packet in five goes nowhere.
+
+
+@st.composite
+def level_sweep_instance(draw):
+    """(levels, samples, discipline, chunk_packets): R = 1-3 samples
+    unchunked, or one sample chunked at 1 to n + 1 packets."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["hypercube", "dim_order", "butterfly"]))
+    if kind == "butterfly":
+        levels = ButterflyLevels(Butterfly(d))
+    else:
+        order = draw(st.permutations(range(d))) if kind == "dim_order" else None
+        levels = HypercubeLevels(Hypercube(d), order)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 40))
+        origins = rng.integers(0, 1 << draw(st.integers(0, d)), n)
+        dests = rng.integers(0, 1 << d, n)
+        stay = rng.random(n) < 0.2
+        dests[stay] = origins[stay]
+        times = np.sort(rng.integers(0, n + 1, n)) / 4.0
+        samples.append(TrafficSample(times, origins, dests, 10.0))
+    chunk = None
+    if len(samples) == 1 and draw(st.booleans()):
+        chunk = draw(st.integers(1, samples[0].num_packets + 1))
+    discipline = draw(st.sampled_from(["fifo", "ps"]))
+    return levels, samples, discipline, chunk
+
+
+def _level_map_paths(levels, sample):
+    """Each packet's arcs, level by level, as the level map names them."""
+    diff = np.asarray(sample.origins) ^ np.asarray(sample.destinations)
+    cross = levels.crossings(diff)
+    arcs = [
+        levels.arcs(level, sample.origins, diff)
+        for level in range(levels.num_levels)
+    ]
+    return [
+        [int(arcs[level][p]) for level in range(levels.num_levels)
+         if cross[p] >> level & 1]
+        for p in range(sample.num_packets)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=level_sweep_instance())
+def test_property_level_sweep_is_the_fixed_point_sample_path(inst):
+    levels, samples, discipline, chunk = inst
+    got, _ = simulate_levelled(
+        levels, samples, discipline, chunk_packets=chunk
+    )
+    assert len(got) == len(samples)
+    for sample, delivery in zip(samples, got):
+        if sample.num_packets == 0:
+            assert delivery.shape == (0,)
+            continue
+        want = simulate_paths_fixed_point(
+            levels.num_arcs, sample.times, _level_map_paths(levels, sample),
+            discipline=discipline,
+        ).delivery
+        assert np.array_equal(delivery.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=level_sweep_instance())
+def test_property_level_sweep_arc_log_is_per_arc_consistent(inst):
+    """Every arc of the logged sample path serves its logged arrivals
+    as the scalar server of the discipline would, bit for bit, and the
+    log holds one row per hop."""
+    levels, samples, discipline, _ = inst
+    _, log = simulate_levelled(levels, samples, discipline, record_arc_log=True)
+    hops = sum(
+        int(np.bitwise_count(levels.crossings(
+            np.asarray(s.origins) ^ np.asarray(s.destinations)
+        )).sum())
+        for s in samples
+    )
+    assert log.num_hops == hops
+    serve = {"fifo": fifo_departure_times, "ps": ps_departure_times}[discipline]
+    for a in np.unique(log.arc):
+        rows = np.flatnonzero(log.arc == a)
+        rows = rows[np.lexsort((log.pid[rows], log.t_in[rows]))]
+        want = serve(log.t_in[rows], 1.0)
+        assert np.array_equal(log.t_out[rows].view(np.int64), want.view(np.int64))
+
+
+def _cube_sample(d=4, horizon=20.0, seed=0):
+    cube = Hypercube(d)
+    wl = HypercubeWorkload(cube, 1.2, BernoulliFlipLaw(d, 0.5))
+    return HypercubeLevels(cube), wl.generate(horizon, rng=seed)
+
+
+class TestWhichServerRuns:
+    """Unchunked, every level is one ``serve_level`` call, looked up at
+    call time (the engine bench swaps it for the seed's to time its
+    baselines); only a chunked sweep runs the carry kernels."""
+
+    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
+    def test_unchunked_sweep_calls_serve_level(self, monkeypatch, discipline):
+        levels, sample = _cube_sample()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return serve_level(*args, **kwargs)
+
+        monkeypatch.setattr(ff, "serve_level", counted)
+        simulate_levelled(levels, [sample, sample], discipline)
+        hops = 2 * int(np.bitwise_count(sample.origins ^ sample.destinations).sum())
+        assert len(calls) == levels.num_levels and sum(calls) == hops
+
+    def test_unchunked_ps_sweep_skips_the_carry(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the PS carry served an unchunked sweep")
+
+        monkeypatch.setattr(ff._PsLevelCarry, "serve", refuse)
+        monkeypatch.setattr(ff, "_serve_fifo_carry", refuse)
+        levels, sample = _cube_sample()
+        for discipline in ("fifo", "ps"):
+            for chunk in (None, sample.num_packets, 10**9):
+                simulate_levelled(
+                    levels, [sample], discipline, chunk_packets=chunk
+                )
+        with pytest.raises(AssertionError, match="PS carry"):
+            simulate_levelled(levels, [sample], "ps", chunk_packets=7)

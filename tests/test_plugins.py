@@ -319,8 +319,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "static task" in out and "option: perm" in out
 
-    def test_describe_unknown_scenario(self):
+    def test_describe_unknown_scenario(self, capsys):
         from repro.__main__ import main
 
-        with pytest.raises(ConfigurationError, match="smoke"):
-            main(["describe", "no-such-scenario"])
+        assert main(["describe", "no-such-scenario"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown scenario")
+        assert "smoke" in err and err.count("\n") == 1

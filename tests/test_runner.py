@@ -454,8 +454,36 @@ class TestCLI:
         second = capsys.readouterr().out
         assert "results cache" in second
 
-    def test_run_unknown_scenario(self):
+    def test_run_unknown_scenario(self, capsys):
         from repro.__main__ import main
 
-        with pytest.raises(ConfigurationError):
-            main(["run", "no-such-scenario"])
+        assert main(["run", "no-such-scenario"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown scenario")
+        assert "smoke" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option", ["nosuch=1", "nosuch", "chunk_packets=0"]
+    )
+    def test_run_bad_option_is_a_usage_error(self, capsys, option):
+        """A bad ``--set`` exits 2 with one line, not 1 (a pooled mean
+        outside its bracket) or a traceback."""
+        from repro.__main__ import main
+
+        args = ["run", "smoke", "--no-cache", "--set", option]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_internal_errors_keep_their_traceback(self, monkeypatch):
+        import repro.__main__ as cli
+        from repro.errors import SimulationError
+
+        def fail(*args, **kwargs):
+            raise SimulationError("internal")
+
+        monkeypatch.setattr(cli, "measure", fail)
+        with pytest.raises(SimulationError, match="internal"):
+            cli.main(["run", "smoke", "--no-cache"])

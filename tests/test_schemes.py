@@ -113,19 +113,20 @@ class TestSlottedScheme:
     def test_plugin_solves_on_its_engine(self, monkeypatch):
         """The scenario plugin solves each slotted sample with its
         resolved engine, so the feed-forward engine's ``chunk_packets``
-        option streams every replication through the chunked kernel,
-        with the unchunked replication delays."""
+        option reaches the level sweep for every replication, with the
+        unchunked replication delays."""
         import repro.sim.feedforward as feedforward
         from repro.runner import get_scenario, measure
 
-        chunked = feedforward.simulate_levelled_chunked
+        sweep = feedforward.simulate_levelled
         chunks = []
 
-        def counted(levels, sample, chunk, *args, **kwargs):
-            chunks.append(chunk)
-            return chunked(levels, sample, chunk, *args, **kwargs)
+        def counted(*args, chunk_packets=None, **kwargs):
+            if chunk_packets is not None:
+                chunks.append(chunk_packets)
+            return sweep(*args, chunk_packets=chunk_packets, **kwargs)
 
-        monkeypatch.setattr(feedforward, "simulate_levelled_chunked", counted)
+        monkeypatch.setattr(feedforward, "simulate_levelled", counted)
         spec = get_scenario("hypercube-slotted").replace(
             d=4, horizon=120.0, replications=2
         )
