@@ -7,11 +7,12 @@ wall-clock and memory profile of the replication fan-out for one
 * ``seed_fanout_s``   — the original per-process fan-out: one
   replication per task, with the seed's ``serve_level`` (a Python loop
   over arcs, one little Lindley/PS call per arc) re-enacted verbatim.
-* ``sequential_s``    — the per-replication fan-out
-  (``measure(batch=False)``): same task structure, but every level is
-  solved by the segmented Lindley recursion with **no** per-arc loop.
-* ``batched_s``       — the batched engine path (``measure(batch=True)``,
-  jobs=1, same process): replications stacked into cache-resident
+* ``sequential_s``    — one replication per task
+  (``measure(spec, jobs=1, wave_reps=1)``): same task structure, but
+  every level is solved by the segmented Lindley recursion with **no**
+  per-arc loop.
+* ``batched_s``       — the default in-process stack
+  (``measure(spec, jobs=1)``): replications stacked into cache-resident
   sub-batches, one workload-generation pass, one vectorised level loop
   per sub-batch.  ``speedup_vs_seed = seed_fanout_s / batched_s`` is
   its gated figure (pinned ≥ 10); ``batched_vs_sequential =
@@ -46,9 +47,9 @@ wall-clock and memory profile of the replication fan-out for one
   fixed-point path engine, on a **sparse cyclic-scheme cell**
   (``random_order``: the server graph is cyclic, so it runs on the
   fixed-point engine's time-ordered FIFO pass; the ``event_`` keys
-  keep the name of the event engine that engine absorbed):
-  sequential per-replication solves vs all replications stacked into
-  one arc-offset system.  The merged system is R times denser, which
+  keep the name of the event engine that engine absorbed): one
+  replication per task (``wave_reps=1``) vs all replications stacked
+  into one arc-offset system.  The merged system is R times denser, which
   is where the pass's per-window cost amortises —
   ``event_batched_vs_event = event_s / event_batched_s``
   is pinned ≥ 2.0, with per-replication results bit-identical by
@@ -257,10 +258,10 @@ def run_experiment(quick=False):
         name="bench-engines", base_seed=0, seed_policy="spawn", **params
     )
     seed_s, seed_m = _with_seed_serve_level(
-        lambda: _best_of(lambda: measure(spec, jobs=1, batch=False))
+        lambda: _best_of(lambda: measure(spec, jobs=1, wave_reps=1))
     )
-    seq_s, seq_m = _best_of(lambda: measure(spec, jobs=1, batch=False))
-    bat_s, bat_m = _best_of(lambda: measure(spec, jobs=1, batch=True))
+    seq_s, seq_m = _best_of(lambda: measure(spec, jobs=1, wave_reps=1))
+    bat_s, bat_m = _best_of(lambda: measure(spec, jobs=1))
     # timing the pool route on < 4 cores would measure pure pool
     # overhead, not parallelism — skip it honestly instead
     cores = os.cpu_count() or 1
@@ -268,26 +269,28 @@ def run_experiment(quick=False):
     if jobs4_skipped:
         par_s, par_m = None, None
     else:
-        par_s, par_m = _best_of(lambda: measure(spec, jobs=4, batch=True))
+        par_s, par_m = _best_of(lambda: measure(spec, jobs=4))
     chunk_spec = spec.replace(extra={"chunk_packets": TIMING_CHUNK})
-    chk_s, chk_m = _best_of(lambda: measure(chunk_spec, jobs=1, batch=True))
+    chk_s, chk_m = _best_of(lambda: measure(chunk_spec, jobs=1))
 
     ps_spec = ScenarioSpec(
         name="bench-engines-ps-kernel", base_seed=0, seed_policy="spawn",
         discipline="ps", **(QUICK_PS if quick else FULL_PS)
     )
     ps_seed_s, ps_seed_m = _with_seed_serve_level(
-        lambda: _best_of(lambda: measure(ps_spec, jobs=1, batch=True))
+        lambda: _best_of(lambda: measure(ps_spec, jobs=1))
     )
-    ps_s, ps_m = _best_of(lambda: measure(ps_spec, jobs=1, batch=True))
+    ps_s, ps_m = _best_of(lambda: measure(ps_spec, jobs=1))
 
     event_params = QUICK_EVENT if quick else FULL_EVENT
     event_spec = ScenarioSpec(
         name="bench-engines-event", scheme="random_order", base_seed=0,
         seed_policy="spawn", **event_params
     )
-    ev_s, ev_m = _best_of(lambda: measure(event_spec, jobs=1, batch=False))
-    evb_s, evb_m = _best_of(lambda: measure(event_spec, jobs=1, batch=True))
+    ev_s, ev_m = _best_of(
+        lambda: measure(event_spec, jobs=1, wave_reps=1)
+    )
+    evb_s, evb_m = _best_of(lambda: measure(event_spec, jobs=1))
 
     fp_spec = ScenarioSpec(
         name="bench-engines-fixedpoint", network="ring", engine="fixedpoint",
@@ -295,9 +298,9 @@ def run_experiment(quick=False):
         **(QUICK_FIXEDPOINT if quick else FULL_FIXEDPOINT)
     )
     fp_sweeps_s, fp_sweeps_m = _with_fifo_sweeps(
-        lambda: _best_of(lambda: measure(fp_spec, jobs=1, batch=True))
+        lambda: _best_of(lambda: measure(fp_spec, jobs=1))
     )
-    fp_s, fp_m = _best_of(lambda: measure(fp_spec, jobs=1, batch=True))
+    fp_s, fp_m = _best_of(lambda: measure(fp_spec, jobs=1))
 
     bit_identical = seed_m == seq_m == bat_m and (
         par_m is None or par_m == bat_m
@@ -397,10 +400,10 @@ def run_experiment(quick=False):
 def emit_json(results):
     path = ROOT / "BENCH_engines.json"
     payload = {
-        "description": "the replication fan-out routes on one "
-        "hypercube-greedy cell: sequential per-replication tasks, the "
-        "cache-resident sub-batched engine path (jobs=1, same process), "
-        "and the same batch route split across a jobs=4 pool (one "
+        "description": "the replication fan-out on one "
+        "hypercube-greedy cell: one replication per task (wave_reps=1), "
+        "the cache-resident sub-batched stack (jobs=1, same process), "
+        "and the same stack split across a jobs=4 pool (one "
         "contiguous seed range per worker); plus the bounded-memory "
         "chunked-horizon mode, the seed's per-arc serve_level "
         "re-enacted verbatim as the historical baseline, and the "
@@ -440,11 +443,11 @@ def test_seed_baseline_reaches_the_level_sweep():
         modern = _ff.serve_level
         _ff.serve_level = counted
         try:
-            swapped = measure(spec, jobs=1, batch=True)
+            swapped = measure(spec, jobs=1)
         finally:
             _ff.serve_level = modern
         assert sum(rows) == hops > 0, discipline
-        assert swapped == measure(spec, jobs=1, batch=True), discipline
+        assert swapped == measure(spec, jobs=1), discipline
 
 
 def test_engines_benchmark():

@@ -4,9 +4,10 @@ Emits ``benchmarks/results/BENCH_dispatch.json`` so the performance
 trajectory of the plugin machinery finally has a tracked baseline:
 
 * ``dispatch_s`` — time to resolve the scheme plugin through the
-  registry and build the replication runner (``get_plugin(...).
-  prepare(spec)``): the pure plugin-API overhead, paid once per
-  replication set-up.  Best of ``DISPATCH_REPEATS`` timings.
+  registry and build the batch runner (``get_plugin(...).
+  batch_runner(spec)``): the pure plugin-API overhead, which
+  ``measure_many`` pays once per spec.  Best of ``DISPATCH_REPEATS``
+  timings.
 * ``run_s`` — wall time of one replication (seeded, single process).
 * ``validate_s`` — time to re-validate the spec through the
   scheme x network capability cross-product (``spec.replace()``).
@@ -34,10 +35,10 @@ MAX_HORIZON = 400.0
 DISPATCH_REPEATS = 5
 
 
-def _prepared(spec):
+def _batch_runner(spec):
     from repro.plugins.registry import get_plugin
 
-    return get_plugin(spec.scheme).prepare(spec)
+    return get_plugin(spec.scheme).batch_runner(spec)
 
 
 def run_experiment():
@@ -54,7 +55,7 @@ def run_experiment():
         dispatch_s = float("inf")
         for _ in range(DISPATCH_REPEATS):
             t0 = time.perf_counter()
-            _prepared(spec1)
+            _batch_runner(spec1)
             dispatch_s = min(dispatch_s, time.perf_counter() - t0)
 
         seed = replication_seeds(spec1.base_seed, 1, spec1.seed_policy)[0]
@@ -93,7 +94,7 @@ def test_dispatch_baseline():
     results = run_experiment()
     path = emit_json(results)
     # dispatch overhead must stay negligible next to the simulation
-    # itself: prepare() does no sampling, so give it a loose ceiling
+    # itself: batch_runner() does no sampling, so give it a loose ceiling
     for name, cell in results.items():
         assert cell["dispatch_s"] < 0.1, (name, cell)
         assert cell["run_s"] > 0.0

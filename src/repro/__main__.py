@@ -11,7 +11,7 @@ Subcommands:
 * ``schemes``         — the scheme plugins and their declared capabilities;
 * ``networks``        — the network plugins: aliases, options, and the
   scheme x network capability matrix;
-* ``engines``         — the engine plugins: kind, disciplines, batching,
+* ``engines``         — the engine plugins: kind, disciplines, networks,
   options, and the scheme x engine capability matrix;
 * ``traffics``        — the traffic plugins: aliases, options, closed-form
   theory, and the scheme x traffic capability matrix;
@@ -253,7 +253,6 @@ def _cmd_engines(args: argparse.Namespace) -> int:
                 caps.kind,
                 " ".join(caps.disciplines),
                 "* (any)" if "*" in caps.networks else " ".join(caps.networks),
-                "yes" if caps.batching else "no",
                 " ".join(plugin.option_names()) or "-",
                 forceable or "-",
                 plugin.summary,
@@ -261,7 +260,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         )
     print(
         format_table(
-            ["engine", "aliases", "kind", "disciplines", "networks", "batch",
+            ["engine", "aliases", "kind", "disciplines", "networks",
              "options", "schemes", "summary"],
             rows,
             title="registered engine plugins "
@@ -428,10 +427,7 @@ def _cmd_describe(args: argparse.Namespace) -> int:
             "resolved engine",
             "(scheme-managed loop)"
             if engine is None
-            else (
-                f"{engine.name} ({engine.capabilities.kind}; batch="
-                f"{'yes' if engine.supports_batch(spec) else 'no'})"
-            ),
+            else f"{engine.name} ({engine.capabilities.kind})",
         ),
         ("horizon / trims",
          f"{spec.horizon} (warmup {spec.warmup_fraction}, "
@@ -623,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "engines",
-        help="the engine plugins: kind, disciplines, batching, scheme matrix",
+        help="the engine plugins: kind, disciplines, options, scheme matrix",
     )
     sp.set_defaults(func=_cmd_engines)
 
@@ -665,9 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="results store root, pinned at startup "
                     "(default: $REPRO_CACHE_DIR or .repro-cache)")
     sp.add_argument("--wave-reps", type=int, default=1,
-                    help="replications per task wave: the progress/"
-                    "cancellation granularity of a job (larger = more "
-                    "batching throughput, chunkier progress)")
+                    help="replications per task wave, at least 1: the "
+                    "progress/cancellation granularity of a job (larger = "
+                    "more batching throughput, chunkier progress)")
     sp.add_argument("--job-ttl", default="1h", metavar="AGE",
                     help="retain terminal jobs this long before "
                     "evicting them from the job table (e.g. 90, 12h, "

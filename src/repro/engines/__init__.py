@@ -6,8 +6,7 @@ scheme axis, :mod:`repro.networks` the network axis): every solver
 that can turn a traffic sample into delivery epochs is an
 :class:`~repro.engines.api.EnginePlugin` declaring its identity
 (name + aliases), its structural kind (levelled sweep or fixed-point
-path solver), the disciplines and networks it drives,
-whether it supports **replication batching**, and its typed
+path solver), the disciplines and networks it drives, and its typed
 engine-scoped options.  The scheme adapters, the spec validation, the
 parallel runner and the CLI contain no engine-specific code at all —
 ``if engine == ...`` branches live in this package alone (grep-test
@@ -27,9 +26,11 @@ Quickstart — a new engine in one class::
 
         def simulate(self, spec, topology, sample): ...
 
-``simulate`` turns one sample into delivery epochs; an engine that
-declares ``batching=True`` implements ``batch_deliveries`` instead, and
-the base class serves ``simulate`` as a batch of one.
+``simulate`` turns one sample into delivery epochs, and the base class
+serves ``batch_deliveries`` as one ``simulate`` per sample.  An engine
+that stacks replications into one computation implements
+``batch_deliveries`` instead, and the base class serves ``simulate`` as
+a batch of one.
 """
 
 from repro.engines.api import EngineCapabilities, EnginePlugin, batch_output

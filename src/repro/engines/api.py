@@ -7,25 +7,25 @@ the scenario subsystem.  It declares its identity (``name`` +
 ``aliases``) and its *capabilities* — the structural ``kind`` of
 solver it is (``levelled`` level sweep or ``fixed-point`` path
 solver), the queueing disciplines it implements, the networks it can
-drive, whether it supports **replication batching**, and its typed
-engine-scoped ``extra`` options — and implements the hooks the rest
-of the stack used to hard-code behind ``if engine == ...`` branches:
+drive, and its typed engine-scoped ``extra`` options — and implements
+one of two hooks, from which the base class derives the other:
 
-* :meth:`~EnginePlugin.simulate` — delivery epochs of one traffic
-  sample under greedy routing (the path every engine-driven scheme's
-  replication runner takes);
-* :meth:`~EnginePlugin.simulate_batch` — the replication-batched fast
-  path: R replications' workloads stacked into **one** vectorised
-  computation (offsetting arc ids per replication keeps the
-  sub-systems disjoint, so the batch is bit-identical to R sequential
-  runs).  :func:`repro.runner.engine.measure_many` routes through this
-  hook whenever the resolved engine declares ``batching``: in process
-  at ``jobs <= 1``, and at ``jobs > 1`` once per worker on a
-  contiguous range of the centrally derived seeds (each worker draws
-  its own range's workloads).  How an engine *internally* organises a
-  batch is its own affair: the feed-forward engine stacks replications
-  in cache-resident sub-batches, and under its ``chunk_packets`` option
-  streams them one by one through the same sweep.
+* :meth:`~EnginePlugin.batch_deliveries` — delivery epochs of R
+  independent traffic samples as one stacked computation (offsetting
+  arc ids per replication keeps the sub-systems disjoint, so the batch
+  is bit-identical to R separate runs);
+* :meth:`~EnginePlugin.simulate` — delivery epochs of one sample.
+
+:meth:`~EnginePlugin.simulate_batch` turns replication seeds into
+outputs through whichever the engine implements; it is what
+:meth:`repro.plugins.greedy.GreedyPlugin.batch_runner` hands
+:func:`repro.runner.engine.measure_many`, which runs it in process at
+``jobs <= 1`` and, at ``jobs > 1``, once per worker on a contiguous
+range of the centrally derived seeds (each worker draws its own
+range's workloads).  How an engine *internally* organises a batch is
+its own affair: the feed-forward engine stacks replications in
+cache-resident sub-batches, and under its ``chunk_packets`` option
+streams them one by one through the same sweep.
 
 Like the scheme and network APIs, this module is dependency-light (no
 numpy import at runtime, no simulator imports) so plugin modules can
@@ -69,17 +69,11 @@ class EngineCapabilities:
     ``"*"`` for an engine implemented purely against per-packet arc
     paths (fixed-point), which therefore drives every network —
     third-party ones included.
-
-    ``batching`` declares the replication-batched fast path:
-    :meth:`EnginePlugin.simulate_batch` stacks R replications into one
-    vectorised computation, and the parallel runner routes through it
-    instead of the one-process-one-replication pool.
     """
 
     kind: str
     disciplines: Tuple[str, ...] = ("fifo", "ps")
     networks: Tuple[str, ...] = ("*",)
-    batching: bool = False
     options: Tuple[OptionSpec, ...] = ()
 
 
@@ -88,8 +82,8 @@ class EnginePlugin:
 
     Subclasses set :attr:`name` (and optionally :attr:`aliases`,
     :attr:`summary`), declare :attr:`capabilities`, and implement
-    :meth:`batch_deliveries` (or override :meth:`simulate`, when the
-    engine does not batch).
+    :meth:`batch_deliveries` or :meth:`simulate` (registration refuses
+    an engine with neither).
     """
 
     #: registry key; also an admissible ``ScenarioSpec.engine`` value
@@ -134,10 +128,6 @@ class EnginePlugin:
             )
         return None
 
-    def supports_batch(self, spec: "ScenarioSpec") -> bool:
-        """May *spec*'s replications run through :meth:`simulate_batch`?"""
-        return self.capabilities.batching and self.supports(spec) is None
-
     # -- execution -----------------------------------------------------------
 
     def simulate(
@@ -147,15 +137,16 @@ class EnginePlugin:
         sample: "TrafficSample",
     ) -> "np.ndarray":
         """Delivery epochs of *sample* under greedy routing on *spec*'s
-        network (the hook :class:`~repro.plugins.greedy.GreedyPlugin`
-        replications route through): a batch of one."""
+        network.  Default: a batch of one through
+        :meth:`batch_deliveries`."""
         return self.batch_deliveries(spec, topology, [sample])[0]
 
     def simulate_batch(
         self, spec: "ScenarioSpec", seeds: Sequence["SeedLike"]
     ) -> List["ReplicationOutput"]:
         """One :class:`~repro.sim.run_spec.ReplicationOutput` per seed,
-        computed as a single stacked computation.
+        with every seed's sample solved in one :meth:`batch_deliveries`
+        call.
 
         The contract is strict: entry *k* must be **bit-identical** to
         ``run_spec(spec, seeds[k])`` — same workload draw from the
@@ -165,12 +156,12 @@ class EnginePlugin:
         ``tests/test_golden_dispatch.py``).
 
         This template owns the RNG-consumption half of that contract
-        (one workload draw per seed, each from its own stream — exactly
-        the sequential runner's order, generated through the network's
-        :meth:`~repro.networks.api.NetworkPlugin.build_workload_batch`
-        so the traffic plugin can amortise across the batch) and the
-        shared epilogue; a batching engine implements only
-        :meth:`batch_deliveries`.
+        (one workload draw per seed, each from its own stream, through
+        the network's
+        :meth:`~repro.networks.api.NetworkPlugin.build_workload_batch`,
+        which builds the workload once for the whole batch) and the
+        shared epilogue; an engine implements only
+        :meth:`batch_deliveries` or :meth:`simulate`.
         """
         from repro.rng import as_generator
 
@@ -191,11 +182,12 @@ class EnginePlugin:
         topology: "Topology",
         samples: List["TrafficSample"],
     ) -> List["np.ndarray"]:
-        """Delivery epochs of R independent samples as one stacked
-        computation (entry *r* bit-identical to
-        ``simulate(spec, topology, samples[r])``); the hook engines
-        declaring ``batching`` implement."""
-        raise NotImplementedError  # pragma: no cover - protocol
+        """Delivery epochs of R independent samples, entry *r*
+        bit-identical to ``simulate(spec, topology, samples[r])``.
+        Default: :meth:`simulate` once per sample.  An engine that can
+        stack the samples into one computation implements this
+        instead."""
+        return [self.simulate(spec, topology, sample) for sample in samples]
 
     # -- cosmetics -----------------------------------------------------------
 
@@ -210,15 +202,13 @@ def batch_output(
     metrics: Tuple[Tuple[str, float], ...] = (),
 ) -> "ReplicationOutput":
     """The batched replication epilogue: one stacked replication's
-    delivery array (and its side *metrics*) through the **same**
-    trim-and-wrap code the sequential runner uses
-    (:func:`repro.plugins.api.steady_output`), minus the per-packet
-    record (as the pooled path drops it)."""
+    delivery array (and its side *metrics*) through the shared
+    trim-and-wrap code (:func:`repro.plugins.api.steady_output`).  The
+    output keeps its per-packet record, whose arrays are alive anyway;
+    the parallel runner drops it before an output crosses the pool."""
     from repro.plugins.api import steady_output
     from repro.sim.measurement import DelayRecord
-    from repro.sim.run_spec import ReplicationOutput
 
-    out = steady_output(
+    return steady_output(
         spec, DelayRecord(sample.times, delivery, sample.horizon), metrics
     )
-    return ReplicationOutput(out.mean_delay, out.num_packets, out.metrics, None)

@@ -75,7 +75,6 @@ class FeedForwardEngine(EnginePlugin):
         # third-party included — that declares a per-level arc map
         # (NetworkPlugin.greedy_levels) can ride this engine
         networks=("*",),
-        batching=True,
         options=(
             OptionSpec(
                 "chunk_packets",
@@ -100,6 +99,10 @@ class FeedForwardEngine(EnginePlugin):
                 "level-sweep map (its native vectorised engine is "
                 f"{spec.network_plugin.native_engine()!r})"
             )
+        # the kernel refuses it too, but only once the spec runs
+        chunk = spec.option("chunk_packets")
+        if isinstance(chunk, int) and chunk < 1:
+            return f"chunk_packets must be >= 1, got {chunk}"
         return None
 
     @staticmethod

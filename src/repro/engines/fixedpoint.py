@@ -59,7 +59,6 @@ class FixedPointEngine(EnginePlugin):
         kind="fixed-point",
         disciplines=("fifo", "ps"),
         networks=("*",),
-        batching=True,
     )
 
     def batch_deliveries(

@@ -67,6 +67,17 @@ def _check_engine(plugin: EnginePlugin) -> None:
                 f"engine name {reserved!r} is reserved (it is a selection "
                 "directive, resolved per spec)"
             )
+    # each hook of the pair defaults to the other: an engine with
+    # neither would recurse on its first sample
+    cls = type(plugin)
+    if (
+        cls.simulate is EnginePlugin.simulate
+        and cls.batch_deliveries is EnginePlugin.batch_deliveries
+    ):
+        raise ConfigurationError(
+            f"engine {plugin.name!r} implements neither simulate nor "
+            "batch_deliveries"
+        )
 
 
 ENGINES: Registry[EnginePlugin] = Registry(
@@ -136,17 +147,20 @@ def resolve_engine(spec: "ScenarioSpec") -> Optional[EnginePlugin]:
 
 def check_forced_engine(plugin: "SchemePlugin", spec: "ScenarioSpec") -> None:
     """Validate ``spec.engine`` against the scheme's declared engines
-    and the engine's own structural capabilities.
+    and the resolved engine's own capabilities.
 
     Called from :meth:`repro.plugins.api.SchemePlugin.validate`; raises
     :class:`~repro.errors.ConfigurationError` with enumerating
     messages.  ``engine="auto"`` (the native engine) is always
-    admissible.
+    admissible by name, but the engine it resolves to must still
+    support the spec (an engine-scoped option may be out of range), so
+    a spec that could only fail once it runs is refused when it is
+    built.
     """
-    if spec.engine == "auto":
-        return
     caps = plugin.capabilities
-    if spec.engine not in declared_engine_names(caps.engines):
+    if spec.engine != "auto" and spec.engine not in declared_engine_names(
+        caps.engines
+    ):
         admissible = ", ".join(caps.engines) or "(none)"
         raise ConfigurationError(
             f"scheme {plugin.name!r} cannot be forced onto engine "
@@ -154,9 +168,10 @@ def check_forced_engine(plugin: "SchemePlugin", spec: "ScenarioSpec") -> None:
             "(engine='auto' always works)"
         )
     engine = resolve_engine(spec)
-    assert engine is not None  # a forced engine always resolves
+    if engine is None:  # the scheme owns its simulation loop
+        return
     reason = engine.supports(spec)
     if reason is not None:
         raise ConfigurationError(
-            f"engine {spec.engine!r} cannot run this spec: {reason}"
+            f"engine {engine.name!r} cannot run this spec: {reason}"
         )

@@ -151,20 +151,12 @@ class NetworkPlugin:
         gens: Sequence["np.random.Generator"],
     ) -> List["TrafficSample"]:
         """R realised workloads, entry *r* **bit-identical** to
-        ``build_workload(spec).generate(horizon, gens[r])`` (the
-        replication-batched engine path's generation hook).
-
-        Routes through the traffic plugin's
-        :meth:`~repro.traffic.api.TrafficPlugin.sample_workload_batch`
-        — unless the network overrides :meth:`build_workload`, in which
-        case that override stays authoritative for the batch too.
-        """
-        if type(self).build_workload is not NetworkPlugin.build_workload:
-            workload = self.build_workload(spec)
-            return [workload.generate(horizon, gen) for gen in gens]
-        return spec.traffic_plugin.sample_workload_batch(
-            spec, self, horizon, gens
-        )
+        ``build_workload(spec).generate(horizon, gens[r])``: the
+        workload (laws, permutation tables, topology-derived constants)
+        is built once for the whole batch, then each sample is drawn
+        from its own generator."""
+        workload = self.build_workload(spec)
+        return [workload.generate(horizon, gen) for gen in gens]
 
     def greedy_paths(
         self,

@@ -4,10 +4,12 @@ Every routing scheme the repository can measure is a
 :class:`~repro.plugins.api.SchemePlugin`: a small object that declares
 its **capabilities** — which networks it routes, which engines and
 queueing disciplines it admits, a typed schema for its ``extra``
-options, the side metrics it emits — and provides one
-:meth:`~repro.plugins.api.SchemePlugin.prepare` hook turning a
-:class:`~repro.runner.spec.ScenarioSpec` into a ``Runner(gen) ->
-ReplicationOutput`` closure.
+options, the side metrics it emits — and provides one of two hooks
+turning a :class:`~repro.runner.spec.ScenarioSpec` into a closure:
+:meth:`~repro.plugins.api.SchemePlugin.prepare` (``Runner(gen) ->
+ReplicationOutput``, one replication) or
+:meth:`~repro.plugins.api.SchemePlugin.batch_runner` (seeds ->
+outputs, one stacked computation); the base class derives the other.
 
 The registry (:mod:`repro.plugins.registry`) replaces the old closed
 ``_DISPATCH`` table: built-in schemes self-register via the

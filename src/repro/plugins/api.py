@@ -4,16 +4,27 @@ A plugin is the single place a scheme touches the scenario subsystem.
 It declares *capabilities* (which networks/engines/disciplines it
 admits, its typed ``extra`` options, its side metrics) consumed by
 :class:`~repro.runner.spec.ScenarioSpec` validation and the CLI, and
-implements :meth:`SchemePlugin.prepare`, which turns a validated spec
-into a ``Runner``: a closure ``runner(gen) -> ReplicationOutput``
-executing exactly one replication from one RNG stream.
+implements one of two hooks, from which the base class derives the
+other:
 
-The run contract is strict: a runner must consume randomness **only**
-from the generator it is handed (never module-level state), so that a
-replication's numbers depend only on its seed — the property the
-parallel engine and the per-replication cache are built on.  For the
-built-in schemes the exact RNG consumption order is pinned by the
-golden regression suite (``tests/test_golden_dispatch.py``).
+* :meth:`SchemePlugin.batch_runner` — a closure ``run(seeds) ->
+  [ReplicationOutput, ...]`` solving a range of replications as one
+  stacked computation (the engine-driven schemes);
+* :meth:`SchemePlugin.prepare` — a ``Runner``: a closure
+  ``runner(gen) -> ReplicationOutput`` executing exactly one
+  replication from one RNG stream (the schemes that own their
+  simulation loop).
+
+Every replication runs through the batch runner: the parallel runner
+hands it contiguous seed ranges, and a single replication is a batch
+of one.
+
+The run contract is strict: a replication must consume randomness
+**only** from its own generator (never module-level state), so that
+its numbers depend only on its seed — the property the parallel engine
+and the per-replication cache are built on.  For the built-in schemes
+the exact RNG consumption order is pinned by the golden regression
+suite (``tests/test_golden_dispatch.py``).
 
 This module is intentionally dependency-light (no numpy, no simulator
 imports) so scheme modules can import it without cycles; the helpers
@@ -148,9 +159,10 @@ class SchemePlugin:
     """Base class / protocol for scheme plugins.
 
     Subclasses set :attr:`name`, :attr:`summary` and
-    :attr:`capabilities`, implement :meth:`prepare`, and may extend
-    :meth:`validate` with scheme-specific cross-field rules (always
-    calling ``super().validate(spec)`` first).
+    :attr:`capabilities`, implement :meth:`prepare` or
+    :meth:`batch_runner` (registration refuses a scheme with neither),
+    and may extend :meth:`validate` with scheme-specific cross-field
+    rules (always calling ``super().validate(spec)`` first).
     """
 
     #: registry key; also the ``ScenarioSpec.scheme`` value
@@ -257,26 +269,31 @@ class SchemePlugin:
         return None
 
     def prepare(self, spec: "ScenarioSpec") -> Runner:
-        """Build the single-replication runner for a validated spec."""
-        raise NotImplementedError  # pragma: no cover - protocol
+        """The single-replication runner for a validated spec.
+
+        Default: a batch of one through :meth:`batch_runner`.  A scheme
+        that owns its per-replication loop implements this instead.
+        """
+        run_batch = self.batch_runner(spec)
+        return lambda gen: run_batch([gen])[0]
 
     def batch_runner(
         self, spec: "ScenarioSpec"
-    ) -> Optional[Callable[[Sequence[Any]], list]]:
+    ) -> Callable[[Sequence[Any]], list]:
         """A callable mapping replication seeds to their
-        :class:`~repro.sim.run_spec.ReplicationOutput` list as **one**
-        stacked computation, or ``None`` when the scheme cannot batch
-        (the default).
+        :class:`~repro.sim.run_spec.ReplicationOutput` list.
 
-        The contract matches :meth:`prepare` seed for seed: entry *k*
-        of the batch must be bit-identical to running the prepared
-        runner on ``as_generator(seeds[k])``.  The parallel runner
-        (:func:`repro.runner.engine.measure_many`) routes a spec's
-        replications through this hook whenever it returns a runner —
-        in process at ``jobs <= 1``, one contiguous seed range per
-        worker at ``jobs > 1``.
+        Entry *k* must be bit-identical to ``prepare(spec)`` run on
+        ``as_generator(seeds[k])``.  The parallel runner
+        (:func:`repro.runner.engine.measure_many`) runs every
+        replication through this hook, on contiguous seed ranges.
+        Default: :meth:`prepare` once per seed.  A scheme that can stack
+        replications into one computation implements this instead.
         """
-        return None
+        from repro.rng import as_generator
+
+        run = self.prepare(spec)
+        return lambda seeds: [run(as_generator(seed)) for seed in seeds]
 
     # -- cosmetics -----------------------------------------------------------
 

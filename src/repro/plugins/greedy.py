@@ -16,10 +16,11 @@ replication stream *before* the engine runs, so forcing the engine
 never changes which packets exist, and every engine resolves their
 contention alike, bit for bit under FIFO and PS.
 
-The scheme also exposes the replication-batched fast path: when the
-resolved engine declares batching, :meth:`GreedyPlugin.batch_runner`
-hands the parallel runner a closure that stacks R replications into
-one vectorised computation (bit-identical to R sequential runs).
+Every replication runs through :meth:`GreedyPlugin.batch_runner`: a
+closure that draws each seed's workload and hands the samples to the
+resolved engine's :meth:`~repro.engines.api.EnginePlugin.simulate_batch`
+as one stacked computation (bit-identical to R separate runs).  A
+single replication is a batch of one.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import ConfigurationError, UnstableSystemError
-from repro.plugins.api import (
-    Capabilities,
-    Runner,
-    SchemePlugin,
-    steady_output,
-)
+from repro.plugins.api import Capabilities, SchemePlugin
 from repro.plugins.registry import register_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,27 +93,8 @@ class GreedyPlugin(SchemePlugin):
         except UnstableSystemError:
             return no_bracket
 
-    def prepare(self, spec: "ScenarioSpec") -> Runner:
-        from repro.engines.registry import resolve_engine
-        from repro.sim.measurement import DelayRecord
-
-        net = spec.network_plugin
-        topology = net.build_topology(spec)
-        engine = resolve_engine(spec)
-
-        def run(gen):
-            sample = net.build_workload(spec).generate(spec.horizon, gen)
-            delivery = engine.simulate(spec, topology, sample)
-            return steady_output(
-                spec, DelayRecord(sample.times, delivery, sample.horizon)
-            )
-
-        return run
-
     def batch_runner(self, spec: "ScenarioSpec"):
         from repro.engines.registry import resolve_engine
 
         engine = resolve_engine(spec)
-        if engine is None or not engine.supports_batch(spec):
-            return None
         return lambda seeds: engine.simulate_batch(spec, seeds)

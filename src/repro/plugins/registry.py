@@ -34,6 +34,16 @@ ENTRY_POINT_GROUP = "repro.scheme_plugins"
 def _check_scheme(plugin: SchemePlugin) -> None:
     if getattr(plugin, "capabilities", None) is None:
         raise ConfigurationError(f"plugin {plugin.name!r} declares no capabilities")
+    # each hook of the pair defaults to the other: a scheme with neither
+    # would recurse on its first replication
+    cls = type(plugin)
+    if (
+        cls.prepare is SchemePlugin.prepare
+        and cls.batch_runner is SchemePlugin.batch_runner
+    ):
+        raise ConfigurationError(
+            f"scheme {plugin.name!r} implements neither prepare nor batch_runner"
+        )
 
 
 SCHEMES: Registry[SchemePlugin] = Registry(

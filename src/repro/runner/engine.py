@@ -1,30 +1,25 @@
 """Parallel scenario execution: replication fan-out and pooling.
 
 The hot path of every experiment is running R independent replications
-of one spec (or a whole sweep of specs).  This module executes that
-fan-out along two routes:
-
-* **Batched** — when the spec's scheme exposes a batch runner
-  (:meth:`~repro.plugins.api.SchemePlugin.batch_runner`, backed by an
-  engine plugin declaring ``batching`` or by the scheme's own stacked
-  solve), R replications stack into **one** vectorised computation:
-  no per-replication Python overhead.  At ``jobs <= 1`` the whole
-  batch runs in process; at ``jobs > 1`` the seeds split into one
-  contiguous range per worker, and each worker draws its range's
-  workloads from those seeds and solves them as one stack.  Only seeds
-  cross the pool, never workloads.
-* **Pooled** — everything else flattens into a one-replication-per-task
-  list executed with :mod:`multiprocessing` (chunked sensibly, so
-  large sweeps do not pay per-task IPC overhead).
+of one spec (or a whole sweep of specs).  Every replication runs
+through the spec's scheme batch runner
+(:meth:`~repro.plugins.api.SchemePlugin.batch_runner`) on a contiguous
+range of seeds: a stacked computation for the engine-driven schemes
+(no per-replication Python overhead), one replication after another
+for the schemes that own their simulation loop.  At ``jobs <= 1`` the
+ranges run in process; at ``jobs > 1`` the seeds split into one
+contiguous range per worker, and each worker draws its range's
+workloads from those seeds.  Only seeds cross the pool, never
+workloads.  ``wave_reps`` caps a range's length (``wave_reps=1`` runs
+one replication per task).
 
 Determinism: every replication's seed is derived **centrally** from the
 spec (:func:`repro.rng.replication_seeds`) before any fan-out, and each
 replication consumes only its own stream — so the numbers are
-bit-for-bit identical whatever ``jobs`` is, whichever route runs,
-and identical to calling :func:`repro.sim.run_spec.run_spec` by hand
-(the batched route's bit-identity is golden-pinned in
-``tests/test_golden_dispatch.py``; the route equivalence in
-``tests/test_execution_paths.py``).
+bit-for-bit identical whatever ``jobs`` and ``wave_reps`` are, and
+identical to calling :func:`repro.sim.run_spec.run_spec` by hand
+(golden-pinned in ``tests/test_golden_dispatch.py``; the range
+equivalence in ``tests/test_execution_paths.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.rng import replication_seeds
 from repro.runner.results import DelayMeasurement
 from repro.runner.spec import ScenarioSpec
@@ -119,27 +115,28 @@ def run_replication(
     return run_spec(spec, seeds[rep], keep_record=keep_record)
 
 
-#: one unit of pool work, tagged by route; both variants return one
-#: ReplicationOutput per replication, in seed order:
-#:
-#: * ``("seq", spec, seeds)`` — a plain per-seed loop
-#: * ``("batch", spec, seeds, runner_or_None)`` — one stacked
-#:   computation over a contiguous seed range; the resolved runner
-#:   rides along only in process (closures do not cross the pool —
-#:   workers rebuild it from the spec)
-_Task = Tuple[Any, ...]
+#: one unit of pool work: ``(spec, seeds, run_batch_or_None)`` — a
+#: contiguous seed range solved by the scheme's batch runner, which
+#: rides along only in process (closures do not cross the pool —
+#: workers rebuild it from the spec); one ReplicationOutput per seed
+#: comes back, in seed order
+_Task = Tuple[ScenarioSpec, Tuple[Any, ...], Optional[Callable]]
 
 
 def _run_task(task: _Task) -> List[ReplicationOutput]:
-    if task[0] == "batch":
-        _, spec, seeds, runner = task
-        if runner is None:
-            runner = spec.plugin.batch_runner(spec)
-        if runner is not None:
-            return list(runner(seeds))
-        return [run_spec(spec, seed) for seed in seeds]
-    _, spec, seeds = task
-    return [run_spec(spec, seed) for seed in seeds]
+    spec, seeds, run_batch = task
+    outs = (run_batch or spec.plugin.batch_runner(spec))(seeds)
+    # the per-packet record is not part of a cell: drop it before the
+    # outputs cross the pool
+    return [ReplicationOutput(o.mean_delay, o.num_packets, o.metrics) for o in outs]
+
+
+def check_wave_reps(wave_reps: Optional[int]) -> None:
+    """Refuse a wave cap below one replication; ``None`` (no cap) passes."""
+    if wave_reps is not None and wave_reps < 1:
+        raise ConfigurationError(
+            f"wave_reps must be >= 1 (replications per task), got {wave_reps}"
+        )
 
 
 def _chunk_bounds(
@@ -152,7 +149,7 @@ def _chunk_bounds(
     granularity: cancel fires and cells persist between ranges, so a
     smaller cap trades batching throughput for responsiveness."""
     chunks = min(max(jobs, 1), n)
-    if wave_reps is not None and wave_reps >= 1:
+    if wave_reps is not None:
         chunks = max(chunks, math.ceil(n / wave_reps))
     chunks = min(chunks, n)
     bounds = np.linspace(0, n, chunks + 1).astype(int)
@@ -245,7 +242,6 @@ def measure(
     jobs: int = 1,
     store: Optional[ResultsStore] = None,
     refresh: bool = False,
-    batch: bool = True,
     cancel: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[MeasureProgress], None]] = None,
     wave_reps: Optional[int] = None,
@@ -255,9 +251,7 @@ def measure(
 
     With a *store*, a previously computed spec (same content hash) is
     returned from cache without simulating; ``refresh=True`` forces
-    recomputation (and overwrites the cache cell).  ``batch=False``
-    forces the one-replication-per-task route even when the spec's
-    engine could batch (benchmarking and cross-validation).
+    recomputation (and overwrites the cache cell).
     ``cancel``/``progress``/``wave_reps`` are forwarded to
     :func:`measure_many` — see there for the cooperative-cancellation
     and resumability contract.
@@ -267,7 +261,6 @@ def measure(
         jobs=jobs,
         store=store,
         refresh=refresh,
-        batch=batch,
         cancel=cancel,
         progress=progress,
         wave_reps=wave_reps,
@@ -279,7 +272,6 @@ def measure_many(
     jobs: int = 1,
     store: Optional[ResultsStore] = None,
     refresh: bool = False,
-    batch: bool = True,
     cancel: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[MeasureProgress], None]] = None,
     wave_reps: Optional[int] = None,
@@ -288,21 +280,20 @@ def measure_many(
 
     Cached specs contribute no tasks; the rest fan out together, so a
     20-cell sweep with 4 replications each keeps ``jobs`` processes
-    busy.  A spec whose scheme exposes a batch runner contributes
-    stacked replication-batch tasks: one in process at ``jobs <= 1``,
-    one contiguous seed range per worker at ``jobs > 1`` (each worker
-    draws and solves its own range's workloads).  The rest contribute
-    one task per replication.  The batch runner is resolved **once per
-    spec** here, never per task in the same process.
+    busy.  Every task is a contiguous seed range that the spec's
+    scheme batch runner solves: one range in process at ``jobs <= 1``,
+    one per worker at ``jobs > 1`` (each worker draws and solves its
+    own range's workloads), each capped at *wave_reps* replications.
+    The batch runner is resolved **once per spec** here, never per
+    task in the same process.
 
     Caching is two-level.  A spec whose pooled measurement is already
     stored is returned outright; otherwise the store is probed **per
     replication** (cells keyed by ``(replication_hash, k)``, which is
     independent of the replication count), so raising ``replications``
     on a previously measured spec simulates only the new replications
-    and pools them with the cached ones.  Both routes preserve the
-    cells: a batched replication's output is bit-identical to its
-    pooled twin.
+    and pools them with the cached ones.  A replication's cell is the
+    same whatever range it ran in.
 
     **Cancellation and resumability.**  *cancel* is polled between
     task waves (and once up front); when it returns true the run stops
@@ -311,10 +302,12 @@ def measure_many(
     of the whole run — so a cancelled (or crashed) call re-issued with
     the same store resumes from every finished replication.
     *wave_reps* caps how many replications one wave stacks (the
-    cancel/persist granularity); *progress* receives a
+    cancel/persist granularity; ``None`` is one wave per worker, and a
+    value below 1 is refused); *progress* receives a
     :class:`MeasureProgress` per spec up front (its cached count) and
     after every wave.
     """
+    check_wave_reps(wave_reps)
     results: List[Optional[DelayMeasurement]] = [None] * len(specs)
     tasks: List[_Task] = []
     #: per task: (slot index, replication indices the task covers)
@@ -351,20 +344,14 @@ def measure_many(
             progress(
                 MeasureProgress(i, 0, len(cached_reps), spec.replications)
             )
-        missing_seeds = [seeds[k] for k in missing]
-        runner = (
-            spec.plugin.batch_runner(spec) if batch and missing else None
-        )
-        if runner is None:
-            for k, seed in zip(missing, missing_seeds):
-                tasks.append(("seq", spec, (seed,)))
-                meta.append((slot_idx, (k,)))
+        if not missing:
             continue
+        missing_seeds = [seeds[k] for k in missing]
         # the resolved runner closure rides along only when no pool is
         # involved; workers rebuild it from the spec
-        payload = runner if jobs <= 1 else None
+        run_batch = spec.plugin.batch_runner(spec) if jobs <= 1 else None
         for lo, hi in _chunk_bounds(len(missing_seeds), jobs, wave_reps):
-            tasks.append(("batch", spec, tuple(missing_seeds[lo:hi]), payload))
+            tasks.append((spec, tuple(missing_seeds[lo:hi]), run_batch))
             meta.append((slot_idx, tuple(missing[lo:hi])))
 
     completed_total = 0

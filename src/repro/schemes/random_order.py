@@ -108,7 +108,7 @@ def simulate_random_order(
 
 from typing import TYPE_CHECKING
 
-from repro.plugins.api import Capabilities, Runner, SchemePlugin, steady_output
+from repro.plugins.api import Capabilities, Runner, SchemePlugin
 from repro.plugins.registry import register_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -138,30 +138,19 @@ class RandomOrderPlugin(SchemePlugin):
         return "fixedpoint"
 
     def prepare(self, spec: "ScenarioSpec") -> Runner:
-        from repro.sim.measurement import DelayRecord
-
-        cube = Hypercube(spec.d)
-
-        def run(gen):
-            # the traffic axis samples the workload (for uniform traffic
-            # this is bit-identical to the historical eq. (1) draw)
-            workload = spec.network_plugin.build_workload(spec)
-            sample = workload.generate(spec.horizon, gen)
-            delivery = simulate_random_order(cube, sample, gen).delivery
-            return steady_output(
-                spec, DelayRecord(sample.times, delivery, sample.horizon)
-            )
-
-        return run
+        # a batch of one, as the base class derives it; defined here so
+        # perfbench's tracer can name it
+        return super().prepare(spec)
 
     def batch_runner(self, spec: "ScenarioSpec"):
         """Stack R replications into one fixed-point solve.
 
         Workloads draw through ``build_workload_batch`` (each from its
         own seed's stream), the per-packet shuffles follow from the
-        same stream — exactly the sequential RNG order — and the R
-        path sets run as one arc-offset batch.  At ``jobs > 1`` each
-        worker runs this on its own contiguous seed range.
+        same stream — workload first, then shuffles, the golden-pinned
+        order — and the R path sets run as one arc-offset batch.  At
+        ``jobs > 1`` each worker runs this on its own contiguous seed
+        range.
         """
         from repro.engines.api import batch_output
 

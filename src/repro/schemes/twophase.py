@@ -180,12 +180,7 @@ __all__.append("direct_greedy_arc_loads")
 
 from typing import TYPE_CHECKING
 
-from repro.plugins.api import (
-    Capabilities,
-    Runner,
-    SchemePlugin,
-    steady_output,
-)
+from repro.plugins.api import Capabilities, SchemePlugin
 from repro.plugins.registry import register_scheme
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -214,34 +209,16 @@ class TwoPhasePlugin(SchemePlugin):
     def native_engine(self, spec: "ScenarioSpec"):
         return "fixedpoint"
 
-    def prepare(self, spec: "ScenarioSpec") -> Runner:
-        # the traffic axis samples the workload; the scheme only draws
-        # the intermediates and routes (RNG order: workload first, then
-        # intermediates — the historical order, golden-pinned)
-        workload = spec.network_plugin.build_workload(spec)
-        scheme = TwoPhaseScheme(d=spec.d, lam=spec.resolved_lam)
-
-        def run(gen):
-            sample = workload.generate(spec.horizon, gen)
-            result = scheme.route(sample, gen)
-            return steady_output(
-                spec,
-                result.delay_record(),
-                metrics=(("mean_hops", result.mean_hops()),),
-            )
-
-        return run
-
     def batch_runner(self, spec: "ScenarioSpec"):
         """Stack R replications into one fixed-point solve.
 
-        Same seed-for-seed contract as :meth:`prepare`: each stream
-        draws its workload (via ``build_workload_batch``), then its
-        intermediates, then the R path sets run as one arc-offset
-        batch.  The ``mean_hops`` side metric is recomputed per
-        replication from the flat paths — bit-identical to the
-        sequential ``TwoPhaseResult.mean_hops``.  At ``jobs > 1``
-        each worker runs this on its own contiguous seed range.
+        Each stream draws its workload (via ``build_workload_batch``),
+        then its intermediates — the historical order, golden-pinned —
+        then the R path sets run as one arc-offset batch.  The
+        ``mean_hops`` side metric is computed per replication from the
+        flat paths, bit-identical to ``TwoPhaseResult.mean_hops``.  At
+        ``jobs > 1`` each worker runs this on its own contiguous seed
+        range.
         """
         from repro.engines.api import batch_output
 

@@ -2,8 +2,8 @@
 
 A *job* is one cache-missing :class:`~repro.runner.spec.ScenarioSpec`
 queued onto a :class:`~concurrent.futures.ProcessPoolExecutor`.  The
-worker routes through :func:`repro.runner.engine.measure` — the exact
-seq/batch machinery the CLI uses — against the same
+worker routes through :func:`repro.runner.engine.measure` — the
+machinery the CLI uses — against the same
 :class:`~repro.runner.store.ResultsStore` the CLI builds, whose writes
 hold the root's lock, so a job's cache cells are byte-identical to a
 ``repro run`` of the same spec and the two can share one root.
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.runner.engine import MeasurementCancelled, measure
+from repro.runner.engine import MeasurementCancelled, check_wave_reps, measure
 from repro.runner.results import measurement_to_dict
 from repro.runner.spec import ScenarioSpec
 from repro.runner.store import ResultsStore
@@ -199,6 +199,7 @@ class JobManager:
     ) -> None:
         if job_ttl <= 0:
             raise ValueError(f"job_ttl must be > 0 seconds, got {job_ttl!r}")
+        check_wave_reps(wave_reps)  # before the pool exists
         self.store_root = Path(store_root)
         self.wave_reps = wave_reps
         self.job_ttl = float(job_ttl)

@@ -7,8 +7,9 @@ steady-state estimate.
 
 Execution is a thin lookup: the spec's scheme resolves to a
 :class:`~repro.plugins.api.SchemePlugin` through the plugin registry
-(:mod:`repro.plugins.registry`), whose ``prepare(spec)`` hook builds
-the ``Runner(gen) -> ReplicationOutput`` closure that does the work.
+(:mod:`repro.plugins.registry`), whose ``batch_runner(spec)`` hook
+builds the closure that does the work — the same closure the parallel
+runner uses, here on a batch of one seed.
 Which engine runs — the levelled feed-forward sweep or the
 fixed-point path solver — resolves through the **engine plugin
 registry** (:func:`repro.engines.registry.resolve_engine`), driven by
@@ -27,7 +28,7 @@ be circular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.rng import SeedLike, as_generator
@@ -44,8 +45,10 @@ class ReplicationOutput:
     num_packets: int
     #: scheme-specific side metrics, averaged across replications later
     metrics: Tuple[Tuple[str, float], ...] = ()
-    #: full per-packet record (only when ``keep_record=True``)
-    record: Optional[DelayRecord] = None
+    #: full per-packet record (kept by :func:`run_spec` only when
+    #: ``keep_record=True``); not part of what the replication
+    #: contributes, so equality ignores it
+    record: Optional[DelayRecord] = field(default=None, compare=False)
 
 
 def run_spec(spec, rng: SeedLike = None, *, keep_record: bool = False) -> ReplicationOutput:
@@ -58,8 +61,7 @@ def run_spec(spec, rng: SeedLike = None, *, keep_record: bool = False) -> Replic
     """
     from repro.plugins.registry import get_plugin
 
-    runner = get_plugin(spec.scheme).prepare(spec)
-    out = runner(as_generator(rng))
+    out = get_plugin(spec.scheme).batch_runner(spec)([as_generator(rng)])[0]
     if not keep_record:
-        out = ReplicationOutput(out.mean_delay, out.num_packets, out.metrics, None)
+        out = ReplicationOutput(out.mean_delay, out.num_packets, out.metrics)
     return out

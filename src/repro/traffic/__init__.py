@@ -17,9 +17,9 @@ On top of the substrate sits the **fourth plugin axis** (after
 schemes, networks and engines): every workload law a scenario can run
 under is a :class:`~repro.traffic.api.TrafficPlugin` declaring its
 identity (name + aliases), its typed traffic-scoped options, its
-sampling hooks (``sample_workload`` / ``sample_workload_batch`` for
-the replication-batched engine path) and its exact-theory closed forms
-(``mask_pmf`` / ``flip_probabilities`` / ``mean_distance``).  Built-ins:
+sampling hooks (``destination_law`` / ``build_workload``) and its
+exact-theory closed forms (``mask_pmf`` / ``flip_probabilities`` /
+``mean_distance``).  Built-ins:
 ``uniform`` (eq. (1)), the permutation family (``bitrev``,
 ``transpose``, ``bitcomp``), ``hotspot`` and ``bursty``; third-party
 packages extend the vocabulary via the ``repro.traffic_plugins``

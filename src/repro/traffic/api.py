@@ -23,14 +23,10 @@ and implements:
 * :meth:`~TrafficPlugin.build_workload` — the arrival process bundled
   with the destinations: an object whose ``generate(horizon, gen)``
   returns a :class:`~repro.traffic.workload.TrafficSample` (Poisson
-  superposition by default; bursty plugins override);
-* :meth:`~TrafficPlugin.sample_workload` /
-  :meth:`~TrafficPlugin.sample_workload_batch` — the generation hooks
-  the single-replication runner and the replication-batched engine
-  fast path route through.  The batch contract is strict: entry *r*
-  must be **bit-identical** to ``sample_workload(..., gens[r])``, so
-  the batched engine path stays indistinguishable from R sequential
-  runs whatever the law;
+  superposition by default; bursty plugins override).  A replication
+  draws its sample from its own generator only, so a batch of R
+  samples is R independent draws whatever the law
+  (:meth:`~repro.networks.api.NetworkPlugin.build_workload_batch`);
 * the exact-theory hooks :meth:`~TrafficPlugin.mask_pmf` /
   :meth:`~TrafficPlugin.flip_probabilities` /
   :meth:`~TrafficPlugin.mean_distance` — closed forms over the d-bit
@@ -45,7 +41,7 @@ lazily.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.plugins.api import OptionSpec
@@ -55,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.networks.api import NetworkPlugin
     from repro.runner.spec import ScenarioSpec
-    from repro.traffic.workload import TrafficSample
 
 __all__ = ["TrafficPlugin"]
 
@@ -158,37 +153,6 @@ class TrafficPlugin:
             spec.resolved_lam,
             self.destination_law(spec, network),
         )
-
-    def sample_workload(
-        self,
-        spec: "ScenarioSpec",
-        network: "NetworkPlugin",
-        horizon: float,
-        gen: "np.random.Generator",
-    ) -> "TrafficSample":
-        """One realised workload drawn from one replication stream."""
-        return self.build_workload(spec, network).generate(horizon, gen)
-
-    def sample_workload_batch(
-        self,
-        spec: "ScenarioSpec",
-        network: "NetworkPlugin",
-        horizon: float,
-        gens: Sequence["np.random.Generator"],
-    ) -> List["TrafficSample"]:
-        """R realised workloads for the replication-batched engine path.
-
-        The contract is strict: entry *r* must be **bit-identical** to
-        ``sample_workload(spec, network, horizon, gens[r])`` — each
-        replication consumes only its own stream, so the batched engine
-        path and the per-replication cache cells can never tell the two
-        routes apart.  The default amortises workload construction
-        (laws, permutation tables, topology-derived constants are built
-        once for the whole batch) and draws each sample fully
-        vectorised from its own generator.
-        """
-        workload = self.build_workload(spec, network)
-        return [workload.generate(horizon, gen) for gen in gens]
 
     # -- exact theory ---------------------------------------------------------
 

@@ -10,6 +10,7 @@ a grep-style guard that no ``engine ==`` literal survives outside
 ``src/repro/engines/``.
 """
 
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -108,12 +109,27 @@ class TestRegistry:
             ):
                 register_engine(BadKind)
 
+    def test_register_requires_a_run_hook(self):
+        """simulate and batch_deliveries each default to the other, so
+        an engine implementing neither is refused, not left to recurse
+        on its first sample."""
+
+        class Hookless(EnginePlugin):
+            name = "hookless"
+            capabilities = EngineCapabilities(kind="fixed-point")
+
+        with pytest.raises(ConfigurationError, match="neither simulate"):
+            register_engine(Hookless)
+        assert "hookless" not in available_engines()
+
     def test_runtime_register_unregister_roundtrip(self):
         class Toy(EnginePlugin):
             name = "toyengine"
             aliases = ("toy",)
             summary = "test double"
             capabilities = EngineCapabilities(kind="fixed-point")
+
+            def simulate(self, spec, topology, sample): ...
 
         register_engine(Toy)
         try:
@@ -123,6 +139,8 @@ class TestRegistry:
                 class Usurper(EnginePlugin):
                     name = "toyengine"
                     capabilities = EngineCapabilities(kind="fixed-point")
+
+                    def simulate(self, spec, topology, sample): ...
 
                 register_engine(Usurper)
         finally:
@@ -307,34 +325,29 @@ class TestBatchedFastPath:
         assert batched == sequential  # exact: dataclass equality on floats
 
     def test_event_engine_batches(self):
-        """``event`` names the fixed-point engine, which declares
-        batching: R replications share one solve via arc-id
-        offsetting."""
+        """``event`` names the fixed-point engine: R replications share
+        one solve via arc-id offsetting."""
         spec = greedy_spec(engine="event")
         assert get_engine("event") is get_engine("fixedpoint")
-        assert get_engine("event").supports_batch(spec)
         assert spec.plugin.batch_runner(spec) is not None
 
-    def test_scheme_owned_loops_do_not_batch(self):
-        spec = ScenarioSpec(name="x", scheme="deflection", lam=0.5)
-        assert spec.plugin.batch_runner(spec) is None
-
     def test_measure_routes_agree(self):
-        """measure(batch=True) == measure(batch=False), pooled CI and
-        all, at every jobs level."""
+        """One replication per task (wave_reps=1) equals the stacked
+        default, pooled CI and all, at every jobs level."""
         spec = greedy_spec(replications=6, seed_policy="spawn")
-        baseline = measure(spec, jobs=1, batch=False)
-        assert measure(spec, jobs=1, batch=True) == baseline
-        assert measure(spec, jobs=2, batch=True) == baseline
+        baseline = measure(spec, jobs=1, wave_reps=1)
+        assert measure(spec, jobs=1) == baseline
+        assert measure(spec, jobs=2) == baseline
 
     def test_batched_cache_cells_interchangeable(self, tmp_path):
-        """Cells written by the batched route are read back by the
-        pooled route and vice versa — the two paths share physics."""
+        """Cells written by one stacked range are read back by
+        one-replication tasks and vice versa — the ranges share
+        physics."""
         spec = greedy_spec(replications=4)
         batched_store = ResultsStore(tmp_path / "batched")
         pooled_store = ResultsStore(tmp_path / "pooled")
-        batched = measure(spec, store=batched_store, batch=True)
-        pooled = measure(spec, store=pooled_store, batch=False)
+        batched = measure(spec, store=batched_store)
+        pooled = measure(spec, store=pooled_store, wave_reps=1)
         assert batched == pooled
         for k in range(spec.replications):
             a = batched_store.load_replication(spec, k)
@@ -386,7 +399,8 @@ class TestCustomEngineEndToEnd:
         yield EchoEngine
         unregister_engine("echo")
 
-    def test_forced_custom_engine_runs(self, echo_engine):
+    @pytest.fixture()
+    def echo_spec(self, echo_engine):
         from repro.plugins import get_plugin, register_scheme, unregister_scheme
 
         # widen greedy's declared engines through a subclass double so
@@ -404,18 +418,36 @@ class TestCustomEngineEndToEnd:
 
         register_scheme(OpenGreedy)
         try:
-            spec = ScenarioSpec(
+            yield ScenarioSpec(
                 name="echo-toy", scheme="open_greedy", d=3, rho=0.4,
                 horizon=80.0, replications=1, engine="free-flow",
             )
-            assert spec.engine == "echo"
-            out = run_spec(spec, 0, keep_record=True)
-            # zero contention: every delay is exactly the hop count
-            delays = out.record.delivery - out.record.birth
-            assert np.all(delays >= 0)
-            assert np.allclose(delays, np.round(delays))
         finally:
             unregister_scheme("open_greedy")
+
+    def test_forced_custom_engine_runs(self, echo_spec):
+        spec = echo_spec
+        assert spec.engine == "echo"
+        out = run_spec(spec, 0, keep_record=True)
+        # zero contention: every delay is exactly the hop count
+        delays = out.record.delivery - out.record.birth
+        assert np.all(delays >= 0)
+        assert np.allclose(delays, np.round(delays))
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="an engine registered at run time reaches pool workers by fork only",
+    )
+    def test_simulate_only_engine_runs_through_measure(self, echo_spec):
+        """An engine implementing only ``simulate`` gets the derived
+        ``batch_deliveries`` (one ``simulate`` per sample): it runs
+        through measure in process and across the pool, with the same
+        replications as one run_spec each."""
+        spec = echo_spec.replace(replications=3)
+        seeds = replication_seeds(spec.base_seed, 3, spec.seed_policy)
+        expected = tuple(run_spec(spec, seed).mean_delay for seed in seeds)
+        for jobs in (1, 2):
+            assert measure(spec, jobs=jobs).replication_delays == expected
 
 
 def test_no_engine_literals_outside_engines_package():

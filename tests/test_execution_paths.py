@@ -1,11 +1,12 @@
-"""The route equivalence contract of the parallel runner.
+"""The range equivalence contract of the parallel runner.
 
-One spec, several ways to execute its replications — sequential
-per-replication tasks, and the stacked batch route both in process
-(``jobs=1``) and split across the pool (``jobs > 1``: one contiguous
-range of the centrally derived seeds per worker, each worker drawing
-its own range's workloads) — plus the bounded-memory chunked-horizon
-mode.  All of them must be
+Every replication runs through the scheme's batch runner, on a
+contiguous range of the centrally derived seeds.  One spec, several
+ways to cut its replications into ranges — one replication per task
+(``wave_reps=1``, the reference), the whole stack in process
+(``jobs=1``), and one range per worker across the pool (``jobs > 1``,
+each worker drawing its own range's workloads) — plus the
+bounded-memory chunked-horizon mode.  All of them must be
 **bit-identical**: same pooled measurement, and byte-identical
 per-replication cache cells (the cells are how sweeps compose across
 sessions, so even a one-ulp drift would poison every downstream
@@ -71,25 +72,42 @@ def _cell_numbers(store, spec):
     return out
 
 
+def _pooled(m):
+    """A pooled measurement as JSON text: equal exactly when the
+    measurements are, NaN fields (a static task's rho and lam)
+    included."""
+    import json
+
+    from repro.runner.results import measurement_to_dict
+
+    return json.dumps(measurement_to_dict(m), sort_keys=True)
+
+
+def _assert_ranges_identical(spec, tmp_path, worker_counts):
+    """One replication per task is the reference: the in-process stack
+    and the pool at each worker count give the same pooled measurement
+    and byte-identical per-replication cells."""
+    seq_store = ResultsStore(tmp_path / "single")
+    m_seq = _pooled(measure(spec, jobs=1, wave_reps=1, store=seq_store))
+    reference = _cell_bytes(seq_store, spec)
+
+    bat_store = ResultsStore(tmp_path / "bat")
+    assert _pooled(measure(spec, jobs=1, store=bat_store)) == m_seq
+    assert _cell_bytes(bat_store, spec) == reference
+
+    for jobs in worker_counts:
+        par_store = ResultsStore(tmp_path / f"par{jobs}")
+        m_par = measure(spec, jobs=jobs, store=par_store)
+        assert _pooled(m_par) == m_seq, f"jobs={jobs}"
+        assert _cell_bytes(par_store, spec) == reference, f"jobs={jobs}"
+
+
 class TestThreeRouteEquivalence:
     @pytest.mark.parametrize("spec", CELLS, ids=lambda s: s.network)
     def test_sequential_batched_parallel_identical(self, spec, tmp_path):
         """Pooled measurements equal and per-replication cache cells
-        byte-identical across every route and worker count."""
-        seq_store = ResultsStore(tmp_path / "seq")
-        m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
-        reference = _cell_bytes(seq_store, spec)
-
-        bat_store = ResultsStore(tmp_path / "bat")
-        m_bat = measure(spec, jobs=1, batch=True, store=bat_store)
-        assert m_bat == m_seq
-        assert _cell_bytes(bat_store, spec) == reference
-
-        for jobs in WORKER_COUNTS:
-            par_store = ResultsStore(tmp_path / f"par{jobs}")
-            m_par = measure(spec, jobs=jobs, batch=True, store=par_store)
-            assert m_par == m_seq, f"jobs={jobs}"
-            assert _cell_bytes(par_store, spec) == reference, f"jobs={jobs}"
+        byte-identical across every range size and worker count."""
+        _assert_ranges_identical(spec, tmp_path, WORKER_COUNTS)
 
     @pytest.mark.parametrize(
         "spec", [s for s in CELLS if s.network in ("hypercube", "butterfly")],
@@ -99,17 +117,17 @@ class TestThreeRouteEquivalence:
         """The chunked-horizon mode matches the one-shot sweep bit for
         bit, in process and across the pool (the chunk size must never
         leak into the numbers — only into the memory profile)."""
-        seq_store = ResultsStore(tmp_path / "seq")
-        m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
+        seq_store = ResultsStore(tmp_path / "single")
+        m_seq = measure(spec, jobs=1, wave_reps=1, store=seq_store)
         reference = _cell_numbers(seq_store, spec)
         for chunk in (1, 7, 50, 10**6):
             chunked = spec.replace(extra={"chunk_packets": chunk})
             chk_store = ResultsStore(tmp_path / f"chk{chunk}")
-            m_chk = measure(chunked, jobs=1, batch=True, store=chk_store)
+            m_chk = measure(chunked, jobs=1, store=chk_store)
             assert m_chk.replication_delays == m_seq.replication_delays
             assert _cell_numbers(chk_store, chunked) == reference
         chunked = spec.replace(extra={"chunk_packets": 13})
-        m_par = measure(chunked, jobs=2, batch=True)
+        m_par = measure(chunked, jobs=2)
         assert m_par.replication_delays == m_seq.replication_delays
 
 
@@ -149,40 +167,39 @@ class TestEventRouteEquivalence:
 
     @pytest.mark.parametrize("spec", EVENT_CELLS, ids=lambda s: s.name)
     def test_event_engine_three_routes_identical(self, spec, tmp_path):
-        """Greedy forced onto the fixed-point engine: sequential,
-        in-process batch and pool batch (jobs=2) cells byte-identical."""
-        seq_store = ResultsStore(tmp_path / "seq")
-        m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
-        reference = _cell_bytes(seq_store, spec)
-
-        bat_store = ResultsStore(tmp_path / "bat")
-        m_bat = measure(spec, jobs=1, batch=True, store=bat_store)
-        assert m_bat == m_seq
-        assert _cell_bytes(bat_store, spec) == reference
-
-        par_store = ResultsStore(tmp_path / "par")
-        m_par = measure(spec, jobs=2, batch=True, store=par_store)
-        assert m_par == m_seq
-        assert _cell_bytes(par_store, spec) == reference
+        """Greedy forced onto the fixed-point engine: one replication
+        per task, the in-process stack and the pool (jobs=2) give
+        byte-identical cells."""
+        _assert_ranges_identical(spec, tmp_path, (2,))
 
     @pytest.mark.parametrize("spec", CYCLIC_CELLS, ids=lambda s: s.name)
     def test_cyclic_scheme_batched_routes_identical(self, spec, tmp_path):
-        """Cyclic schemes: the batched fixed-point solve, in process and split
-        across the pool at jobs=2, reproduces the sequential cells
-        byte for byte."""
-        seq_store = ResultsStore(tmp_path / "seq")
-        m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
-        reference = _cell_bytes(seq_store, spec)
+        """Cyclic schemes: the stacked fixed-point solve, in process and
+        split across the pool at jobs=2, reproduces the
+        one-replication-per-task cells byte for byte."""
+        _assert_ranges_identical(spec, tmp_path, (2,))
 
-        bat_store = ResultsStore(tmp_path / "bat")
-        m_bat = measure(spec, jobs=1, batch=True, store=bat_store)
-        assert m_bat == m_seq
-        assert _cell_bytes(bat_store, spec) == reference
 
-        par_store = ResultsStore(tmp_path / "par")
-        m_par = measure(spec, jobs=2, batch=True, store=par_store)
-        assert m_par == m_seq
-        assert _cell_bytes(par_store, spec) == reference
+#: catalog cells whose schemes own their simulation loop: their derived
+#: batch runner runs one prepared replication per seed, in process and
+#: on the pool's contiguous seed ranges alike
+SCHEME_OWNED_CELLS = [
+    ("hypercube-deflection", {"horizon": 40.0}),
+    ("hypercube-pipelined-batch", {"horizon": 40.0}),
+    ("static-valiant-bitrev", {}),
+    ("hypercube-slotted", {"horizon": 20.0}),
+]
+
+
+class TestSchemeOwnedLoopRanges:
+    @pytest.mark.parametrize(
+        "name,overrides", SCHEME_OWNED_CELLS, ids=[c[0] for c in SCHEME_OWNED_CELLS]
+    )
+    def test_scheme_owned_loop_ranges_identical(self, name, overrides, tmp_path):
+        from repro.runner import get_scenario
+
+        spec = get_scenario(name).replace(d=4, replications=3, **overrides)
+        _assert_ranges_identical(spec, tmp_path, (2,))
 
 
 def _one_shot(net, topology, spec, sample):
@@ -210,11 +227,11 @@ class TestChunkedKernels:
             rho=0.6, horizon=6.0, replications=2, base_seed=5,
             extra={"dim_order": (3, 0, 5, 1, 4, 2)},
         )
-        m_one = measure(base, jobs=1, batch=False)
+        m_one = measure(base, jobs=1, wave_reps=1)
         m_chk = measure(
             base.replace(extra={"dim_order": (3, 0, 5, 1, 4, 2),
                                 "chunk_packets": 19}),
-            jobs=1, batch=True,
+            jobs=1,
         )
         assert m_chk.replication_delays == m_one.replication_delays
 
@@ -238,6 +255,14 @@ class TestChunkedKernels:
         for chunk in (0, -3):
             with pytest.raises(ConfigurationError, match="chunk_packets"):
                 simulate_levelled(levels, [sample], chunk_packets=chunk)
+
+    def test_nonpositive_chunk_refused_when_the_spec_is_built(self):
+        """The kernel's refusal comes only once a spec runs (after any
+        cache probe, on the server inside a pool worker); the engine's
+        admissibility check refuses the spec itself."""
+        for chunk in (0, -5):
+            with pytest.raises(ConfigurationError, match="chunk_packets must be >= 1"):
+                ScenarioSpec(name="x", d=3, rho=0.5, extra={"chunk_packets": chunk})
 
     def test_chunked_rejects_a_stack_an_arc_log_or_a_discipline(self):
         """The windows carry one replication's arc state and record no
@@ -326,10 +351,8 @@ class TestChunkedPS:
             rho=0.5, horizon=6.0, replications=3, base_seed=23,
             discipline="ps",
         )
-        m_one = measure(spec, jobs=1, batch=False)
-        m_chk = measure(
-            spec.replace(extra={"chunk_packets": 16}), jobs=1, batch=True
-        )
+        m_one = measure(spec, jobs=1, wave_reps=1)
+        m_chk = measure(spec.replace(extra={"chunk_packets": 16}), jobs=1)
         assert m_chk.replication_delays == m_one.replication_delays
 
 
@@ -488,8 +511,15 @@ class TestRunnerResolution:
 
         monkeypatch.setattr(GreedyPlugin, "batch_runner", counting)
         spec = CELLS[0]
-        measure(spec, jobs=1, batch=True)
+        measure(spec, jobs=1, wave_reps=1)  # one task per replication
         assert calls == [spec.name]
+
+    def test_wave_reps_below_one_is_refused(self):
+        """wave_reps=1 is one replication per task, so 0 (or less) must
+        not quietly mean "no cap": it is refused before anything runs."""
+        for wave_reps in (0, -2):
+            with pytest.raises(ConfigurationError, match="wave_reps"):
+                measure(CELLS[0], wave_reps=wave_reps)
 
     def test_pool_route_parent_holds_seeds_not_workloads(self):
         """At jobs > 1 only seeds cross the pool: each worker draws its

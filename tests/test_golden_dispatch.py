@@ -121,17 +121,15 @@ def test_golden_cell_is_bit_identical(spec):
 
 @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.name)
 def test_golden_cell_batched_is_bit_identical(spec):
-    """Every golden cell whose engine batches must reproduce its pinned
-    value **through the batched path**: a batch of R replications is
-    bit-identical to R sequential runs, replication 0 of which is the
-    golden cell itself."""
+    """Every golden cell must reproduce its pinned value **through its
+    scheme's batch runner**: a batch of R replications is bit-identical
+    to R single runs, replication 0 of which is the golden cell
+    itself."""
     from repro.rng import replication_seeds
 
     reps = 3
     grown = spec.replace(replications=reps)
     runner = grown.plugin.batch_runner(grown)
-    if runner is None:
-        pytest.skip("cell's scheme/engine does not declare batching")
     seeds = replication_seeds(grown.base_seed, reps, grown.seed_policy)
     batched = runner(seeds)
     assert len(batched) == reps

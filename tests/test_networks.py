@@ -726,9 +726,9 @@ class TestCustomNetworkEndToEnd:
             fp = run_spec(spec.replace(engine="fixedpoint"), 0, keep_record=True)
             assert_same_paths(fp, vec)
 
-            def route(cell_spec, batch):
-                store = ResultsStore(tmp_path / f"{cell_spec.name}-{batch}")
-                m = measure(cell_spec, jobs=1, batch=batch, store=store)
+            def route(cell_spec, wave_reps):
+                store = ResultsStore(tmp_path / f"{cell_spec.name}-{wave_reps}")
+                m = measure(cell_spec, jobs=1, wave_reps=wave_reps, store=store)
                 assert m.num_packets > 0
                 return m.replication_delays, [
                     store.replication_path_for(cell_spec, k).read_bytes()
@@ -738,9 +738,9 @@ class TestCustomNetworkEndToEnd:
             chunked = spec.replace(
                 name="lstar-chunked", extra={"chunk_packets": 7}
             )
-            seq, chk_seq = route(spec, False), route(chunked, False)
-            assert route(spec, True) == seq
-            assert route(chunked, True) == chk_seq
+            seq, chk_seq = route(spec, 1), route(chunked, 1)
+            assert route(spec, None) == seq
+            assert route(chunked, None) == chk_seq
             # a chunked cell embeds its own spec; its numbers do not move
             assert chk_seq[0] == seq[0]
         finally:

@@ -62,10 +62,25 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="SchemePlugin"):
             register_scheme(object())
 
+    def test_register_requires_a_run_hook(self):
+        """prepare and batch_runner each default to the other, so a
+        scheme implementing neither is refused, not left to recurse on
+        its first replication."""
+
+        class Hookless(SchemePlugin):
+            name = "hookless"
+            capabilities = Capabilities(networks=("hypercube",))
+
+        with pytest.raises(ConfigurationError, match="neither prepare"):
+            register_scheme(Hookless)
+        assert "hookless" not in available_schemes()
+
     def test_collision_requires_overwrite(self):
         class FakeGreedy(SchemePlugin):
             name = "greedy"
             capabilities = Capabilities(networks=("hypercube",))
+
+            def prepare(self, spec): ...
 
         with pytest.raises(ConfigurationError, match="already registered"):
             register_scheme(FakeGreedy)
@@ -78,6 +93,8 @@ class TestRegistry:
             name = "ep-scheme"
             summary = "from an entry point"
             capabilities = Capabilities(networks=("hypercube",))
+
+            def prepare(self, spec): ...
 
         class FakeEP:
             name = "ep-scheme"

@@ -21,16 +21,26 @@ from repro.registry import Registry
 from repro.traffic import TrafficPlugin
 from repro.traffic.registry import TRAFFICS
 
+
+def _hook(self, *args):
+    """A run hook these tests never call: registration only needs one
+    of the pair declared (a scheme's ``prepare``/``batch_runner``, an
+    engine's ``simulate``/``batch_deliveries``)."""
+    raise AssertionError("registry tests do not run plugins")
+
+
 #: axis -> (registry, plugin base, attributes a valid plugin needs,
 #: entry-point group, a built-in name)
 AXES = {
     "scheme": (
-        SCHEMES, SchemePlugin, {"capabilities": Capabilities(networks=("hypercube",))},
+        SCHEMES, SchemePlugin,
+        {"capabilities": Capabilities(networks=("hypercube",)), "prepare": _hook},
         "repro.scheme_plugins", "greedy",
     ),
     "network": (NETWORKS, NetworkPlugin, {}, "repro.network_plugins", "hypercube"),
     "engine": (
-        ENGINES, EnginePlugin, {"capabilities": EngineCapabilities(kind="fixed-point")},
+        ENGINES, EnginePlugin,
+        {"capabilities": EngineCapabilities(kind="fixed-point"), "simulate": _hook},
         "repro.engine_plugins", "feedforward",
     ),
     "traffic": (TRAFFICS, TrafficPlugin, {}, "repro.traffic_plugins", "uniform"),

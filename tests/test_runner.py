@@ -370,10 +370,9 @@ class TestResultsStore:
 
         monkeypatch.setattr(engine_mod, "_run_task", counting)
         grown = measure(small.replace(replications=5), store=store)
-        # replications 2, 3, 4 only (a "seq"/"batch" task's third slot
-        # is its seed tuple — the batched route stacks several seeds
-        # into one computation)
-        assert sum(len(t[2]) for t in executed) == 3
+        # replications 2, 3, 4 only (a task's second slot is its seed
+        # range — one range stacks several seeds into one computation)
+        assert sum(len(t[1]) for t in executed) == 3
         # the first two pooled estimates are the cached ones, bit for bit
         assert grown.replication_delays[:2] == first.replication_delays
         # and the pooled result equals a from-scratch computation
@@ -476,6 +475,23 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err.startswith("repro: error: ")
         assert captured.err.count("\n") == 1
+
+    def test_out_of_range_engine_option_never_reaches_measure(
+        self, capsys, monkeypatch
+    ):
+        """chunk_packets=0 is refused when the spec is built: the CLI
+        exits 2 before any cache probe or measurement."""
+        import repro.__main__ as cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("measure was reached")
+
+        monkeypatch.setattr(cli, "measure", unreachable)
+        args = ["run", "smoke", "--no-cache", "--set", "chunk_packets=0"]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and err.count("\n") == 1
+        assert "chunk_packets must be >= 1, got 0" in err
 
     def test_internal_errors_keep_their_traceback(self, monkeypatch):
         import repro.__main__ as cli

@@ -128,6 +128,36 @@ class TestPlumbing:
         status, body = _request("POST", url, {"scenario": "no-such"})
         assert status == 400
 
+    def test_out_of_range_engine_option_is_400_and_queues_nothing(self, server):
+        """A spec that could only fail inside a pool worker is refused
+        at the door instead of ending as a failed job."""
+        base = server.base_url
+        bad = dict(SPEC, name="serve-chunk0", extra={"chunk_packets": 0})
+        status, body = _request("POST", f"{base}/v1/measure", bad)
+        assert status == 400 and "chunk_packets must be >= 1" in body["error"]
+        assert _request("GET", f"{base}/v1/jobs")[1]["jobs"] == []
+
+    def test_wave_reps_below_one_is_refused_before_a_pool(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """wave_reps=0 would silently mean "no cap": ReproServer refuses
+        it, and ``repro serve --wave-reps 0`` exits 2 with one line,
+        before any worker pool exists."""
+        import repro.__main__ as cli
+        import repro.serve.jobs as jobs_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(jobs_mod, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigurationError, match="wave_reps"):
+            ReproServer(cache_dir=tmp_path, wave_reps=0)
+        args = ["serve", "--wave-reps", "0", "--port", "0",
+                "--cache-dir", str(tmp_path)]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: wave_reps") and err.count("\n") == 1
+
     def test_request_parser_roundtrip(self):
         # the hand-rolled parser's corner: query strings and encodings
         req = Request(method="POST", path="/v1/measure", body=b'{"a": 1}')
@@ -293,9 +323,6 @@ class _ExitInWorker(GreedyPlugin):
 
     def batch_runner(self, spec):
         return lambda seeds: os._exit(1)
-
-    def prepare(self, spec):
-        return lambda gen: os._exit(1)
 
 
 @pytest.mark.skipif(

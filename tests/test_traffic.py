@@ -5,10 +5,11 @@ runtime registration), the statistical conformance contract every
 registered traffic plugin must honor on at least two networks
 (empirical mask frequencies vs. ``mask_pmf()`` at a fixed seed,
 flip-probability and mean-distance closed forms, plugin-specific
-destination laws), the bit-identity of ``sample_workload_batch``
-against per-replication ``sample_workload``, the end-to-end batched
-engine path under every law, the alias-normalisation cache guarantee
-(including the legacy ``extra={"law": ...}`` spelling), the new
+destination laws), the bit-identity of the network's
+``build_workload_batch`` against one ``build_workload(spec).generate``
+per generator, the end-to-end batched engine path under every law, the
+alias-normalisation cache guarantee (including the legacy
+``extra={"law": ...}`` spelling), the new
 scenario catalog entries, and a grep-style guard that no traffic
 dispatch survives outside ``src/repro/traffic/``.
 """
@@ -306,18 +307,18 @@ class TestConformance:
             assert share >= 0.8 * beta
 
     def test_batch_generation_is_bit_identical(self, traffic, network):
-        """sample_workload_batch(spec, net, h, gens)[r] must equal the
-        per-replication sample_workload draw from the same seed —
-        under both seed policies."""
+        """NetworkPlugin.build_workload_batch(spec, h, gens)[r] must
+        equal a fresh build_workload(spec).generate draw from the same
+        seed — under both seed policies."""
         spec = conf_spec(traffic, network, horizon=120.0)
-        plugin, net = spec.traffic_plugin, spec.network_plugin
+        net = spec.network_plugin
         for policy in ("spawn", "sequential"):
             seeds = replication_seeds(7, 3, policy)
-            batch = plugin.sample_workload_batch(
-                spec, net, spec.horizon, [as_generator(s) for s in seeds]
+            batch = net.build_workload_batch(
+                spec, spec.horizon, [as_generator(s) for s in seeds]
             )
             singles = [
-                plugin.sample_workload(spec, net, spec.horizon, as_generator(s))
+                net.build_workload(spec).generate(spec.horizon, as_generator(s))
                 for s in seeds
             ]
             assert len(batch) == len(singles) == 3
@@ -332,8 +333,6 @@ class TestConformance:
         R sequential runs, output for output."""
         spec = conf_spec(traffic, network, horizon=80.0, replications=3)
         runner = spec.plugin.batch_runner(spec)
-        if runner is None:
-            pytest.skip("network's engine does not batch")
         seeds = replication_seeds(spec.base_seed, 3, spec.seed_policy)
         assert runner(seeds) == [run_spec(spec, s) for s in seeds]
 
